@@ -107,14 +107,16 @@ void BM_SharedGating(benchmark::State& state) {
 }
 BENCHMARK(BM_SharedGating)->RangeMultiplier(2)->Range(4, 48)->Complexity();
 
+// The whole minimum-resource search (every listSchedule call it makes).
 void BM_ListSchedule(benchmark::State& state) {
   const Graph g = randomLayeredDfg(static_cast<int>(state.range(0)), 8, 42);
   const int steps = criticalPathLength(g) + 4;
   for (auto _ : state) {
     benchmark::DoNotOptimize(minimizeResources(g, steps));
   }
+  state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_ListSchedule)->RangeMultiplier(2)->Range(4, 32);
+BENCHMARK(BM_ListSchedule)->RangeMultiplier(2)->Range(4, 256)->Complexity();
 
 void BM_ForceDirected(benchmark::State& state) {
   const Graph g = randomLayeredDfg(static_cast<int>(state.range(0)), 6, 42);
@@ -331,9 +333,7 @@ void BM_ControllerGen(benchmark::State& state) {
   const int steps = criticalPathLength(g) + 4;
   PowerManagedDesign design = applyPowerManagement(g, steps);
   applySharedGating(design);
-  const ResourceVector units = minimizeResources(design.graph, design.steps);
-  const ListScheduleResult scheduled = listSchedule(design.graph, design.steps, units);
-  const Schedule& sched = *scheduled.schedule;
+  const Schedule sched = minimizeSchedule(design.graph, design.steps).schedule;
   const Binding binding = bindDesign(design.graph, sched);
   const ActivationResult activation = analyzeActivation(design);
   for (auto _ : state) {

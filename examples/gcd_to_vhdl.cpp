@@ -48,27 +48,24 @@ int main() {
     std::cout << "\n";
   }
 
-  const ResourceVector units = minimizeResources(design.graph, steps);
-  const ListScheduleResult scheduled = listSchedule(design.graph, steps, units);
-  if (!scheduled.schedule) {
-    std::cerr << "scheduling failed: " << scheduled.message << "\n";
-    return 1;
-  }
-  std::cout << "\nSchedule (" << steps << " steps, units " << units.toString() << "):\n"
-            << scheduled.schedule->render(design.graph) << "\n";
+  const MinimizedSchedule minimized = minimizeSchedule(design.graph, steps);
+  const Schedule& sched = minimized.schedule;
+  std::cout << "\nSchedule (" << steps << " steps, units " << minimized.units.toString()
+            << "):\n"
+            << sched.render(design.graph) << "\n";
 
-  const Binding binding = bindDesign(design.graph, *scheduled.schedule);
+  const Binding binding = bindDesign(design.graph, sched);
   const ActivationResult activation = analyzeActivation(design);
   const ControllerSpec ctrl =
-      synthesizeController(design, *scheduled.schedule, binding, activation);
+      synthesizeController(design, sched, binding, activation);
   std::cout << "Controller: " << ctrl.stateCount() << " states, " << ctrl.loads.size()
             << " loads (" << ctrl.gatedLoadCount() << " gated), ~"
             << ctrl.estimatedArea() << " NAND2-eq\n\n";
 
-  const std::string datapath = vhdl::emitDatapath(design, *scheduled.schedule, ctrl);
-  const std::string controller = vhdl::emitController(design, *scheduled.schedule, ctrl);
+  const std::string datapath = vhdl::emitDatapath(design, sched, ctrl);
+  const std::string controller = vhdl::emitController(design, sched, ctrl);
   const std::string testbench =
-      vhdl::emitTestbench(design, *scheduled.schedule, ctrl, /*vectors=*/8, /*seed=*/7);
+      vhdl::emitTestbench(design, sched, ctrl, /*vectors=*/8, /*seed=*/7);
 
   for (const auto& [file, text] : {std::pair<const char*, const std::string&>{
                                        "gcd_datapath.vhd", datapath},

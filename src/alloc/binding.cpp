@@ -36,11 +36,12 @@ Binding bindDesign(const Graph& g, const Schedule& sched, const BindingOptions& 
   };
   std::map<ResourceClass, std::vector<UnitState>> pool;
 
+  const std::vector<std::vector<NodeId>> byStep = sched.nodesByStep(g);
   for (int step = 1; step <= sched.steps(); ++step) {
     for (auto& [cls, states] : pool)
       for (UnitState& s : states) s.opsThisStep.clear();
 
-    for (const NodeId n : sched.nodesInStep(g, step)) {
+    for (const NodeId n : byStep[static_cast<std::size_t>(step)]) {
       const ResourceClass rc = resourceClassOf(g.kind(n));
       std::vector<UnitState>& states = pool[rc];
 

@@ -70,12 +70,8 @@ struct MappedMachine {
 
 MappedMachine buildAndMeasure(const PowerManagedDesign& design, bool gating, int samples,
                               Rng& rng) {
-  const ResourceVector units =
-      minimizeResources(design.graph, design.steps, UnitCosts::defaults());
-  const ListScheduleResult scheduled = listSchedule(design.graph, design.steps, units);
-  if (!scheduled.schedule)
-    throw InfeasibleError("table3: scheduling failed: " + scheduled.message);
-  const Schedule& sched = *scheduled.schedule;
+  const Schedule sched =
+      minimizeSchedule(design.graph, design.steps, UnitCosts::defaults()).schedule;
 
   const Binding binding = bindDesign(design.graph, sched);
   const ActivationResult activation = analyzeActivation(design);
@@ -147,11 +143,10 @@ std::vector<AbsdiffFigure> absdiffFigures() {
           pm ? applyPowerManagement(g, steps) : unmanagedDesign(g, steps);
       fig.pmMuxes = design.managedCount();
 
-      const ResourceVector units =
-          minimizeResources(design.graph, steps, UnitCosts::defaults());
-      fig.subtractors = units.of(ResourceClass::Subtractor);
-      const ListScheduleResult sched = listSchedule(design.graph, steps, units);
-      if (sched.schedule) fig.scheduleText = sched.schedule->render(design.graph);
+      const MinimizedSchedule minimized =
+          minimizeSchedule(design.graph, steps, UnitCosts::defaults());
+      fig.subtractors = minimized.units.of(ResourceClass::Subtractor);
+      fig.scheduleText = minimized.schedule.render(design.graph);
 
       const ActivationResult activation = analyzeActivation(design);
       fig.powerReductionPct = activation.reductionPercent(model);

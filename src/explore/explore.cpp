@@ -157,8 +157,8 @@ ExploreResult runSweep(const ExploreRequest& req, const RunBudget* budget, bool 
         // Amortized point: only the steps-dependent tail can change. Prune
         // before paying for it — power is constant past saturation, so the
         // point enters the front iff its minimized area improves on it.
-        const ResourceVector units = minimizeResources(base->design.graph, s);
-        const double area = UnitCosts::defaults().costOf(units);
+        const MinimizedSchedule minimized = minimizeSchedule(base->design.graph, s);
+        const double area = UnitCosts::defaults().costOf(minimized.units);
         if (dominatedByFront(res.front, basePower, area)) {
           ++res.stats.pruned;
           continue;
@@ -174,7 +174,7 @@ ExploreResult runSweep(const ExploreRequest& req, const RunBudget* budget, bool 
         out.sharedGatingSlackRejects = base->sharedGatingSlackRejects;
         out.activation = base->activation;
         FinishOptions fin;
-        fin.units = &units;
+        fin.minimized = &minimized;
         fin.reuseActivation = true;
         finishDesignJob(out, job, budget, fin);
       } else {

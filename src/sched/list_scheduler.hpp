@@ -4,6 +4,15 @@
 // Priority function: smallest ALAP first (least slack), then smallest
 // mobility, then node id for determinism. Handles the control edges the
 // power-management transform inserts exactly like data precedence.
+//
+// The scheduler is event-driven. Each node counts its unresolved
+// predecessors; placing a node (or a wire/output becoming available)
+// notifies its data and control successors, and a scheduled node whose
+// inputs are all available lands in the bucket of the step after its last
+// input. Each step sorts its arrivals by priority and merges them into a
+// ready list that stays sorted and keeps the nodes earlier steps deferred,
+// so a run costs O((V + E) log V + deferred ready-list visits) instead of a
+// scan of every unplaced node per step.
 
 #include <optional>
 
@@ -31,10 +40,26 @@ struct ListScheduleResult {
                                               const ResourceVector& limits, int ii = 0,
                                               const LatencyModel& model = LatencyModel::unit());
 
+/// The winning run of the minimum-resource search.
+struct MinimizedSchedule {
+  ResourceVector units;  ///< what `schedule` actually uses
+  /// Identical to listSchedule(g, steps, units, ii, model).schedule: usage
+  /// only grows during a run, so the run that found `units` at looser
+  /// limits made every decision the same way it would at `units`.
+  Schedule schedule;
+};
+
 /// Smallest-cost resource vector for which list scheduling succeeds at the
 /// given step budget, found by demand-driven growth from the usage lower
-/// bound. Throws InfeasibleError when even unlimited units fail (i.e. the
-/// precedence constraints alone exceed the step budget).
+/// bound, together with its schedule. Throws InfeasibleError when even
+/// unlimited units fail (i.e. the precedence constraints alone exceed the
+/// step budget).
+[[nodiscard]] MinimizedSchedule minimizeSchedule(const Graph& g, int steps,
+                                                 const UnitCosts& costs = UnitCosts::defaults(),
+                                                 int ii = 0,
+                                                 const LatencyModel& model = LatencyModel::unit());
+
+/// minimizeSchedule(...).units.
 [[nodiscard]] ResourceVector minimizeResources(const Graph& g, int steps,
                                                const UnitCosts& costs = UnitCosts::defaults(),
                                                int ii = 0,

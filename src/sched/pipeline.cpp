@@ -22,13 +22,10 @@ PipelineResult pipelineSchedule(const Graph& g, const PipelineOptions& opts) {
     result.design = unmanagedDesign(g, latency);  // same budget, no gating
   }
 
-  const ResourceVector units = minimizeResources(result.design.graph, latency,
-                                                 UnitCosts::defaults(), ii);
-  ListScheduleResult sched = listSchedule(result.design.graph, latency, units, ii);
-  if (!sched.schedule)
-    throw InfeasibleError("pipelineSchedule: final scheduling failed: " + sched.message);
-  result.schedule = std::move(*sched.schedule);
-  result.units = units;
+  MinimizedSchedule minimized =
+      minimizeSchedule(result.design.graph, latency, UnitCosts::defaults(), ii);
+  result.schedule = std::move(minimized.schedule);
+  result.units = minimized.units;
   return result;
 }
 

@@ -7,10 +7,11 @@ namespace pmsched {
 
 Schedule::Schedule(const Graph& g, int steps) : steps_(steps), step_(g.size(), 0) {}
 
-std::vector<NodeId> Schedule::nodesInStep(const Graph& g, int step) const {
-  std::vector<NodeId> out;
+std::vector<std::vector<NodeId>> Schedule::nodesByStep(const Graph& g) const {
+  std::vector<std::vector<NodeId>> out(static_cast<std::size_t>(steps_) + 1);
   for (NodeId n = 0; n < g.size(); ++n)
-    if (isScheduled(g.kind(n)) && step_[n] == step) out.push_back(n);
+    if (isScheduled(g.kind(n)) && step_[n] >= 1 && step_[n] <= steps_)
+      out[static_cast<std::size_t>(step_[n])].push_back(n);
   return out;
 }
 
@@ -74,10 +75,11 @@ void Schedule::validate(const Graph& g, const LatencyModel& model) const {
 
 std::string Schedule::render(const Graph& g) const {
   std::ostringstream os;
+  const std::vector<std::vector<NodeId>> byStep = nodesByStep(g);
   for (int s = 1; s <= steps_; ++s) {
     os << "step " << s << ":";
     bool any = false;
-    for (const NodeId n : nodesInStep(g, s)) {
+    for (const NodeId n : byStep[static_cast<std::size_t>(s)]) {
       os << (any ? ", " : " ") << g.node(n).name << " [" << opName(g.kind(n)) << "]";
       any = true;
     }

@@ -24,8 +24,9 @@ class Schedule {
   void place(NodeId n, int step) { step_.at(n) = step; }
   [[nodiscard]] bool isPlaced(NodeId n) const { return step_.at(n) != 0; }
 
-  /// Nodes placed in a given step, ascending by id.
-  [[nodiscard]] std::vector<NodeId> nodesInStep(const Graph& g, int step) const;
+  /// The scheduled nodes of every step in one pass: entry s (1..steps())
+  /// lists the nodes placed in step s, ascending by id; entry 0 is empty.
+  [[nodiscard]] std::vector<std::vector<NodeId>> nodesByStep(const Graph& g) const;
 
   /// Per-class concurrent usage of each step. Multi-cycle operations
   /// occupy their unit for `model.latencyOf(...)` consecutive steps.

@@ -527,6 +527,12 @@ void ServerCore::processJob(Job& job) {
   } catch (const BudgetExceededError& e) {
     job.responded = true;
     job.sink(makeErrorResponse(job.idJson, ServerErrorCategory::Budget, e.what()));
+  } catch (const SynthesisError& e) {
+    // A pipeline invariant failed (e.g. the controller rejects the design).
+    // The pipeline is deterministic, so a retry fails identically and the
+    // warm arenas are not suspect: answer typed, no restart, no retry.
+    job.responded = true;
+    job.sink(makeErrorResponse(job.idJson, ServerErrorCategory::Internal, e.what()));
   }
   // No catch-all: anything else escaping here IS a worker crash. The
   // supervision layer (runJobSupervised) owns retry-or-typed-internal.

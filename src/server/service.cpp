@@ -22,11 +22,11 @@ DesignOutcome runDesignJob(const DesignJob& job, const RunBudget* budget) {
 
 void finishDesignJob(DesignOutcome& out, const DesignJob& job, const RunBudget* budget,
                      const FinishOptions& fin) {
-  out.units = fin.units != nullptr ? *fin.units
-                                   : minimizeResources(out.design.graph, job.steps);
-  const ListScheduleResult scheduled = listSchedule(out.design.graph, job.steps, out.units);
-  if (!scheduled.schedule) throw InfeasibleError(scheduled.message);
-  out.schedule = *scheduled.schedule;
+  MinimizedSchedule minimized = fin.minimized != nullptr
+                                    ? *fin.minimized
+                                    : minimizeSchedule(out.design.graph, job.steps);
+  out.units = minimized.units;
+  out.schedule = std::move(minimized.schedule);
   out.binding = bindDesign(out.design.graph, out.schedule);
   if (!fin.reuseActivation) out.activation = analyzeActivation(out.design, budget);
   out.controller = synthesizeController(out.design, out.schedule, out.binding, out.activation);

@@ -14,6 +14,7 @@
 #include "alloc/binding.hpp"
 #include "ctrl/controller.hpp"
 #include "power/activation.hpp"
+#include "sched/list_scheduler.hpp"
 #include "sched/power_transform.hpp"
 #include "sched/resources.hpp"
 #include "sched/schedule.hpp"
@@ -75,9 +76,9 @@ struct DesignOutcome {
 /// Steering for finishDesignJob() when a caller already holds part of the
 /// tail's result (the explore driver's amortized point path).
 struct FinishOptions {
-  /// Already-minimized resources for out.design.graph at job.steps; skips
-  /// the minimizeResources search when non-null.
-  const ResourceVector* units = nullptr;
+  /// Already-minimized resources and their schedule for out.design.graph at
+  /// job.steps; skips the minimizeSchedule search when non-null.
+  const MinimizedSchedule* minimized = nullptr;
   /// out.activation is already valid for out.design — skip the analysis.
   /// Sound only when the design's gating conditions are unchanged (the
   /// analysis does not depend on the step budget or the schedule).

@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -322,13 +323,15 @@ TEST(Server, ConcurrentSessionsComplete) {
   constexpr int kClients = 4;
   constexpr int kRequests = 4;
   std::vector<std::vector<std::string>> outputs(kClients);
+  // Sinks for one client may race with its own submits. Workers call them
+  // after the client thread has returned, so the mutexes outlive it.
+  std::array<std::mutex, kClients> sinkMutex;
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      std::mutex m;  // sinks for one client may race with its own submits
-      auto sink = [&, c](const std::string& line) {
-        std::lock_guard<std::mutex> lock(m);
-        outputs[c].push_back(line);
+      auto sink = [&outputs, &sinkMutex, c](const std::string& line) {
+        std::lock_guard<std::mutex> lock(sinkMutex[static_cast<std::size_t>(c)]);
+        outputs[static_cast<std::size_t>(c)].push_back(line);
       };
       const std::string session = "client" + std::to_string(c);
       core.submitFrame("{\"id\":0,\"op\":\"open_session\",\"session\":\"" + session +
@@ -437,6 +440,38 @@ TEST(Server, CrashOnTheRetryYieldsOneTypedInternalError) {
   EXPECT_EQ(stats.workerRestarts, 2u);
   EXPECT_EQ(stats.retries, 1u);
   EXPECT_EQ(stats.completed, 1u);
+}
+
+TEST(Server, SynthesisErrorIsTypedWithoutRestartOrRetry) {
+  // `pmsched --random-dfg 8x4:4` in shared mode fails at the controller
+  // (SynthesisError). That is a deterministic pipeline verdict, not a worker
+  // crash: one typed internal reply, and supervision never engages.
+  const Graph g = randomLayeredDfg(8, 4, 4);
+  const int steps = criticalPathLength(g) + 2;
+  DesignJob dj;
+  dj.graph = g;
+  dj.steps = steps;
+  ASSERT_THROW((void)runDesignJob(dj), SynthesisError);
+
+  ServerOptions opts;
+  opts.workers = 0;
+  opts.retryBackoffMs = 0;
+  ServerCore core(opts);
+  std::vector<std::string> out;
+  core.submitFrame(designFrame(1, saveGraphText(g), steps),
+                   [&](const std::string& l) { out.push_back(l); });
+  while (core.drainOne()) {
+  }
+  ASSERT_EQ(out.size(), 1u);
+  const JsonValue response = parseJson(out[0]);
+  EXPECT_EQ(errorCategory(response), "internal");
+  EXPECT_EQ(field(response, "id").asInt(), 1);
+
+  const JsonValue stats = roundTrip(core, R"({"id":2,"op":"stats"})");
+  const JsonValue& supervision = field(field(stats, "result"), "supervision");
+  EXPECT_EQ(field(supervision, "worker_restarts").asInt(), 0);
+  EXPECT_EQ(field(supervision, "retries").asInt(), 0);
+  EXPECT_EQ(core.statsSnapshot().completed, 1u);
 }
 
 TEST(Server, DefaultDeadlineBoundsUnbudgetedRequests) {

@@ -586,10 +586,7 @@ int run(const Options& opts) {
 
   if (opts.powerSim > 0) {
     const PowerManagedDesign baseline = unmanagedDesign(g, steps);
-    const ResourceVector baseUnits = minimizeResources(baseline.graph, steps);
-    const ListScheduleResult baseScheduled = listSchedule(baseline.graph, steps, baseUnits);
-    if (!baseScheduled.schedule) throw InfeasibleError(baseScheduled.message);
-    const Schedule& baseSched = *baseScheduled.schedule;
+    const Schedule baseSched = minimizeSchedule(baseline.graph, steps).schedule;
     const Binding baseBinding = bindDesign(baseline.graph, baseSched);
     const ActivationResult baseAct = analyzeActivation(baseline);
 
