@@ -66,7 +66,7 @@ void BM_PowerTransform(benchmark::State& state) {
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_PowerTransform)->RangeMultiplier(2)->Range(4, 48)->Complexity();
+BENCHMARK(BM_PowerTransform)->RangeMultiplier(2)->Range(4, 256)->Complexity();
 
 // Same sweep with a never-exhausting RunBudget attached: the delta against
 // BM_PowerTransform is the whole cost of cooperative budget polling
@@ -198,9 +198,9 @@ void BM_ProbeFarmHandoffPerProbe(benchmark::State& state) {
   const int steps = criticalPathLength(g) + 2;
   ProbeFarm farm(g, steps, LatencyModel::unit(), "bench-handoff");
   const bool solo = farm.lanes() <= 1;
-  if (!solo) (void)farm.await(farm.enqueue({}, false));  // spin the lanes up
+  if (!solo) (void)farm.await(farm.enqueue({}));  // spin the lanes up
   for (auto _ : state) {
-    const std::size_t t = farm.enqueue({}, false);  // stage + ring: a wave of one
+    const std::size_t t = farm.enqueue({});  // stage + ring: a wave of one
     if (solo) {
       benchmark::DoNotOptimize(farm.await(t));
     } else {
@@ -217,11 +217,11 @@ void BM_ProbeFarmHandoffWave(benchmark::State& state) {
   const int steps = criticalPathLength(g) + 2;
   ProbeFarm farm(g, steps, LatencyModel::unit(), "bench-handoff");
   const bool solo = farm.lanes() <= 1;
-  if (!solo) (void)farm.await(farm.enqueue({}, false));
+  if (!solo) (void)farm.await(farm.enqueue({}));
   const std::size_t waveSize = static_cast<std::size_t>(state.range(0));
   std::vector<std::size_t> tickets(waveSize);
   for (auto _ : state) {
-    for (std::size_t i = 0; i < waveSize; ++i) tickets[i] = farm.stage({}, false);
+    for (std::size_t i = 0; i < waveSize; ++i) tickets[i] = farm.stage({});
     farm.ring();  // the one cv round for the whole wave
     for (const std::size_t t : tickets) {
       if (solo) {

@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "cdfg/analysis.hpp"
-#include "sched/probe_farm.hpp"
 #include "sched/timeframe_oracle.hpp"
 #include "support/run_budget.hpp"
 #include "support/thread_pool.hpp"
@@ -249,192 +248,6 @@ int PowerManagedDesign::sharedGatedCount() const {
 
 namespace {
 
-using Edge = TimeFrameOracle::Edge;
-
-/// Fewest candidates for which the farm machinery is worth spinning up.
-constexpr std::size_t kMinCandidatesForFarm = 4;
-
-// ---------------------------------------------------------------------------
-// Speculative accept/reject sweep (the shared consumer of the ProbeFarm).
-//
-// Walks `edgeSets` strictly in order, keeping a dispatch window of probes in
-// flight on the farm while committing winners on the consumer's oracle. The
-// staleness rules (see probe_farm.hpp) make the verdict stream bit-identical
-// to probing every candidate sequentially at its turn:
-//   fresh result            -> verdict and diagnostics used as-is
-//   stale INFEASIBLE        -> still infeasible (edge-set monotonicity);
-//                              the reason is recovered by an `exact` job at
-//                              the candidate's turn version, off the
-//                              critical path (lateReason)
-//   stale FEASIBLE / skip   -> re-validated on the consumer's own oracle,
-//                              which is exactly the sequential cost
-//   error (cycle)           -> rethrown at the candidate's turn, in order
-// ---------------------------------------------------------------------------
-
-struct SweepHooks {
-  /// Consulted before probing (and before enqueueing). Must be MONOTONE:
-  /// once it returns a forced verdict for a candidate it must keep
-  /// returning it. true = accept without a probe (no edges committed),
-  /// false = reject without a probe.
-  std::function<std::optional<bool>(std::size_t)> predecide;
-  /// Final verdict for candidate i, in order. `bad` is the reference's
-  /// firstInfeasible() when it is already known (diagnose mode only).
-  std::function<void(std::size_t, bool, const std::optional<NodeId>&)> decided;
-  /// Diagnose mode: late reason delivery for stale-rejected candidates
-  /// (called after the sweep, in candidate order).
-  std::function<void(std::size_t, const std::optional<NodeId>&)> lateReason;
-};
-
-/// Returns the number of candidates decided — `n` on a full sweep, less
-/// when the budget ran out (the caller marks the undecided tail degraded).
-/// On early stop the staged-but-unawaited jobs are abandoned: the lanes
-/// poll the same budget before claiming, so the farm drains within one
-/// slice-quantum and the farm destructor reaps the rest.
-std::size_t speculativeSweep(TimeFrameOracle& oracle, ProbeFarm& farm,
-                             const std::vector<std::vector<Edge>>& edgeSets, bool diagnose,
-                             const SweepHooks& hooks, const RunBudget* budget = nullptr) {
-  const std::size_t n = edgeSets.size();
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  const std::size_t window = std::max<std::size_t>(4 * farm.lanes(), 8);
-  // Adaptive engagement. An ACCEPT invalidates every in-flight speculative
-  // probe (the committed baseline moved), so speculation only pays during
-  // reject streaks — which is also where the work is, since rejects leave
-  // the baseline untouched and parallelize perfectly. After an accept the
-  // sweep probes the next few candidates on its own oracle (identical
-  // verdicts, zero churn) and re-engages the farm once a reject streak
-  // shows up again. Decisions are bit-identical either way; the policy
-  // only moves probes between lanes and the consumer.
-  constexpr std::size_t kCooldownAfterAccept = 4;
-  std::size_t cooldown = 0;
-
-  std::vector<std::size_t> ticket(n, kNone);
-  std::vector<std::pair<std::size_t, std::size_t>> reasonJobs;  // (candidate, ticket)
-  std::size_t horizon = 0;
-
-  // Batched wave handoff: STAGE every probe in the refill block (no lock,
-  // no wake), then ring the pool once — one cv round per wave instead of
-  // one per probe (see probe_farm.hpp). The consume loop refills only
-  // when the dispatched lookahead drops below half a window, so steady
-  // reject streaks ring waves of ~window/2 probes rather than degrading
-  // to per-candidate waves of one.
-  auto dispatchTo = [&](std::size_t lo, std::size_t hi) {
-    // An accept rewinds horizon to its own candidate; everything before
-    // `lo` is already decided and must not be re-staged as garbage work.
-    horizon = std::max(horizon, lo);
-    for (; horizon < std::min(hi, n); ++horizon) {
-      if (ticket[horizon] != kNone) continue;
-      if (hooks.predecide && hooks.predecide(horizon)) continue;  // forced: no probe
-      if (edgeSets[horizon].empty()) continue;                    // trivially feasible
-      ticket[horizon] = farm.stage(edgeSets[horizon], diagnose);
-    }
-    farm.ring();
-  };
-
-  // Sequential re-validation on the consumer's oracle — exactly what the
-  // sequential sweep does at this candidate's turn.
-  auto probeInline = [&](std::size_t i, std::optional<NodeId>& bad) {
-    if (budget != nullptr) budget->chargeProbes();
-    oracle.push(edgeSets[i], /*probe=*/!diagnose);
-    if (oracle.feasible()) {
-      oracle.commit();
-      farm.commitBatch(oracle);
-      return true;
-    }
-    if (diagnose) bad = oracle.firstInfeasible();
-    oracle.pop();
-    return false;
-  };
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (budget != nullptr && budget->exhausted()) return i;  // undecided tail
-    if (cooldown == 0 && horizon < std::min(i + window / 2, n)) dispatchTo(i, i + window);
-
-    if (hooks.predecide) {
-      if (const std::optional<bool> forced = hooks.predecide(i)) {
-        hooks.decided(i, *forced, std::nullopt);
-        continue;
-      }
-    }
-    if (edgeSets[i].empty()) {  // no constraint: always feasible, nothing to commit
-      hooks.decided(i, true, std::nullopt);
-      continue;
-    }
-
-    bool accepted = false;
-    bool resolved = false;
-    std::optional<NodeId> bad;
-
-    if (ticket[i] == kNone && cooldown > 0) {
-      --cooldown;
-      accepted = probeInline(i, bad);
-      resolved = true;
-    }
-    if (!resolved) {
-      if (ticket[i] == kNone) ticket[i] = farm.enqueue(edgeSets[i], diagnose);
-      const ProbeFarm::Result r = farm.await(ticket[i]);
-      const std::uint64_t cur = farm.version();
-      if (r.error && r.version == cur) std::rethrow_exception(r.error);
-      if (r.ran && !r.error) {
-        if (r.version == cur) {
-          accepted = r.feasible;
-          bad = r.firstInfeasible;
-          resolved = true;
-          if (accepted) {
-            oracle.push(edgeSets[i]);
-            if (!oracle.feasible())
-              throw SynthesisError("ProbeFarm: speculative verdict diverged from the oracle");
-            oracle.commit();
-            farm.commitBatch(oracle);
-          }
-        } else if (!r.feasible && diagnose) {
-          // Stale reject: adding committed edges can only raise ASAPs, so
-          // the verdict stands. The reference's diagnostic node — or the
-          // SynthesisError the sequential push would raise if the newer
-          // committed edges close a cycle through this batch — is
-          // recovered by an exact job pinned to this candidate's turn
-          // version and surfaced after the sweep. Without diagnose there
-          // is no late job to catch the cycle case, so stale rejects fall
-          // through to the inline re-validation instead.
-          resolved = true;
-          reasonJobs.emplace_back(i, farm.enqueue(edgeSets[i], true, /*exact=*/true));
-        }
-      }
-      if (!resolved) {
-        // Skipped, stale-feasible or stale-error.
-        accepted = probeInline(i, bad);
-      }
-    }
-    if (accepted) {
-      // The commit stales every in-flight speculative job; drop their
-      // tickets so dispatch re-probes against the new state (claimed stale
-      // jobs finish and are discarded unread), and hold off dispatching
-      // until a reject streak justifies it again.
-      for (std::size_t j = i + 1; j < horizon; ++j) ticket[j] = kNone;
-      horizon = i + 1;
-      cooldown = kCooldownAfterAccept;
-    }
-    hooks.decided(i, accepted, bad);
-  }
-
-  for (const auto& [idx, t] : reasonJobs) {
-    // Reasons are diagnostics only; an exhausted budget leaves the rest
-    // blank rather than paying one frame computation each (the verdicts
-    // above are already final).
-    if (budget != nullptr && budget->exhausted()) break;
-    const ProbeFarm::Result r = farm.await(t);
-    if (r.error) std::rethrow_exception(r.error);
-    if (hooks.lateReason) hooks.lateReason(idx, r.firstInfeasible);
-  }
-  return n;
-}
-
-/// Shared driver: offer power management to `candidates` in order, keeping
-/// each mux whose control edges leave the frames feasible. With `useOracle`
-/// the per-mux schedulability test is an incremental push → test →
-/// pop/commit on a TimeFrameOracle — parallelized over a ProbeFarm when
-/// `speculate` and more than one thread is configured; otherwise frames are
-/// recomputed from scratch per mux (the retained reference path
-/// differential tests pin the oracle against).
 constexpr const char* kBudgetReason = "not attempted: run budget exhausted";
 
 /// Mark a transform design degraded (once) and mirror it into the budget's
@@ -450,11 +263,17 @@ void markTransformDegraded(PowerManagedDesign& design, const RunBudget* budget) 
                        "remaining muxes left unmanaged; design stays valid");
 }
 
+/// The greedy loop: offer power management to `candidates` in order, keeping
+/// each mux whose control edges leave the frames feasible. With `useOracle`
+/// the per-mux test reads the TimeFrameOracle's committed frames: an accept
+/// pushes and commits the edges, a reject only walks the over-budget region
+/// to name the node in its reason. Otherwise frames are recomputed from
+/// scratch per mux (the retained reference path differential tests pin the
+/// oracle against).
 PowerManagedDesign runTransformWithModel(const Graph& g, int steps,
                                          const std::vector<NodeId>& candidates,
                                          const LatencyModel& model, bool useOracle,
                                          std::span<const NodeMask> cones,
-                                         bool speculate = true,
                                          const RunBudget* budget = nullptr) {
   PowerManagedDesign design;
   design.graph = g.clone();
@@ -471,225 +290,79 @@ PowerManagedDesign runTransformWithModel(const Graph& g, int steps,
   // data edges; edges are only materialized after the loop, so it stays
   // valid for the whole sweep (control edges would not affect it anyway).
 
-  const bool parallel = useOracle && speculate && threadCount() > 1 &&
-                        candidates.size() >= kMinCandidatesForFarm;
+  for (const NodeId m : candidates) {
+    MuxPmInfo info;
+    info.mux = m;
 
-  if (!parallel) {
-    for (const NodeId m : candidates) {
-      MuxPmInfo info;
-      info.mux = m;
-
-      if (budget != nullptr && budget->exhausted()) {
-        // Degrade: stop offering gating. Everything committed so far stays;
-        // the design (and its final frames) remains exactly as if the
-        // candidate list had ended here, so it is still schedulable.
-        info.reason = kBudgetReason;
-        markTransformDegraded(design, budget);
-        design.muxes.push_back(std::move(info));
-        continue;
-      }
-
-      GatedSets sets = computeGatedSets(work, m, cones);
-      info.gatedTrue = std::move(sets.gatedTrue);
-      info.gatedFalse = std::move(sets.gatedFalse);
-      info.topTrue = std::move(sets.topTrue);
-      info.topFalse = std::move(sets.topFalse);
-
-      if (!anyScheduled(work, info.gatedTrue) && !anyScheduled(work, info.gatedFalse)) {
-        info.reason = "no operations are exclusive to one data input";
-        design.muxes.push_back(std::move(info));
-        continue;
-      }
-
-      const NodeId ctrl = traceSelectProducer(work, m);
-      std::vector<std::pair<NodeId, NodeId>> newEdges;
-      if (isScheduled(work.kind(ctrl))) {
-        info.lastControl = ctrl;
-        for (const NodeId t : info.topTrue) newEdges.emplace_back(ctrl, t);
-        for (const NodeId t : info.topFalse) newEdges.emplace_back(ctrl, t);
-      }
-      // A select driven directly by an input or constant needs no control
-      // step, so gating it is always feasible (lastControl stays invalid).
-
-      std::optional<NodeId> bad;
-      if (budget != nullptr && !newEdges.empty()) budget->chargeProbes();
-      if (oracle) {
-        oracle->push(newEdges);
-        if (oracle->feasible()) {
-          oracle->commit();
-        } else {
-          bad = oracle->firstInfeasible();
-          oracle->pop();  // revert (tentative edges dropped)
-        }
-      } else {
-        std::vector<std::pair<NodeId, NodeId>> tentative = committed;
-        tentative.insert(tentative.end(), newEdges.begin(), newEdges.end());
-        bad = computeTimeFrames(work, steps, tentative, model).firstInfeasible(work);
-      }
-      if (bad) {
-        info.reason = "insufficient slack: node '" + work.node(*bad).name +
-                      "' would need ASAP > ALAP";
-        design.muxes.push_back(std::move(info));
-        continue;
-      }
-
-      committed.insert(committed.end(), newEdges.begin(), newEdges.end());  // commit (steps 8)
-      info.managed = true;
-      for (const NodeId n : info.gatedTrue) design.gates[n].push_back({m, MuxSide::True});
-      for (const NodeId n : info.gatedFalse) design.gates[n].push_back({m, MuxSide::False});
-      design.muxes.push_back(std::move(info));
-    }
-
-    // Final frames before materializing: the oracle's committed fixed point
-    // equals computeTimeFrames over the augmented graph.
-    if (oracle) design.frames = oracle->frames();
-
-    // Step 10: materialize the committed precedence as control edges.
-    for (const auto& [before, after] : committed) work.addControlEdge(before, after);
-    if (!oracle) design.frames = computeTimeFrames(work, steps, {}, model);
-    return design;
-  }
-
-  // ---- parallel speculative sweep -----------------------------------------
-  // A candidate's gated sets and control edges depend only on the graph (it
-  // is not mutated until materialization), so they are precomputed for the
-  // whole candidate list in parallel; only the accept/reject verdicts are
-  // order-dependent, and the speculative sweep reproduces those exactly.
-  const std::size_t n = candidates.size();
-  struct Cand {
-    GatedSets sets;
-    NodeId ctrl = kInvalidNode;
-    bool gatedWork = false;
-    bool ctrlScheduled = false;
-  };
-  std::vector<Cand> cand(n);
-  std::vector<std::vector<Edge>> edgeSets(n);
-  // The oracle constructor above warmed the Graph's lazy caches, so the
-  // lanes' const reads of `work` below are race-free.
-  auto computeCand = [&](std::size_t, std::size_t i) {
-    Cand& c = cand[i];
-    const NodeId m = candidates[i];
-    c.sets = computeGatedSets(work, m, cones);
-    c.gatedWork = anyScheduled(work, c.sets.gatedTrue) || anyScheduled(work, c.sets.gatedFalse);
-    if (!c.gatedWork) return;
-    c.ctrl = traceSelectProducer(work, m);
-    c.ctrlScheduled = isScheduled(work.kind(c.ctrl));
-    if (c.ctrlScheduled) {
-      for (const NodeId t : c.sets.topTrue) edgeSets[i].emplace_back(c.ctrl, t);
-      for (const NodeId t : c.sets.topFalse) edgeSets[i].emplace_back(c.ctrl, t);
-    }
-  };
-  // A candidate's gated sets cost well under a microsecond on small
-  // graphs; fan out only when the list is long enough to amortize the
-  // chunk handoffs.
-  if (n >= 384 || speculationMode() == SpeculationMode::Force) {
-    globalThreadPool().parallelFor(0, n, 8, computeCand);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) computeCand(0, i);
-  }
-
-  design.muxes.resize(n);
-  std::size_t probeworthy = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    MuxPmInfo& info = design.muxes[i];
-    info.mux = candidates[i];
-    info.gatedTrue = std::move(cand[i].sets.gatedTrue);
-    info.gatedFalse = std::move(cand[i].sets.gatedFalse);
-    info.topTrue = std::move(cand[i].sets.topTrue);
-    info.topFalse = std::move(cand[i].sets.topFalse);
-    if (cand[i].gatedWork && cand[i].ctrlScheduled) info.lastControl = cand[i].ctrl;
-    if (!edgeSets[i].empty()) ++probeworthy;
-  }
-
-  auto slackReason = [&](const std::optional<NodeId>& bad) {
-    return "insufficient slack: node '" + work.node(*bad).name + "' would need ASAP > ALAP";
-  };
-  auto accept = [&](std::size_t i) {
-    MuxPmInfo& info = design.muxes[i];
-    committed.insert(committed.end(), edgeSets[i].begin(), edgeSets[i].end());
-    info.managed = true;
-    for (const NodeId nn : info.gatedTrue)
-      design.gates[nn].push_back({info.mux, MuxSide::True});
-    for (const NodeId nn : info.gatedFalse)
-      design.gates[nn].push_back({info.mux, MuxSide::False});
-  };
-
-  // The speculative farm pays off when there are enough probes to overlap
-  // AND each probe outweighs a cross-thread handoff (probe cost scales
-  // with the graph; see SpeculationMode). Most candidates on loose budgets
-  // never reach a probe (no gated work or a PI-driven select), and for
-  // those the parallel precompute above was the whole win — otherwise
-  // finish with the plain sequential verdict loop.
-  if (farmProbesWorthwhile(g.size()) &&
-      probeworthy >= std::max<std::size_t>(3 * threadCount(), 8)) {
-    SweepHooks hooks;
-    hooks.predecide = [&](std::size_t i) -> std::optional<bool> {
-      if (!cand[i].gatedWork) return false;
-      return std::nullopt;  // empty edge sets are force-accepted by the sweep
-    };
-    hooks.decided = [&](std::size_t i, bool accepted, const std::optional<NodeId>& bad) {
-      if (!accepted) {
-        design.muxes[i].reason = cand[i].gatedWork
-                                     ? (bad ? slackReason(bad) : std::string())
-                                     : "no operations are exclusive to one data input";
-        return;
-      }
-      accept(i);
-    };
-    hooks.lateReason = [&](std::size_t i, const std::optional<NodeId>& bad) {
-      design.muxes[i].reason = slackReason(bad);
-    };
-    // The farm must be torn down (its destructor waits for every lane)
-    // before the graph below is mutated: lanes running abandoned stale
-    // jobs read the shared graph until then.
-    std::size_t decided = n;
-    {
-      ProbeFarm farm(work, steps, model, "power-transform", budget);
-      decided = speculativeSweep(*oracle, farm, edgeSets, /*diagnose=*/true, hooks, budget);
-    }
-    for (std::size_t i = decided; i < n; ++i) {
-      design.muxes[i].reason =
-          cand[i].gatedWork ? kBudgetReason
-                            : "no operations are exclusive to one data input";
+    if (budget != nullptr && budget->exhausted()) {
+      // Degrade: stop offering gating. Everything committed so far stays;
+      // the design (and its final frames) remains exactly as if the
+      // candidate list had ended here, so it is still schedulable.
+      info.reason = kBudgetReason;
       markTransformDegraded(design, budget);
+      design.muxes.push_back(std::move(info));
+      continue;
     }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!cand[i].gatedWork) {
-        design.muxes[i].reason = "no operations are exclusive to one data input";
-        continue;
-      }
-      if (budget != nullptr && budget->exhausted()) {
-        design.muxes[i].reason = kBudgetReason;
-        markTransformDegraded(design, budget);
-        continue;
-      }
-      if (edgeSets[i].empty()) {  // no scheduled control: always feasible
-        accept(i);
-        continue;
-      }
-      if (budget != nullptr) budget->chargeProbes();
-      oracle->push(edgeSets[i]);
-      if (oracle->feasible()) {
-        oracle->commit();
-        accept(i);
-      } else {
-        design.muxes[i].reason = slackReason(oracle->firstInfeasible());
-        oracle->pop();
-      }
+
+    GatedSets sets = computeGatedSets(work, m, cones);
+    info.gatedTrue = std::move(sets.gatedTrue);
+    info.gatedFalse = std::move(sets.gatedFalse);
+    info.topTrue = std::move(sets.topTrue);
+    info.topFalse = std::move(sets.topFalse);
+
+    if (!anyScheduled(work, info.gatedTrue) && !anyScheduled(work, info.gatedFalse)) {
+      info.reason = "no operations are exclusive to one data input";
+      design.muxes.push_back(std::move(info));
+      continue;
     }
+
+    const NodeId ctrl = traceSelectProducer(work, m);
+    std::vector<std::pair<NodeId, NodeId>> newEdges;
+    if (isScheduled(work.kind(ctrl))) {
+      info.lastControl = ctrl;
+      for (const NodeId t : info.topTrue) newEdges.emplace_back(ctrl, t);
+      for (const NodeId t : info.topFalse) newEdges.emplace_back(ctrl, t);
+    }
+    // A select driven directly by an input or constant needs no control
+    // step, so gating it is always feasible (lastControl stays invalid).
+
+    std::optional<NodeId> bad;
+    if (budget != nullptr && !newEdges.empty()) budget->chargeProbes();
+    if (oracle) {
+      bad = oracle->tryCommit(newEdges);  // a reject leaves the frames untouched
+    } else {
+      std::vector<std::pair<NodeId, NodeId>> tentative = committed;
+      tentative.insert(tentative.end(), newEdges.begin(), newEdges.end());
+      bad = computeTimeFrames(work, steps, tentative, model).firstInfeasible(work);
+    }
+    if (bad) {
+      info.reason = "insufficient slack: node '" + work.node(*bad).name +
+                    "' would need ASAP > ALAP";
+      design.muxes.push_back(std::move(info));
+      continue;
+    }
+
+    committed.insert(committed.end(), newEdges.begin(), newEdges.end());  // commit (steps 8)
+    info.managed = true;
+    for (const NodeId n : info.gatedTrue) design.gates[n].push_back({m, MuxSide::True});
+    for (const NodeId n : info.gatedFalse) design.gates[n].push_back({m, MuxSide::False});
+    design.muxes.push_back(std::move(info));
   }
 
-  design.frames = oracle->frames();
+  // Final frames before materializing: the oracle's committed fixed point
+  // equals computeTimeFrames over the augmented graph.
+  if (oracle) design.frames = oracle->frames();
+
+  // Step 10: materialize the committed precedence as control edges.
   for (const auto& [before, after] : committed) work.addControlEdge(before, after);
+  if (!oracle) design.frames = computeTimeFrames(work, steps, {}, model);
   return design;
 }
 
 PowerManagedDesign runTransform(const Graph& g, int steps,
                                 const std::vector<NodeId>& candidates, bool useOracle,
-                                std::span<const NodeMask> cones, bool speculate = true) {
-  return runTransformWithModel(g, steps, candidates, LatencyModel::unit(), useOracle, cones,
-                               speculate);
+                                std::span<const NodeMask> cones) {
+  return runTransformWithModel(g, steps, candidates, LatencyModel::unit(), useOracle, cones);
 }
 
 }  // namespace
@@ -699,7 +372,7 @@ PowerManagedDesign applyPowerManagement(const Graph& g, int steps, MuxOrdering o
   g.validate();
   const std::vector<NodeMask> cones = faninConeMasks(g);
   return runTransformWithModel(g, steps, orderMuxes(g, ordering, cones), model,
-                               /*useOracle=*/true, cones, /*speculate=*/true, budget);
+                               /*useOracle=*/true, cones, budget);
 }
 
 PowerManagedDesign applyPowerManagementReference(const Graph& g, int steps, MuxOrdering ordering,
@@ -882,7 +555,7 @@ PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, b
     std::vector<NodeId> chosen;
     for (std::size_t i = 0; i < candidates.size(); ++i)
       if (best[i]) chosen.push_back(candidates[i]);
-    return runTransform(g, steps, chosen, useOracle, cones, /*speculate=*/false);
+    return runTransform(g, steps, chosen, useOracle, cones);
   }
 
   InfeasMemo memo(exactCount);
@@ -1086,46 +759,24 @@ PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, b
   }
 
   // Greedy tail beyond the exact window: commit the chosen window on the
-  // main oracle (mirrored into the farm's snapshot log when the tail is
-  // worth sweeping speculatively), then sweep the remaining candidates.
-  std::size_t tailProbeworthy = 0;
-  for (std::size_t i = exactCount; i < candidates.size(); ++i)
-    if (!muxEdges[i].empty()) ++tailProbeworthy;
-  const bool farmTail = farmProbesWorthwhile(g.size()) &&
-                        tailProbeworthy >= std::max<std::size_t>(3 * threads, 8);
-  std::optional<ProbeFarm> farm;
-  if (farmTail) farm.emplace(g, steps, LatencyModel::unit(), "power-transform", budget);
+  // main oracle, then offer the remaining candidates in order.
   for (std::size_t i = 0; i < exactCount; ++i)
     if (best[i] && !muxEdges[i].empty()) {
       oracle->push(muxEdges[i]);
       oracle->commit();
-      if (farm) farm->commitBatch(*oracle);
     }
-  if (exactCount < candidates.size()) {
-    if (farm) {
-      std::vector<std::vector<Edge>> tailEdges(muxEdges.begin() + exactCount, muxEdges.end());
-      SweepHooks hooks;
-      hooks.decided = [&](std::size_t i, bool accepted, const std::optional<NodeId>&) {
-        best[exactCount + i] = accepted;
-      };
-      const std::size_t decided =
-          speculativeSweep(*oracle, *farm, tailEdges, /*diagnose=*/false, hooks, budget);
-      if (decided < tailEdges.size()) stopped.store(true, std::memory_order_relaxed);
+  for (std::size_t i = exactCount; i < candidates.size(); ++i) {
+    if (budget != nullptr && budget->exhausted()) {
+      stopped.store(true, std::memory_order_relaxed);
+      break;  // remaining tail muxes stay unmanaged
+    }
+    if (budget != nullptr) budget->chargeProbes();
+    oracle->push(muxEdges[i], /*probe=*/true);
+    if (oracle->feasible()) {
+      best[i] = true;
+      oracle->commit();
     } else {
-      for (std::size_t i = exactCount; i < candidates.size(); ++i) {
-        if (budget != nullptr && budget->exhausted()) {
-          stopped.store(true, std::memory_order_relaxed);
-          break;  // remaining tail muxes stay unmanaged
-        }
-        if (budget != nullptr) budget->chargeProbes();
-        oracle->push(muxEdges[i], /*probe=*/true);
-        if (oracle->feasible()) {
-          best[i] = true;
-          oracle->commit();
-        } else {
-          oracle->pop();
-        }
-      }
+      oracle->pop();
     }
   }
 
@@ -1133,11 +784,10 @@ PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, b
   for (std::size_t i = 0; i < candidates.size(); ++i)
     if (best[i]) chosen.push_back(candidates[i]);
   // The chosen subset is jointly feasible: replaying it is pure
-  // materialization, so the speculative machinery would only add overhead.
-  // The replay runs WITHOUT the budget — the committed decisions must be
-  // materialized completely for the design to be consistent.
-  PowerManagedDesign design = runTransform(g, steps, chosen, useOracle, cones,
-                                           /*speculate=*/false);
+  // materialization. The replay runs WITHOUT the budget — the committed
+  // decisions must be materialized completely for the design to be
+  // consistent.
+  PowerManagedDesign design = runTransform(g, steps, chosen, useOracle, cones);
   if (stopped.load(std::memory_order_relaxed)) {
     design.degraded = true;
     const BudgetKind kind = budget->exhaustedWhy().value_or(BudgetKind::Deadline);

@@ -125,7 +125,8 @@ struct GatedSets {
 /// The paper's algorithm (Fig. 3, steps 1-10). Does not run the final
 /// scheduler; callers combine the result with listSchedule /
 /// forceDirectedSchedule on `result.graph` (step 11). The per-mux
-/// schedulability test runs incrementally on a TimeFrameOracle.
+/// schedulability test reads a TimeFrameOracle's committed frames
+/// (TimeFrameOracle::tryCommit / explainReject), one candidate at a time.
 [[nodiscard]] PowerManagedDesign applyPowerManagement(
     const Graph& g, int steps, MuxOrdering ordering = MuxOrdering::OutputFirst,
     const LatencyModel& model = LatencyModel::unit(), const RunBudget* budget = nullptr);

@@ -66,7 +66,7 @@ SpeculationCalibration measureCalibration() {
     std::vector<std::size_t> tickets;
     tickets.reserve(kWave);
     const Clock::time_point t0 = Clock::now();
-    for (int i = 0; i < kWave; ++i) tickets.push_back(farm.stage({}, false));
+    for (int i = 0; i < kWave; ++i) tickets.push_back(farm.stage({}));
     farm.ring();
     const Clock::time_point deadline = t0 + std::chrono::milliseconds(200);
     for (const std::size_t t : tickets) {
@@ -238,17 +238,13 @@ void ProbeFarm::commitBatch(const TimeFrameOracle& committedState) {
   version_.store(version_.load(std::memory_order_relaxed) + 1, std::memory_order_release);
 }
 
-std::size_t ProbeFarm::stage(std::vector<Edge> edges, bool diagnose, bool exact) {
+std::size_t ProbeFarm::stage(std::vector<Edge> edges) {
   fault::point("farm-stage");
   Job job;
   job.edges = std::move(edges);
   // The staging thread is the committing thread, so this is the version
-  // the job would also observe at ring() time — except for exact reason
-  // jobs enqueued at their candidate's turn, which is exactly the version
-  // they must pin.
+  // the job would also observe at ring() time.
   job.version = version_.load(std::memory_order_relaxed);
-  job.diagnose = diagnose;
-  job.exact = exact;
   const std::size_t ticket = published_.size() + pendingWave_.size();
   pendingWave_.push_back(std::move(job));
   return ticket;
@@ -410,7 +406,7 @@ void ProbeFarm::syncReplica(Replica& rep, std::uint64_t target) {
 ProbeFarm::Result ProbeFarm::runJob(Replica& rep, const Job& job) {
   Result r;
   r.version = job.version;
-  if (!job.exact && version_.load(std::memory_order_acquire) != job.version)
+  if (version_.load(std::memory_order_acquire) != job.version)
     return r;  // stale before it ran: skip
   if (!rep.oracle) rep.oracle = std::make_unique<TimeFrameOracle>(g_, steps_, model_, ctx_);
   r.ran = true;
@@ -419,9 +415,8 @@ ProbeFarm::Result ProbeFarm::runJob(Replica& rep, const Job& job) {
     // rethrown by the consumer at the candidate's turn, in order.
     fault::point("farm-run");
     syncReplica(rep, job.version);
-    rep.oracle->push(job.edges, /*probe=*/!job.diagnose);
+    rep.oracle->push(job.edges, /*probe=*/true);
     r.feasible = rep.oracle->feasible();
-    if (job.diagnose && !r.feasible) r.firstInfeasible = rep.oracle->firstInfeasible();
     rep.oracle->pop();
   } catch (...) {
     // A cycle throw leaves the oracle unchanged; anything else mid-probe

@@ -1,8 +1,10 @@
 #pragma once
-// ProbeFarm — parallel speculative probing for the power-management
-// transform family, with a BATCHED WAVE handoff (PR 5).
+// ProbeFarm — parallel speculative probing for shared gating
+// (applySharedGating), with a BATCHED WAVE handoff. The greedy
+// transform decides from the committed frames instead (TimeFrameOracle's
+// slack verdicts) and needs no farm.
 //
-// Every transform hot path shares one inner loop: "tentatively add this
+// Shared gating's inner loop is "tentatively add this
 // candidate's control edges to the committed set, ask the TimeFrameOracle
 // whether the frames stay feasible, then accept or reject". The loop is
 // inherently sequential in its *decisions* (a candidate's verdict depends
@@ -43,7 +45,7 @@
 // Versioned committed state. version() = number of committed batches. Each
 // commitBatch() stores a FrameSnapshot of the consumer's oracle — the
 // fixed-point frames plus the live extra edges — so a replica serves a job
-// at ANY version (newer or older than its last one) by restoring that
+// at any version by restoring that
 // snapshot: an O(V) array copy, not a replay of every batch repair. A
 // candidate probe is then a single push/pop on top of the restored state.
 //
@@ -61,11 +63,7 @@
 //    infeasible against the full set (monotonicity);
 //  * a STALE FEASIBLE verdict proves nothing; consumers re-validate those
 //    on their own oracle (or re-enqueue), paying exactly the sequential
-//    cost for that one candidate;
-//  * `exact` jobs re-sync the replica to the captured version (up OR down
-//    the stack), which is how rejection *reason* diagnostics are produced
-//    against precisely the committed set of the candidate's turn even when
-//    the consumer has committed further in the meantime.
+//    cost for that one candidate.
 //
 // Thread-safety: stage/ring/enqueue/await/tryResult/commitBatch are
 // single-consumer (the thread that owns the sweep); lanes only claim jobs
@@ -150,8 +148,6 @@ class ProbeFarm {
     std::uint64_t version = 0;  ///< committed version the job ran against
     bool ran = false;           ///< false: skipped (stale speculative job)
     bool feasible = false;
-    /// Diagnose jobs only: the reference's firstInfeasible() node.
-    std::optional<NodeId> firstInfeasible;
     /// A SynthesisError (cycle) raised by the probe, captured on the lane;
     /// the consumer rethrows it at the candidate's turn, in order.
     std::exception_ptr error;
@@ -191,23 +187,19 @@ class ProbeFarm {
 
   /// Collect a probe of `edges` into the pending wave: no lock, no wake.
   /// The job's version is captured NOW (stage and commit share a thread,
-  /// so it equals the version at ring() time unless the caller commits in
-  /// between — which `exact` reason jobs rely on). `diagnose` runs the
-  /// repair to the fixed point and fills firstInfeasible on rejection
-  /// (reason strings); otherwise the probe may abort at the first
-  /// infeasibility. `exact` forces the job to run at the captured version
-  /// even if the state moved on. Returns a ticket.
-  std::size_t stage(std::vector<Edge> edges, bool diagnose, bool exact = false);
+  /// so it equals the version at ring() time). The probe may abort at the
+  /// first infeasibility; a job whose version went stale before a lane
+  /// claimed it is skipped. Returns a ticket.
+  std::size_t stage(std::vector<Edge> edges);
 
   /// Publish the pending wave: one mutex acquisition, one notify_all.
   /// No-op when nothing is staged.
   void ring();
 
   /// stage() + ring(): a wave of one — the PR-4 per-probe handoff. Kept
-  /// for one-off jobs (exact rejection reasons) and as the benchmark
-  /// baseline the wave handoff is measured against.
-  std::size_t enqueue(std::vector<Edge> edges, bool diagnose, bool exact = false) {
-    const std::size_t ticket = stage(std::move(edges), diagnose, exact);
+  /// as the benchmark baseline the wave handoff is measured against.
+  std::size_t enqueue(std::vector<Edge> edges) {
+    const std::size_t ticket = stage(std::move(edges));
     ring();
     return ticket;
   }
@@ -230,8 +222,6 @@ class ProbeFarm {
   struct Job {
     std::vector<Edge> edges;
     std::uint64_t version = 0;
-    bool diagnose = false;
-    bool exact = false;
     Result result;  ///< written by the claimer, then state -> kDone
   };
 

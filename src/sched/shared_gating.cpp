@@ -74,8 +74,9 @@ class SharedGatingPass {
     }
     // gates/sharedGating of candidates only change when a candidate is
     // accepted (each node is visited once), so the up-front filter sees
-    // exactly what the per-turn filter would. Waves engage under the same
-    // probe-cost policy as the transform sweep (see farmProbesWorthwhile).
+    // exactly what the per-turn filter would. Waves engage under
+    // farmProbesWorthwhile's policy: PMSCHED_SPECULATE, else the graph
+    // size against the calibrated probe/handoff crossover.
     const bool waves =
         threadCount() > 1 && cands.size() >= 8 && farmProbesWorthwhile(g_.size());
     const int gated = waves ? runWaves(cands) : runSequential(cands);
@@ -191,7 +192,7 @@ class SharedGatingPass {
         evalCandidate(cands[j], e);
         e.logEnd = memoLog_.size();
         if (e.probeworthy && !e.edges.empty()) {
-          e.ticket = farm.stage(e.edges, false);
+          e.ticket = farm.stage(e.edges);
           if (++staged >= subWave) {
             farm.ring();
             staged = 0;

@@ -29,6 +29,7 @@ TimeFrameOracle::TimeFrameOracle(const Graph& g, int steps, const LatencyModel& 
     lat_[v] = sched_[v] ? model_.latencyOf(g.kind(v)) : 0;
     latestStart_[v] = sched_[v] ? steps - lat_[v] + 1 : steps;
     bound_ += lat_[v] + 1;  // loose DAG bound on any reachable asap value
+    if (sched_[v] && lat_[v] == 0) slackExact_ = false;
   }
 
   topoPos_.resize(n);
@@ -43,6 +44,8 @@ TimeFrameOracle::TimeFrameOracle(const Graph& g, int steps, const LatencyModel& 
   xPred_.resize(n);
   changedFlag_.assign(n, 0);
   inQueue_.assign(n, 0);
+  walkStamp_.assign(n, 0);
+  walkDist_.assign(n, 0);
 
   // Initial frames: the exact recurrences of computeTimeFrames() over the
   // cached topological order (no pins, no extra edges yet).
@@ -300,6 +303,7 @@ void TimeFrameOracle::pin(NodeId n, int step) {
   if (!sched_[n]) throw SynthesisError(ctx_ + ": pin of a non-scheduled node");
   beginChangeEpoch();
   pin_[n] = step;
+  pinned_ = true;
   const NodeId seeds[1] = {n};
   (void)repairForward(std::span<const NodeId>(seeds), nullptr, false);  // pins cannot cycle
   repairBackward(std::span<const NodeId>(seeds), nullptr);
@@ -310,6 +314,137 @@ std::optional<NodeId> TimeFrameOracle::firstInfeasible() {
   for (NodeId v = 0; v < g_.size(); ++v)
     if (sched_[v] && asap_[v] > alap_[v]) return v;
   return std::nullopt;
+}
+
+bool TimeFrameOracle::slackFastPath(std::span<const Edge> edges) const {
+  if (!slackExact_ || depth_ != 0 || pinned_ || overEnd_ != 0 || edges.empty()) return false;
+  return std::all_of(edges.begin(), edges.end(),
+                     [&](const Edge& e) { return e.first == edges.front().first; });
+}
+
+std::optional<NodeId> TimeFrameOracle::tryCommit(std::span<const Edge> edges) {
+  if (!slackFastPath(edges)) {
+    push(edges);
+    if (feasible()) {
+      commit();
+      return std::nullopt;
+    }
+    const std::optional<NodeId> bad = firstInfeasible();
+    pop();
+    return bad;
+  }
+  const NodeId u = edges.front().first;
+  if (std::any_of(edges.begin(), edges.end(),
+                  [&](const Edge& e) { return excess(u, e.second) > 0; }))
+    return explainReject(edges);
+  push(edges);  // throws on a cycle
+  commit();
+  return std::nullopt;
+}
+
+void TimeFrameOracle::beginWalk() {
+  if (++walkEpoch_ == 0) {  // wrapped: clear the stale stamps once
+    std::fill(walkStamp_.begin(), walkStamp_.end(), 0);
+    walkEpoch_ = 1;
+  }
+}
+
+bool TimeFrameOracle::reaches(NodeId from, NodeId to) {
+  // A path from x to `to` has length at least weight(x, to) in both frame
+  // recurrences, so a node whose frames leave less room cannot be on one.
+  auto mayReach = [&](NodeId x) {
+    return asap_[to] >= asap_[x] + weight(x, to) && alap_[to] >= alap_[x] + weight(x, to);
+  };
+  if (from == to) return true;
+  if (!mayReach(from) || walkStamp_[from] == walkEpoch_) return false;
+  walkStamp_[from] = walkEpoch_;
+  walkStack_.assign(1, from);
+  while (!walkStack_.empty()) {
+    const NodeId v = walkStack_.back();
+    walkStack_.pop_back();
+    auto visit = [&](NodeId s) {
+      if (s == to) return true;
+      if (walkStamp_[s] != walkEpoch_ && mayReach(s)) {
+        walkStamp_[s] = walkEpoch_;
+        walkStack_.push_back(s);
+      }
+      return false;
+    };
+    for (const NodeId s : fanoutCsr_.row(v))
+      if (visit(s)) return true;
+    for (const NodeId s : ctrlSuccCsr_.row(v))
+      if (visit(s)) return true;
+    for (const NodeId s : xSucc_[v])
+      if (visit(s)) return true;
+  }
+  return false;
+}
+
+void TimeFrameOracle::walkRelax(NodeId x, int d) {
+  if (d >= static_cast<int>(buckets_.size()) ||
+      (walkStamp_[x] == walkEpoch_ && walkDist_[x] <= d))
+    return;
+  walkStamp_[x] = walkEpoch_;
+  walkDist_[x] = d;
+  buckets_[d].push_back(x);
+}
+
+NodeId TimeFrameOracle::slackWalk(bool forward, NodeId best) {
+  const int limit = static_cast<int>(buckets_.size());
+  for (int d = 0; d < limit; ++d) {
+    // Relaxing only adds to buckets >= d (slacks are non-negative), so an
+    // index loop stays valid while this bucket grows.
+    std::vector<NodeId>& bucket = buckets_[d];
+    for (std::size_t i = 0; i < bucket.size(); ++i) {
+      const NodeId v = bucket[i];
+      if (walkDist_[v] != d) continue;  // settled earlier at a smaller distance
+      if (sched_[v] && v < best) best = v;
+      if (forward) {  // ALAP slack towards the successors
+        auto step = [&](NodeId s) { walkRelax(s, d + alap_[s] - alap_[v] - weight(v, s)); };
+        for (const NodeId s : fanoutCsr_.row(v)) step(s);
+        for (const NodeId s : ctrlSuccCsr_.row(v)) step(s);
+        for (const NodeId s : xSucc_[v]) step(s);
+      } else {  // ASAP slack towards the predecessors
+        auto step = [&](NodeId p) { walkRelax(p, d + asap_[v] - asap_[p] - weight(p, v)); };
+        for (const NodeId p : g_.fanins(v)) step(p);
+        for (const NodeId p : ctrlPredCsr_.row(v)) step(p);
+        for (const NodeId p : xPred_[v]) step(p);
+      }
+    }
+    bucket.clear();
+  }
+  return best;
+}
+
+std::optional<NodeId> TimeFrameOracle::explainReject(std::span<const Edge> edges) {
+  if (!slackFastPath(edges)) {
+    push(edges);
+    const std::optional<NodeId> bad = firstInfeasible();
+    pop();
+    return bad;
+  }
+  const NodeId u = edges.front().first;
+  beginWalk();
+  for (const Edge& e : edges)
+    if (reaches(e.second, u)) throw SynthesisError(ctx_ + ": extra edges create a cycle");
+
+  int maxExcess = 0;
+  for (const Edge& e : edges) maxExcess = std::max(maxExcess, excess(u, e.second));
+  if (maxExcess <= 0) return std::nullopt;  // the batch fits
+
+  // Node x is infeasible after the push iff its slack distance from some
+  // target t is below t's excess (forward walk; t starts at maxExcess minus
+  // its own excess, so every target shares the bound maxExcess), or its
+  // slack distance to u is below the largest excess (backward walk).
+  buckets_.resize(static_cast<std::size_t>(maxExcess));
+  beginWalk();
+  for (const Edge& e : edges) walkRelax(e.second, maxExcess - excess(u, e.second));
+  NodeId best = slackWalk(/*forward=*/true, kInvalidNode);
+  beginWalk();
+  walkRelax(u, 0);
+  best = slackWalk(/*forward=*/false, best);
+  if (best == kInvalidNode) return std::nullopt;
+  return best;
 }
 
 TimeFrames TimeFrameOracle::frames() {
@@ -357,7 +492,7 @@ double measureMedianProbeNs(const Graph& g, int steps, int rounds) {
   for (const std::vector<TimeFrameOracle::Edge>& batch : batches) {
     if (batch.empty()) continue;  // degenerate graph or unlucky draws
     const Clock::time_point t0 = Clock::now();
-    oracle.push(batch);  // full repair: what a diagnose probe costs
+    oracle.push(batch);  // full repair: a farm probe's worst case
     (void)oracle.feasible();
     oracle.pop();
     samples.push_back(static_cast<double>(

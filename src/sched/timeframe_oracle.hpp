@@ -43,8 +43,42 @@
 //    shared gating); the default mode repairs to the fixed point so
 //    firstInfeasible() can name the same node the reference would.
 //
+// Slack verdicts. The transform's batches all leave one source u (the
+// select producer, towards the top nodes of a gated set). For such a batch
+// the committed frames already hold the answer, so two read-only queries
+// replace the push/test/pop round trip:
+//
+//   explainReject(edges) the node push() + firstInfeasible() would name
+//   tryCommit(edges)     commit when asap[u] + w(u,t) <= alap[t] for every
+//                        edge (u,t), else explainReject(edges)
+//
+// Here w(a,b) is the frame recurrence's edge weight, lat[a] between two
+// scheduled nodes. The lemma: the committed frames are the longest-path
+// fixed point of a DAG, and a path can use at most one new edge (using two
+// would return to u, a cycle). So after the push, node x has ASAP > ALAP
+// iff some new edge (u,t) with excess e = asap[u] + w(u,t) - alap[t] > 0
+// lies on a path through x whose total frame slack is below e: either the
+// ALAP slack sum(alap[b] - alap[a] - w(a,b)) from t forward to x, or the
+// ASAP slack sum(asap[b] - asap[a] - w(a,b)) from x forward to u. Both
+// slacks are non-negative at the fixed point, so explainReject() walks
+// them with buckets bounded by the excess (Dial's algorithm) — forward
+// from each t, backward from u — and returns the smallest scheduled id it
+// settles. A batch whose target reaches u closes a cycle; explainReject()
+// then throws push()'s error. The check is O(1) per target when the frames
+// rule the path out, and a walk confined to the frame window otherwise.
+//
+// The lemma needs one weight per edge. A scheduled zero-cycle kind breaks
+// that (its edge into a transparent node weighs -1 for ASAP but 0 for
+// ALAP), so slackExact() is false for such a graph and model, and both
+// queries fall back to push() and a feasibility test: explainReject() pops
+// afterwards, tryCommit() commits or pops. They also fall back at
+// depth() > 0, with pins, on a committed state that is already infeasible,
+// and on multi-source batches: the answers are exact in every case, only
+// the cost differs.
+//
 // Differential tests (tests/test_timeframe_oracle.cpp) assert frame
-// equality against computeTimeFrames under randomized batch sequences.
+// equality against computeTimeFrames under randomized batch sequences, and
+// explainReject()/tryCommit() against push/feasible/firstInfeasible/pop.
 //
 // The oracle snapshots the graph's CSR views at construction; the graph
 // must not be mutated while the oracle is alive. Batches and pins must not
@@ -128,6 +162,21 @@ class TimeFrameOracle {
   /// Materialize the current frames as a TimeFrames value (flushes ALAP).
   [[nodiscard]] TimeFrames frames();
 
+  // ---- slack verdicts (see header comment) ----------------------------------
+
+  /// True when the ASAP and ALAP recurrences share one edge weight (no
+  /// scheduled node has a zero-cycle latency), which the fast path needs.
+  [[nodiscard]] bool slackExact() const { return slackExact_; }
+  /// Same answer as push(edges) + firstInfeasible() + pop(), including the
+  /// SynthesisError push() throws on a cycle; read-only when the batch has
+  /// one source.
+  [[nodiscard]] std::optional<NodeId> explainReject(std::span<const Edge> edges);
+  /// Commit `edges` if they keep every frame feasible, else leave the
+  /// oracle unchanged and return explainReject(edges). Requires depth() == 0.
+  /// Throws push()'s SynthesisError on a cycle. A one-source batch that
+  /// fits costs O(edges) plus push(); any other batch costs one push().
+  [[nodiscard]] std::optional<NodeId> tryCommit(std::span<const Edge> edges);
+
   // ---- committed-state snapshots (ProbeFarm replicas) ----------------------
 
   /// A committed frame state: the fixed-point frames plus the live extra
@@ -181,6 +230,27 @@ class TimeFrameOracle {
   /// Restore frames from a batch's undo log and detach its edges.
   void undoBatch(Batch& batch);
 
+  /// Frame recurrence edge weight a -> b (ASAP form; equal to the ALAP
+  /// form when slackExact_).
+  [[nodiscard]] int weight(NodeId a, NodeId b) const {
+    return (sched_[a] ? lat_[a] - 1 : 0) + (sched_[b] ? 1 : 0);
+  }
+  /// How far a new edge u -> t would push t's ASAP past its ALAP.
+  [[nodiscard]] int excess(NodeId u, NodeId t) const { return asap_[u] + weight(u, t) - alap_[t]; }
+  /// The committed frames answer slack queries on `edges` exactly.
+  [[nodiscard]] bool slackFastPath(std::span<const Edge> edges) const;
+  /// Does `from` reach `to` over the live edges? Prunes nodes whose frames
+  /// leave no room for a path to `to`.
+  [[nodiscard]] bool reaches(NodeId from, NodeId to);
+  /// Fresh walk epoch: every node reads as unvisited.
+  void beginWalk();
+  /// Give `x` walk distance `d` if that is below the bucket count and its
+  /// current distance.
+  void walkRelax(NodeId x, int d);
+  /// Dial walk over frame slack, from the seeded buckets, keeping distances
+  /// below the bucket count. Returns the smallest scheduled id settled.
+  NodeId slackWalk(bool forward, NodeId best);
+
   template <typename Queue>
   void enqueue(Queue& q, NodeId v) {
     if (inQueue_[v]) return;
@@ -215,6 +285,9 @@ class TimeFrameOracle {
   std::vector<Batch> batchPool_;
   std::size_t depth_ = 0;
 
+  bool slackExact_ = true;               ///< one edge weight for both frames
+  bool pinned_ = false;                  ///< pin() has been called
+
   std::vector<NodeId> changed_;
   std::vector<char> changedFlag_;
   std::vector<char> inQueue_;
@@ -227,6 +300,12 @@ class TimeFrameOracle {
   std::priority_queue<MinItem> bwdQueue_;
   std::vector<NodeId> seedsF_;
   std::vector<NodeId> seedsB_;
+  // Slack-walk scratch: distances valid where walkStamp_ == walkEpoch_.
+  std::vector<std::uint32_t> walkStamp_;
+  std::vector<int> walkDist_;
+  std::uint32_t walkEpoch_ = 0;
+  std::vector<std::vector<NodeId>> buckets_;
+  std::vector<NodeId> walkStack_;
 };
 
 /// `count` seeded random acyclic edge batches on `g` (`edgesPerBatch`

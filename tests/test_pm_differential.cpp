@@ -101,6 +101,22 @@ TEST(PowerTransformDifferential, GreedyMatchesReferenceOnRandomDfgs) {
   }
 }
 
+TEST(PowerTransformDifferential, GreedyMatchesReferenceAtRealisticSizes) {
+  // The slack verdicts on the graph sizes the one-shot benchmark runs:
+  // every accept, every reject and every named reason node must match the
+  // from-scratch reference, from a tight budget to a loose one.
+  for (const int layers : {256, 512}) {
+    const Graph g = randomLayeredDfg(layers, 16, 1);
+    const int cp = criticalPathLength(g);
+    for (const int slack : {0, 2, 8}) {
+      const std::string what =
+          std::to_string(layers) + "x16 @cp+" + std::to_string(slack);
+      expectDesignsEqual(applyPowerManagement(g, cp + slack),
+                         applyPowerManagementReference(g, cp + slack), what);
+    }
+  }
+}
+
 TEST(PowerTransformDifferential, MultiCycleModelMatchesReference) {
   const LatencyModel model = LatencyModel::multiCycleMultiplier(2);
   for (std::uint64_t seed = 30; seed < 36; ++seed) {

@@ -164,6 +164,37 @@ TEST(RunBudget, BddNodeCapDegradesActivationWithHonestErrorBars) {
   }
 }
 
+TEST(RunBudget, ProbeCapGivesTheSameDesignAtEveryThreadCount) {
+  // The probe cap counts one probe per candidate with control edges, in
+  // candidate order, whatever the thread count: the capped design must be
+  // identical at 1, 2 and 8 threads (speculation forced, so a farm would
+  // engage on any core count).
+  KnobGuard guard;
+  setSpeculationMode(SpeculationMode::Force);
+  const Graph g = randomLayeredDfg(256, 16, 1);
+  ASSERT_GE(g.size(), 4096u);
+  const int steps = criticalPathLength(g) + 2;
+
+  std::vector<PowerManagedDesign> designs;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    setThreadCount(threads);
+    RunBudget budget;
+    budget.setProbeCap(100);
+    designs.push_back(
+        applyPowerManagement(g, steps, MuxOrdering::OutputFirst, LatencyModel::unit(), &budget));
+    ASSERT_TRUE(designs.back().degraded) << threads << " threads: the cap must trip";
+  }
+  for (std::size_t i = 1; i < designs.size(); ++i) {
+    EXPECT_EQ(designs[i].managedCount(), designs[0].managedCount()) << "variant " << i;
+    EXPECT_TRUE(saveGraphText(designs[i].graph) == saveGraphText(designs[0].graph))
+        << "variant " << i << ": control edges differ";
+    ASSERT_EQ(designs[i].muxes.size(), designs[0].muxes.size());
+    for (std::size_t m = 0; m < designs[0].muxes.size(); ++m)
+      EXPECT_EQ(designs[i].muxes[m].reason, designs[0].muxes[m].reason)
+          << "variant " << i << " mux " << designs[0].muxes[m].mux;
+  }
+}
+
 TEST(RunBudget, DeadlineBoundsTheOptimalSearch) {
   KnobGuard guard;
   setSpeculationMode(SpeculationMode::Force);

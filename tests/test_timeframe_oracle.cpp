@@ -1,16 +1,20 @@
 // Differential tests: TimeFrameOracle's push/pop/commit frame repair must
 // be bit-identical to from-scratch computeTimeFrames() under randomized
 // tentative-edge batches — on the built-in circuits, on seeded random DFGs,
-// with unit and multi-cycle latency models, and across nesting depths.
+// with unit and multi-cycle latency models, and across nesting depths. The
+// slack verdicts explainReject()/tryCommit() must answer exactly what
+// push/feasible/firstInfeasible/pop answer.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "cdfg/analysis.hpp"
 #include "circuits/circuits.hpp"
+#include "sched/power_transform.hpp"
 #include "sched/timeframe.hpp"
 #include "sched/timeframe_oracle.hpp"
 #include "support/random_dfg.hpp"
@@ -275,6 +279,199 @@ TEST(TimeFrameOracle, MatchesTentativeEdgeSemanticsOfTheTransform) {
   EXPECT_TRUE(atThree.feasible());
   atThree.commit();
   expectFramesMatch(g, atThree, {edges}, 3, LatencyModel::unit(), "absdiff @3");
+}
+
+/// A batch the way the transform builds it: one source towards 1-4 other
+/// scheduled nodes, drawn anywhere (so some batches close a cycle).
+std::vector<Edge> randomSingleSourceBatch(const Graph& g, std::mt19937_64& rng) {
+  const std::vector<NodeId> ops = g.scheduledNodes();
+  std::uniform_int_distribution<std::size_t> pick(0, ops.size() - 1);
+  const NodeId u = ops[pick(rng)];
+  std::vector<Edge> batch;
+  for (int k = 1 + static_cast<int>(rng() % 4); k > 0; --k) {
+    const NodeId t = ops[pick(rng)];
+    if (t != u) batch.emplace_back(u, t);
+  }
+  return batch;
+}
+
+/// Fewest steps at which `g` schedules under `model`.
+int minSteps(const Graph& g, const LatencyModel& model) {
+  int steps = criticalPathLength(g);
+  while (!computeTimeFrames(g, steps, {}, model).feasible(g)) ++steps;
+  return steps;
+}
+
+/// What push/feasible/firstInfeasible/pop say about `batch`; nullopt when
+/// push throws (the batch closes a cycle), with the message in `error`.
+struct PushAnswer {
+  bool feasible = false;
+  std::optional<NodeId> firstInfeasible;
+};
+std::optional<PushAnswer> answerByPush(TimeFrameOracle& oracle, const std::vector<Edge>& batch,
+                                       std::string& error) {
+  try {
+    oracle.push(batch);
+  } catch (const SynthesisError& e) {
+    error = e.what();
+    return std::nullopt;
+  }
+  PushAnswer a{oracle.feasible(), oracle.firstInfeasible()};
+  oracle.pop();
+  return a;
+}
+
+/// Check explainReject() and then tryCommit() on `batch` against the push
+/// answer: explainReject() never moves a frame, tryCommit() commits exactly
+/// the feasible batches. Returns the push answer (nullopt on a cycle).
+std::optional<PushAnswer> expectSlackVerdictsMatch(const Graph& g, TimeFrameOracle& oracle,
+                              const std::vector<Edge>& batch, const std::string& what) {
+  const TimeFrames before = oracle.frames();
+  std::string error;
+  const std::optional<PushAnswer> ref = answerByPush(oracle, batch, error);
+  if (!ref) {
+    try {
+      (void)oracle.explainReject(batch);
+      ADD_FAILURE() << what << ": explainReject accepted a cycle";
+    } catch (const SynthesisError& e) {
+      EXPECT_EQ(std::string(e.what()), error) << what;
+    }
+  } else {
+    EXPECT_EQ(ref->feasible, !ref->firstInfeasible.has_value()) << what;
+    const std::optional<NodeId> why = oracle.explainReject(batch);
+    EXPECT_EQ(why, ref->firstInfeasible)
+        << what << ": named " << (why ? g.node(*why).name : "nothing") << ", push names "
+        << (ref->firstInfeasible ? g.node(*ref->firstInfeasible).name : "nothing");
+  }
+  const TimeFrames after = oracle.frames();
+  EXPECT_EQ(before.asap, after.asap) << what;
+  EXPECT_EQ(before.alap, after.alap) << what;
+
+  TimeFrameOracle pushed = oracle;  // the committed state tryCommit must reach
+  if (ref && ref->feasible) {
+    pushed.push(batch);
+    pushed.commit();
+  }
+  try {
+    EXPECT_EQ(oracle.tryCommit(batch), ref ? ref->firstInfeasible : std::nullopt) << what;
+    EXPECT_TRUE(ref.has_value()) << what << ": tryCommit accepted a cycle";
+  } catch (const SynthesisError& e) {
+    EXPECT_FALSE(ref.has_value()) << what << ": " << e.what();
+    EXPECT_EQ(std::string(e.what()), error) << what;
+  }
+  EXPECT_EQ(oracle.depth(), 0u) << what;
+  const TimeFrames committed = oracle.frames();
+  const TimeFrames expected = pushed.frames();
+  EXPECT_EQ(committed.asap, expected.asap) << what;
+  EXPECT_EQ(committed.alap, expected.alap) << what;
+  return ref;
+}
+
+TEST(TimeFrameOracle, SlackVerdictsMatchPushOnRandomSingleSourceBatches) {
+  // Random committed states: tryCommit commits every feasible batch, so later
+  // batches are judged against a growing set of extra edges.
+  int rejects = 0;
+  int cycles = 0;
+  for (const LatencyModel& model : {LatencyModel::unit(), LatencyModel::multiCycleMultiplier(2)}) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      const Graph g = randomLayeredDfg(4 + static_cast<int>(seed % 5) * 3, 6, seed);
+      for (const int slack : {0, 2, 6}) {
+        const int steps = minSteps(g, model) + slack;
+        TimeFrameOracle oracle(g, steps, model);
+        ASSERT_TRUE(oracle.slackExact());
+        std::mt19937_64 rng(seed * 977 + static_cast<std::uint64_t>(slack));
+        for (int round = 0; round < 60; ++round) {
+          const std::vector<Edge> batch = randomSingleSourceBatch(g, rng);
+          const std::string what = "seed " + std::to_string(seed) + " +" +
+                                   std::to_string(slack) + " round " + std::to_string(round);
+          const std::optional<PushAnswer> ref = expectSlackVerdictsMatch(g, oracle, batch, what);
+          if (::testing::Test::HasFailure()) return;
+          if (!ref) {
+            ++cycles;
+          } else if (!ref->feasible) {
+            ++rejects;
+          }
+        }
+      }
+    }
+  }
+  // The draw must exercise both the slack walk and the cycle check.
+  EXPECT_GT(rejects, 100);
+  EXPECT_GT(cycles, 10);
+}
+
+TEST(TimeFrameOracle, SlackVerdictsMatchPushOnTransformBatches) {
+  // The transform's own batches (select producer -> gated tops), offered
+  // in order on a realistic graph at tight and loose budgets.
+  const Graph g = randomLayeredDfg(64, 8, 7);
+  const std::vector<NodeMask> cones = faninConeMasks(g);
+  for (const int slack : {0, 2, 8}) {
+    const int steps = criticalPathLength(g) + slack;
+    TimeFrameOracle oracle(g, steps);
+    int accepted = 0;
+    for (const NodeId m : g.nodesOfKind(OpKind::Mux)) {
+      const GatedSets sets = computeGatedSets(g, m, cones);
+      const NodeId ctrl = traceSelectProducer(g, m);
+      if (!isScheduled(g.kind(ctrl))) continue;
+      std::vector<Edge> batch;
+      for (const NodeId t : sets.topTrue) batch.emplace_back(ctrl, t);
+      for (const NodeId t : sets.topFalse) batch.emplace_back(ctrl, t);
+      if (batch.empty()) continue;
+      const std::optional<PushAnswer> ref =
+          expectSlackVerdictsMatch(g, oracle, batch, "mux " + g.node(m).name);
+      if (ref && ref->feasible) ++accepted;
+      if (::testing::Test::HasFailure()) return;
+    }
+    EXPECT_GT(accepted, 0) << slack;
+  }
+}
+
+TEST(TimeFrameOracle, ExplainRejectThrowsPushsMessageOnACycle) {
+  // a -> b -> c; the batch c -> {d, a} closes c -> a -> b -> c, and it is
+  // also over budget, so only the cycle check can stop the slack walk.
+  Graph g("cycle");
+  const NodeId x = g.addInput("x");
+  const NodeId y = g.addInput("y");
+  const NodeId a = g.addOp(OpKind::Add, {x, y}, "a");
+  const NodeId b = g.addOp(OpKind::Add, {a, y}, "b");
+  const NodeId c = g.addOp(OpKind::CmpGt, {b, x}, "c");
+  const NodeId d = g.addOp(OpKind::Sub, {x, y}, "d");
+  g.addOutput(c, "flag");
+  g.addOutput(d, "diff");
+
+  TimeFrameOracle oracle(g, 3, LatencyModel::unit(), "power-transform");
+  std::string error;
+  EXPECT_FALSE(answerByPush(oracle, {{c, d}, {c, a}}, error).has_value());
+  EXPECT_EQ(error, "power-transform: extra edges create a cycle");
+  EXPECT_FALSE(expectSlackVerdictsMatch(g, oracle, {{c, d}, {c, a}}, "cycle").has_value());
+  // Without the cycle-closing edge the batch is a plain reject.
+  const std::optional<PushAnswer> plain = expectSlackVerdictsMatch(g, oracle, {{c, d}}, "c -> d");
+  ASSERT_TRUE(plain.has_value());
+  EXPECT_FALSE(plain->feasible);
+}
+
+TEST(TimeFrameOracle, ZeroCycleModelTakesTheFallback) {
+  // A zero-cycle scheduled kind weighs its edges differently in the two
+  // recurrences; the slack lemma does not hold, and the queries must fall
+  // back to push/pop and still answer exactly.
+  LatencyModel model = LatencyModel::unit();
+  model.cycles[unitIndex(ResourceClass::Multiplier)] = 0;
+  int checked = 0;
+  for (std::uint64_t seed = 3; seed < 9; ++seed) {
+    const Graph g = randomLayeredDfg(8, 6, seed);
+    if (g.nodesOfKind(OpKind::Mul).empty()) continue;
+    const int steps = minSteps(g, model) + 1;
+    TimeFrameOracle oracle(g, steps, model);
+    EXPECT_FALSE(oracle.slackExact());
+    EXPECT_TRUE(TimeFrameOracle(g, steps).slackExact());
+    std::mt19937_64 rng(seed);
+    for (int round = 0; round < 30; ++round) {
+      const std::vector<Edge> batch = randomSingleSourceBatch(g, rng);
+      (void)expectSlackVerdictsMatch(g, oracle, batch, "zero-cycle round " + std::to_string(round));
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0);
 }
 
 }  // namespace

@@ -5,8 +5,9 @@
 # Usage: tools/bench_report.sh <bench_perf-binary> [repo-root] [filter]
 #                              [pmsched-binary] [loadgen-binary]
 #
-# Since PR 4 the transform hot paths are parallel (speculative probing on a
-# ProbeFarm), so the snapshot records TWO runs of the suite: one pinned to
+# Some hot paths are parallel (shared gating's speculative
+# probing on a ProbeFarm, the exact search, activation analysis), so the
+# snapshot records TWO runs of the suite: one pinned to
 # PMSCHED_THREADS=1 (the sequential baseline) and one at BENCH_THREADS
 # (default: nproc) — the same filter, the same binary. The output is a
 # single JSON object {"threads": {"1": <run>, "<N>": <run>}} so the

@@ -11,7 +11,8 @@
 //   --steps N           control-step budget (required for file inputs;
 //                       defaults to critical path + 2 for --random-dfg)
 //   --ordering MODE     output | input | savings   (default: output)
-//   --threads N         worker threads for the speculative transform
+//   --threads N         worker threads (shared gating, exact search,
+//                       activation analysis)
 //                       (default: PMSCHED_THREADS or hardware concurrency;
 //                       results are identical at every thread count)
 //   --optimal           exact maximum-savings mux subset (DFS) instead of
@@ -441,9 +442,9 @@ void writeFile(const std::string& path, const std::string& text) {
 /// Shared front-end setup for run()/runExplore(): thread count, BDD
 /// reorder mode, and the optional CLI run budget.
 const RunBudget* configureRun(const Options& opts, RunBudget& budgetStorage) {
-  // Configure the transform's speculative-probing parallelism before the
-  // first pool use; every downstream pass (greedy transform, shared
-  // gating, exact search, activation analysis) picks it up from here.
+  // Configure the thread pool before the first pool use; every parallel
+  // pass (shared gating, exact search, activation analysis) picks it up
+  // from here.
   if (opts.threads > 0) setThreadCount(static_cast<std::size_t>(opts.threads));
   // --bdd-reorder beats PMSCHED_BDD_REORDER; unset keeps the env default.
   if (opts.bddReorderSet) setBddReorderMode(opts.bddReorder);
