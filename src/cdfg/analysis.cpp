@@ -41,16 +41,6 @@ std::vector<int> distanceToOutput(const Graph& g) {
   return dist;
 }
 
-std::vector<NodeMask> faninConeMasks(const Graph& g) {
-  std::vector<NodeMask> masks(g.size(), NodeMask(g.size()));
-  for (NodeId n = 0; n < g.size(); ++n) {  // ascending id = data-topological
-    NodeMask& m = masks[n];
-    m.set(n);
-    for (const NodeId p : g.fanins(n)) m |= masks[p];
-  }
-  return masks;
-}
-
 OpStats countOps(const Graph& g) {
   OpStats s;
   for (NodeId i = 0; i < g.size(); ++i) {

@@ -27,14 +27,6 @@ namespace pmsched {
 /// graph output; used to order multiplexors "closer to the outputs first".
 [[nodiscard]] std::vector<int> distanceToOutput(const Graph& g);
 
-/// Per-node backward data cone: masks[n] = {n} ∪ transitive data fanin of n
-/// (control edges excluded), i.e. operandCone() of any consumer reading n.
-/// One word-parallel ascending-id pass (operands always have smaller ids
-/// than their consumers) computes all V masks in O(E·V/64) — far cheaper
-/// than one BFS per queried cone when a pass asks for many (the
-/// power-management transform needs three per multiplexor).
-[[nodiscard]] std::vector<NodeMask> faninConeMasks(const Graph& g);
-
 /// Counts of operations per display class, Table I style.
 struct OpStats {
   int mux = 0;

@@ -16,45 +16,39 @@ namespace pmsched {
 
 namespace {
 
-/// Muxes whose gated sets contain at least one scheduled operation — the
-/// transform's candidate list (greedy and optimal agree on it; ordering
-/// only permutes it). Gated sets depend on data edges alone, so the count
-/// computed here on the INPUT graph matches what the transform sees.
-int fullCandidateCount(const Graph& g) {
-  const std::vector<NodeMask> cones = faninConeMasks(g);
+/// The transform's candidates on the INPUT graph: muxes whose gated sets
+/// contain at least one scheduled operation (greedy and optimal agree on
+/// them; ordering only permutes them), and the union of their control
+/// edges. Gated sets depend on data edges alone, so both match what the
+/// transform sees.
+struct CandidateUnion {
   int count = 0;
-  for (const NodeId m : g.nodesOfKind(OpKind::Mux)) {
-    const GatedSets sets = computeGatedSets(g, m, cones);
-    const auto scheduled = [&](const std::vector<NodeId>& nodes) {
-      return std::any_of(nodes.begin(), nodes.end(),
-                         [&](NodeId n) { return isScheduled(g.kind(n)); });
-    };
-    if (scheduled(sets.gatedTrue) || scheduled(sets.gatedFalse)) ++count;
-  }
-  return count;
-}
-
-/// Smallest budget in [minSteps, maxSteps] at which the UNION of every
-/// candidate's control edges is jointly feasible. Feasibility of an edge
-/// set is monotone in steps and every committed set is a subset of this
-/// union, so the transform is certain to saturate at or before this bound —
-/// a cheap predictive stat (the sweep itself uses the empirical
-/// certificate). -1 when even maxSteps cannot fit the union.
-int relaxedBoundSteps(const Graph& g, int minSteps, int maxSteps) {
-  const std::vector<NodeMask> cones = faninConeMasks(g);
   std::vector<std::pair<NodeId, NodeId>> edges;
+};
+
+CandidateUnion candidateUnion(const Graph& g) {
+  CandidateUnion out;
+  GatedSetFinder finder(g);
   for (const NodeId m : g.nodesOfKind(OpKind::Mux)) {
-    const GatedSets sets = computeGatedSets(g, m, cones);
-    const auto scheduled = [&](const std::vector<NodeId>& nodes) {
-      return std::any_of(nodes.begin(), nodes.end(),
-                         [&](NodeId n) { return isScheduled(g.kind(n)); });
-    };
-    if (!scheduled(sets.gatedTrue) && !scheduled(sets.gatedFalse)) continue;
+    const GatedSets sets = finder.find(m);
+    if (!sets.gatesWork(g)) continue;
+    ++out.count;
     const NodeId ctrl = traceSelectProducer(g, m);
     if (!isScheduled(g.kind(ctrl))) continue;  // PI-driven select: no edges
-    for (const NodeId t : sets.topTrue) edges.emplace_back(ctrl, t);
-    for (const NodeId t : sets.topFalse) edges.emplace_back(ctrl, t);
+    for (const NodeId t : sets.topTrue) out.edges.emplace_back(ctrl, t);
+    for (const NodeId t : sets.topFalse) out.edges.emplace_back(ctrl, t);
   }
+  return out;
+}
+
+/// Smallest budget in [minSteps, maxSteps] at which the union `edges` of
+/// every candidate's control edges is jointly feasible. Feasibility of an
+/// edge set is monotone in steps and every committed set is a subset of
+/// this union, so the transform is certain to saturate at or before this
+/// bound — a cheap predictive stat (the sweep itself uses the empirical
+/// certificate). -1 when even maxSteps cannot fit the union.
+int relaxedBoundSteps(const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& edges,
+                      int minSteps, int maxSteps) {
   // Feasibility is monotone in the budget, so the least feasible s is found
   // by binary search instead of a linear scan over the sweep range.
   const auto feasibleAt = [&](int s) {
@@ -108,9 +102,11 @@ ExploreResult runSweep(const ExploreRequest& req, const RunBudget* budget, bool 
   res.ordering = req.ordering;
   res.optimal = req.optimal;
   res.shared = req.shared;
-  const int fullCandidates = fullCandidateCount(req.graph);
+  const CandidateUnion candidates = candidateUnion(req.graph);
+  const int fullCandidates = candidates.count;
   res.stats.candidates = fullCandidates;
-  res.stats.relaxedBoundSteps = relaxedBoundSteps(req.graph, res.minSteps, res.maxSteps);
+  res.stats.relaxedBoundSteps =
+      relaxedBoundSteps(req.graph, candidates.edges, res.minSteps, res.maxSteps);
 
   // The saturated base: the full outcome whose design every later point
   // copies. Its activation result is steps-independent, so basePower is the

@@ -43,91 +43,8 @@ double potentialSavings(const Graph& g, const GatedSets& sets) {
   return s;
 }
 
-bool anyScheduled(const Graph& g, const std::vector<NodeId>& nodes) {
-  return std::any_of(nodes.begin(), nodes.end(),
-                     [&](NodeId n) { return isScheduled(g.kind(n)); });
-}
-
-/// One side's gated set: start from the exclusive cone and shrink to the
-/// nodes whose every data fanout stays inside the set (or is the mux).
-std::vector<NodeId> gatedSide(const Graph& g, NodeId mux, const NodeMask& coneSide,
-                              const NodeMask& coneOther, const NodeMask& coneSel) {
-  // Exclusive cone, word-parallel: side \ other \ select.
-  NodeMask in = coneSide;
-  in.subtract(coneOther);
-  in.subtract(coneSel);
-  std::vector<NodeId> members;
-  in.forEachSet([&](std::size_t n) {
-    const OpKind k = g.kind(static_cast<NodeId>(n));
-    if (k == OpKind::Input || k == OpKind::Const || k == OpKind::Output)
-      in.reset(n);
-    else
-      members.push_back(static_cast<NodeId>(n));
-  });
-  // Greatest fixed point: drop nodes with a fanout escaping (set ∪ {mux});
-  // a removal can expose its producers, so recheck them via a worklist.
-  const CsrAdjacency& fanouts = g.fanoutCsr();
-  std::vector<NodeId> work = members;
-  while (!work.empty()) {
-    const NodeId n = work.back();
-    work.pop_back();
-    if (!in.test(n)) continue;
-    for (const NodeId f : fanouts.row(n)) {
-      if (f == mux || in.test(f)) continue;
-      in.reset(n);
-      for (const NodeId p : g.fanins(n))
-        if (in.test(p)) work.push_back(p);
-      break;
-    }
-  }
-  return in.toVector();
-}
-
-/// Scheduled members of `set` with no scheduled in-set ancestor (looking
-/// through in-set wires): the targets of the paper's control edges.
-///
-/// Data operands always have smaller ids than their consumers, so ascending
-/// id is a topological order for the backward reachability flags — one pass
-/// instead of a fresh DFS (with an O(V) visited array) per member.
-std::vector<NodeId> topNodes(const Graph& g, const std::vector<NodeId>& set) {
-  NodeMask in(g.size());
-  for (const NodeId n : set) in.set(n);
-
-  // reach[p] = a scheduled in-set node is backward-reachable from p
-  // (inclusive) through in-set nodes.
-  NodeMask reach(g.size());
-  for (const NodeId n : set) {  // ascending ids = data-topological
-    if (isScheduled(g.kind(n))) {
-      reach.set(n);
-      continue;
-    }
-    for (const NodeId p : g.fanins(n)) {
-      if (in.test(p) && reach.test(p)) {
-        reach.set(n);
-        break;
-      }
-    }
-  }
-
-  std::vector<NodeId> tops;
-  for (const NodeId n : set) {
-    if (!isScheduled(g.kind(n))) continue;
-    bool hasAncestor = false;
-    for (const NodeId p : g.fanins(n)) {
-      if (in.test(p) && reach.test(p)) {
-        hasAncestor = true;
-        break;
-      }
-    }
-    if (!hasAncestor) tops.push_back(n);
-  }
-  return tops;
-}
-
-/// Processing order of the mux list under a strategy. `cones` is the
-/// caller's faninConeMasks table (shared with the transform run itself).
-std::vector<NodeId> orderMuxes(const Graph& g, MuxOrdering ordering,
-                               std::span<const NodeMask> cones) {
+/// Processing order of the mux list under a strategy.
+std::vector<NodeId> orderMuxes(const Graph& g, MuxOrdering ordering) {
   std::vector<NodeId> muxes = g.nodesOfKind(OpKind::Mux);
   switch (ordering) {
     case MuxOrdering::OutputFirst: {
@@ -148,7 +65,8 @@ std::vector<NodeId> orderMuxes(const Graph& g, MuxOrdering ordering,
     }
     case MuxOrdering::BySavings: {
       std::vector<double> savings(g.size(), 0);
-      for (const NodeId m : muxes) savings[m] = potentialSavings(g, computeGatedSets(g, m, cones));
+      GatedSetFinder finder(g);
+      for (const NodeId m : muxes) savings[m] = potentialSavings(g, finder.find(m));
       std::stable_sort(muxes.begin(), muxes.end(), [&](NodeId a, NodeId b) {
         if (savings[a] != savings[b]) return savings[a] > savings[b];
         return a < b;
@@ -168,34 +86,80 @@ NodeId traceSelectProducer(const Graph& g, NodeId mux) {
   return n;
 }
 
-GatedSets computeGatedSets(const Graph& g, NodeId mux) {
-  if (g.kind(mux) != OpKind::Mux) throw SynthesisError("computeGatedSets: not a mux");
-  const NodeMask coneSel = g.operandCone(mux, 0);
-  const NodeMask coneT = g.operandCone(mux, 1);
-  const NodeMask coneF = g.operandCone(mux, 2);
+bool GatedSets::gatesWork(const Graph& g) const {
+  const auto scheduled = [&](NodeId n) { return isScheduled(g.kind(n)); };
+  return std::any_of(gatedTrue.begin(), gatedTrue.end(), scheduled) ||
+         std::any_of(gatedFalse.begin(), gatedFalse.end(), scheduled);
+}
 
+GatedSetFinder::GatedSetFinder(const Graph& g)
+    : g_(g),
+      fanouts_(g.fanoutCsr()),
+      seen_(g.size(), 0),
+      delivered_(g.size(), 0),
+      reach_(g.size(), 0) {}
+
+std::uint32_t GatedSetFinder::nextEpoch() {
+  if (++epoch_ == 0) {  // wrapped: clear the stale stamps once
+    std::fill(seen_.begin(), seen_.end(), 0);
+    std::fill(reach_.begin(), reach_.end(), 0);
+    epoch_ = 1;
+  }
+  return epoch_;
+}
+
+std::vector<NodeId> GatedSetFinder::side(NodeId mux, std::size_t slot) {
+  const std::uint32_t epoch = nextEpoch();
+  std::vector<NodeId> members;  // also the worklist: members.size() grows
+  auto deliver = [&](NodeId n) {
+    if (seen_[n] != epoch) {
+      seen_[n] = epoch;
+      delivered_[n] = 0;
+    }
+    if (++delivered_[n] != fanouts_.row(n).size()) return;
+    const OpKind k = g_.kind(n);
+    if (k != OpKind::Input && k != OpKind::Const && k != OpKind::Output) members.push_back(n);
+  };
+  deliver(g_.fanins(mux)[slot]);
+  for (std::size_t i = 0; i < members.size(); ++i)
+    for (const NodeId p : g_.fanins(members[i])) deliver(p);
+  std::sort(members.begin(), members.end());
+  return members;
+}
+
+std::vector<NodeId> GatedSetFinder::tops(const std::vector<NodeId>& set) {
+  if (set.empty()) return {};
+  // reach_[n] == epoch: a scheduled member is backward-reachable from n
+  // (inclusive) through members. Only members are ever stamped, and data
+  // operands always have smaller ids than their consumers, so one
+  // ascending pass over the set settles every flag.
+  const std::uint32_t epoch = nextEpoch();
+  auto reached = [&](NodeId p) { return reach_[p] == epoch; };
+  std::vector<NodeId> result;
+  for (const NodeId n : set) {
+    const std::span<const NodeId> ops = g_.fanins(n);
+    const bool hasAncestor = std::any_of(ops.begin(), ops.end(), reached);
+    if (isScheduled(g_.kind(n))) {
+      reach_[n] = epoch;
+      if (!hasAncestor) result.push_back(n);
+    } else if (hasAncestor) {
+      reach_[n] = epoch;
+    }
+  }
+  return result;
+}
+
+GatedSets GatedSetFinder::find(NodeId mux) {
+  if (g_.kind(mux) != OpKind::Mux) throw SynthesisError("computeGatedSets: not a mux");
   GatedSets sets;
-  sets.gatedTrue = gatedSide(g, mux, coneT, coneF, coneSel);
-  sets.gatedFalse = gatedSide(g, mux, coneF, coneT, coneSel);
-  sets.topTrue = topNodes(g, sets.gatedTrue);
-  sets.topFalse = topNodes(g, sets.gatedFalse);
+  sets.gatedTrue = side(mux, 1);
+  sets.gatedFalse = side(mux, 2);
+  sets.topTrue = tops(sets.gatedTrue);
+  sets.topFalse = tops(sets.gatedFalse);
   return sets;
 }
 
-GatedSets computeGatedSets(const Graph& g, NodeId mux, std::span<const NodeMask> cones) {
-  if (g.kind(mux) != OpKind::Mux) throw SynthesisError("computeGatedSets: not a mux");
-  const std::span<const NodeId> ops = g.fanins(mux);
-  const NodeMask& coneSel = cones[ops[0]];
-  const NodeMask& coneT = cones[ops[1]];
-  const NodeMask& coneF = cones[ops[2]];
-
-  GatedSets sets;
-  sets.gatedTrue = gatedSide(g, mux, coneT, coneF, coneSel);
-  sets.gatedFalse = gatedSide(g, mux, coneF, coneT, coneSel);
-  sets.topTrue = topNodes(g, sets.gatedTrue);
-  sets.topFalse = topNodes(g, sets.gatedFalse);
-  return sets;
-}
+GatedSets computeGatedSets(const Graph& g, NodeId mux) { return GatedSetFinder(g).find(mux); }
 
 PowerManagedDesign unmanagedDesign(const Graph& g, int steps) {
   PowerManagedDesign design;
@@ -273,7 +237,6 @@ void markTransformDegraded(PowerManagedDesign& design, const RunBudget* budget) 
 PowerManagedDesign runTransformWithModel(const Graph& g, int steps,
                                          const std::vector<NodeId>& candidates,
                                          const LatencyModel& model, bool useOracle,
-                                         std::span<const NodeMask> cones,
                                          const RunBudget* budget = nullptr) {
   PowerManagedDesign design;
   design.graph = g.clone();
@@ -286,9 +249,9 @@ PowerManagedDesign runTransformWithModel(const Graph& g, int steps,
   std::vector<std::pair<NodeId, NodeId>> committed;
   std::optional<TimeFrameOracle> oracle;
   if (useOracle) oracle.emplace(work, steps, model, "power-transform");
-  // `cones` was computed by the caller on a graph with identical nodes and
-  // data edges; edges are only materialized after the loop, so it stays
-  // valid for the whole sweep (control edges would not affect it anyway).
+  // Edges are only materialized after the loop, so the finder's view of
+  // the data edges stays valid for the whole sweep.
+  GatedSetFinder finder(work);
 
   for (const NodeId m : candidates) {
     MuxPmInfo info;
@@ -304,13 +267,14 @@ PowerManagedDesign runTransformWithModel(const Graph& g, int steps,
       continue;
     }
 
-    GatedSets sets = computeGatedSets(work, m, cones);
+    GatedSets sets = finder.find(m);
+    const bool gatesWork = sets.gatesWork(work);
     info.gatedTrue = std::move(sets.gatedTrue);
     info.gatedFalse = std::move(sets.gatedFalse);
     info.topTrue = std::move(sets.topTrue);
     info.topFalse = std::move(sets.topFalse);
 
-    if (!anyScheduled(work, info.gatedTrue) && !anyScheduled(work, info.gatedFalse)) {
+    if (!gatesWork) {
       info.reason = "no operations are exclusive to one data input";
       design.muxes.push_back(std::move(info));
       continue;
@@ -360,9 +324,8 @@ PowerManagedDesign runTransformWithModel(const Graph& g, int steps,
 }
 
 PowerManagedDesign runTransform(const Graph& g, int steps,
-                                const std::vector<NodeId>& candidates, bool useOracle,
-                                std::span<const NodeMask> cones) {
-  return runTransformWithModel(g, steps, candidates, LatencyModel::unit(), useOracle, cones);
+                                const std::vector<NodeId>& candidates, bool useOracle) {
+  return runTransformWithModel(g, steps, candidates, LatencyModel::unit(), useOracle);
 }
 
 }  // namespace
@@ -370,17 +333,14 @@ PowerManagedDesign runTransform(const Graph& g, int steps,
 PowerManagedDesign applyPowerManagement(const Graph& g, int steps, MuxOrdering ordering,
                                         const LatencyModel& model, const RunBudget* budget) {
   g.validate();
-  const std::vector<NodeMask> cones = faninConeMasks(g);
-  return runTransformWithModel(g, steps, orderMuxes(g, ordering, cones), model,
-                               /*useOracle=*/true, cones, budget);
+  return runTransformWithModel(g, steps, orderMuxes(g, ordering), model, /*useOracle=*/true,
+                               budget);
 }
 
 PowerManagedDesign applyPowerManagementReference(const Graph& g, int steps, MuxOrdering ordering,
                                                  const LatencyModel& model) {
   g.validate();
-  const std::vector<NodeMask> cones = faninConeMasks(g);
-  return runTransformWithModel(g, steps, orderMuxes(g, ordering, cones), model,
-                               /*useOracle=*/false, cones);
+  return runTransformWithModel(g, steps, orderMuxes(g, ordering), model, /*useOracle=*/false);
 }
 
 namespace {
@@ -474,10 +434,10 @@ PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, b
   std::vector<NodeId> candidates;
   std::vector<double> savings(g.size(), 0);
   std::vector<std::vector<std::pair<NodeId, NodeId>>> muxEdges;
-  const std::vector<NodeMask> cones = faninConeMasks(g);
+  GatedSetFinder finder(g);
   for (const NodeId m : g.nodesOfKind(OpKind::Mux)) {
-    const GatedSets sets = computeGatedSets(g, m, cones);
-    if (!anyScheduled(g, sets.gatedTrue) && !anyScheduled(g, sets.gatedFalse)) continue;
+    const GatedSets sets = finder.find(m);
+    if (!sets.gatesWork(g)) continue;
     savings[m] = potentialSavings(g, sets);
     candidates.push_back(m);
     std::vector<std::pair<NodeId, NodeId>> edges;
@@ -555,7 +515,7 @@ PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, b
     std::vector<NodeId> chosen;
     for (std::size_t i = 0; i < candidates.size(); ++i)
       if (best[i]) chosen.push_back(candidates[i]);
-    return runTransform(g, steps, chosen, useOracle, cones);
+    return runTransform(g, steps, chosen, useOracle);
   }
 
   InfeasMemo memo(exactCount);
@@ -787,7 +747,7 @@ PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, b
   // materialization. The replay runs WITHOUT the budget — the committed
   // decisions must be materialized completely for the design to be
   // consistent.
-  PowerManagedDesign design = runTransform(g, steps, chosen, useOracle, cones);
+  PowerManagedDesign design = runTransform(g, steps, chosen, useOracle);
   if (stopped.load(std::memory_order_relaxed)) {
     design.degraded = true;
     const BudgetKind kind = budget->exhaustedWhy().value_or(BudgetKind::Deadline);

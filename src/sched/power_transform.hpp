@@ -13,13 +13,15 @@
 //  * muxes are processed one at a time, closest-to-the-outputs first (§III);
 //  * a node that lies in the fanin cones of BOTH data inputs is never gated;
 //  * a node with any data fanout escaping the gated region is never gated
-//    (computed to a fixed point, since removing one node can expose another);
+//    (a fixed point: GatedSetFinder admits a node only once every one of
+//    its fanouts is inside the region);
 //  * ASAP/ALAP tightening is tentative per mux: committed when every node
 //    keeps ASAP <= ALAP, reverted otherwise (steps 4-8 of Fig. 3);
 //  * control edges run from the last control-fanin node to the top nodes of
 //    the gated cones (step 10); scheduling is delegated to the ordinary
 //    resource-minimizing scheduler (step 11).
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -101,22 +103,56 @@ struct PowerManagedDesign {
 /// get TRUE. Used by the activation analysis and the controller generator.
 [[nodiscard]] std::vector<GateDnf> resolveActivationConditions(const PowerManagedDesign& design);
 
-/// Static (schedule-independent) gated-set computation for one mux.
-/// Exposed for tests and for the §IV-A savings-ordering heuristic.
+/// Static (schedule-independent) gated sets of one mux, each in ascending
+/// id order. Exposed for tests and for the §IV-A savings-ordering heuristic.
 struct GatedSets {
   std::vector<NodeId> gatedTrue;
   std::vector<NodeId> gatedFalse;
   std::vector<NodeId> topTrue;
   std::vector<NodeId> topFalse;
-};
-[[nodiscard]] GatedSets computeGatedSets(const Graph& g, NodeId mux);
 
-/// Same, reading the per-operand fanin cones from a precomputed
-/// faninConeMasks(g) table instead of running three backward walks per mux.
-/// The transform drivers build the table once per run (the graph is not
-/// mutated until their edges are materialized at the end).
-[[nodiscard]] GatedSets computeGatedSets(const Graph& g, NodeId mux,
-                                         std::span<const NodeMask> cones);
+  /// Some gated node occupies a unit (the transform's candidate test).
+  [[nodiscard]] bool gatesWork(const Graph& g) const;
+};
+
+/// Gated sets of the muxes of one graph, one mux at a time, in time
+/// proportional to the sets found rather than to the graph.
+///
+/// One side's set is the least set S such that a node joins S when it is
+/// neither an Input, Const nor Output and every one of its data fanout
+/// edges leads into S or is the mux's operand edge of that side. The walk
+/// starts at that operand edge and moves backwards, counting delivered
+/// fanout edges per node, so a mux whose operands have other consumers
+/// costs O(1). On a DAG the fixed point is unique, and it equals the
+/// paper's definition: the side's exclusive fanin cone (minus the other
+/// side's and the select's cones) shrunk until no data fanout escapes the
+/// set or the mux. A node feeding the select or the other side reaches the
+/// mux over an edge that is never delivered, so it cannot join.
+///
+/// Scratch is sized once per graph and stamped per walk. The graph must not
+/// gain nodes or data edges while a finder is alive.
+class GatedSetFinder {
+ public:
+  explicit GatedSetFinder(const Graph& g);
+  [[nodiscard]] GatedSets find(NodeId mux);
+
+ private:
+  std::vector<NodeId> side(NodeId mux, std::size_t slot);
+  /// Scheduled members of `set` with no scheduled in-set ancestor (looking
+  /// through in-set wires): the targets of the paper's control edges.
+  std::vector<NodeId> tops(const std::vector<NodeId>& set);
+  std::uint32_t nextEpoch();
+
+  const Graph& g_;
+  const CsrAdjacency& fanouts_;
+  std::vector<std::uint32_t> seen_;       ///< walk epoch that touched the node
+  std::vector<std::uint32_t> delivered_;  ///< fanout edges delivered (valid if seen_)
+  std::vector<std::uint32_t> reach_;      ///< tops(): member at or below a scheduled member
+  std::uint32_t epoch_ = 0;
+};
+
+/// One-off convenience: GatedSetFinder(g).find(mux).
+[[nodiscard]] GatedSets computeGatedSets(const Graph& g, NodeId mux);
 
 /// Producer of a mux's select signal traced through wires; Input/Const ids
 /// are returned as-is (caller decides they need no control step).

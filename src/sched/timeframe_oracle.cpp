@@ -57,6 +57,13 @@ TimeFrameOracle::TimeFrameOracle(const Graph& g, int steps, const LatencyModel& 
   initial_.asap = asap_;
   initial_.alap = alap_;
   initial_.overEnd = overEnd_;
+  minControlTarget_ = minGraphControlTarget();
+}
+
+NodeId TimeFrameOracle::minGraphControlTarget() const {
+  for (NodeId v = 0; v < g_.size(); ++v)
+    if (!ctrlPredCsr_.row(v).empty()) return v;
+  return kInvalidNode;
 }
 
 TimeFrameOracle::FrameSnapshot TimeFrameOracle::snapshot() const {
@@ -78,9 +85,11 @@ void TimeFrameOracle::restore(const FrameSnapshot& s) {
   overEnd_ = s.overEnd;
   for (std::vector<NodeId>& row : xSucc_) row.clear();
   for (std::vector<NodeId>& row : xPred_) row.clear();
+  minControlTarget_ = minGraphControlTarget();
   for (const Edge& e : s.extraEdges) {
     xSucc_[e.first].push_back(e.second);
     xPred_[e.second].push_back(e.first);
+    minControlTarget_ = std::min(minControlTarget_, e.second);
   }
 }
 
@@ -296,6 +305,8 @@ void TimeFrameOracle::commit() {
   // (commits are rare — accepted candidates only).
   ensureAlap();
   depth_ = 0;  // the edges stay live in xSucc_/xPred_
+  for (const Edge& e : batchPool_[0].edges)
+    minControlTarget_ = std::min(minControlTarget_, e.second);
 }
 
 void TimeFrameOracle::pin(NodeId n, int step) {
@@ -389,7 +400,7 @@ void TimeFrameOracle::walkRelax(NodeId x, int d) {
   buckets_[d].push_back(x);
 }
 
-NodeId TimeFrameOracle::slackWalk(bool forward, NodeId best) {
+NodeId TimeFrameOracle::slackWalk(bool forward, NodeId best, bool idBounded) {
   const int limit = static_cast<int>(buckets_.size());
   for (int d = 0; d < limit; ++d) {
     // Relaxing only adds to buckets >= d (slacks are non-negative), so an
@@ -400,7 +411,9 @@ NodeId TimeFrameOracle::slackWalk(bool forward, NodeId best) {
       if (walkDist_[v] != d) continue;  // settled earlier at a smaller distance
       if (sched_[v] && v < best) best = v;
       if (forward) {  // ALAP slack towards the successors
-        auto step = [&](NodeId s) { walkRelax(s, d + alap_[s] - alap_[v] - weight(v, s)); };
+        auto step = [&](NodeId s) {
+          if (!idBounded || s < best) walkRelax(s, d + alap_[s] - alap_[v] - weight(v, s));
+        };
         for (const NodeId s : fanoutCsr_.row(v)) step(s);
         for (const NodeId s : ctrlSuccCsr_.row(v)) step(s);
         for (const NodeId s : xSucc_[v]) step(s);
@@ -432,17 +445,21 @@ std::optional<NodeId> TimeFrameOracle::explainReject(std::span<const Edge> edges
   for (const Edge& e : edges) maxExcess = std::max(maxExcess, excess(u, e.second));
   if (maxExcess <= 0) return std::nullopt;  // the batch fits
 
-  // Node x is infeasible after the push iff its slack distance from some
-  // target t is below t's excess (forward walk; t starts at maxExcess minus
-  // its own excess, so every target shares the bound maxExcess), or its
-  // slack distance to u is below the largest excess (backward walk).
+  // Node x is infeasible after the push iff its slack distance to u is
+  // below the largest excess (backward walk), or its slack distance from
+  // some target t is below t's excess (forward walk; t starts at maxExcess
+  // minus its own excess, so every target shares the bound maxExcess).
   buckets_.resize(static_cast<std::size_t>(maxExcess));
   beginWalk();
-  for (const Edge& e : edges) walkRelax(e.second, maxExcess - excess(u, e.second));
-  NodeId best = slackWalk(/*forward=*/true, kInvalidNode);
-  beginWalk();
   walkRelax(u, 0);
-  best = slackWalk(/*forward=*/false, best);
+  NodeId best = slackWalk(/*forward=*/false, kInvalidNode);
+  // The id bound (see the header comment): with no control edge landing
+  // below `best`, nothing at or above it leads forward to a smaller id.
+  const bool idBounded = minControlTarget_ >= best;
+  beginWalk();
+  for (const Edge& e : edges)
+    if (!idBounded || e.second < best) walkRelax(e.second, maxExcess - excess(u, e.second));
+  best = slackWalk(/*forward=*/true, best, idBounded);
   if (best == kInvalidNode) return std::nullopt;
   return best;
 }

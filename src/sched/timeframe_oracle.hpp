@@ -61,9 +61,23 @@
 // ALAP slack sum(alap[b] - alap[a] - w(a,b)) from t forward to x, or the
 // ASAP slack sum(asap[b] - asap[a] - w(a,b)) from x forward to u. Both
 // slacks are non-negative at the fixed point, so explainReject() walks
-// them with buckets bounded by the excess (Dial's algorithm) — forward
-// from each t, backward from u — and returns the smallest scheduled id it
-// settles. A batch whose target reaches u closes a cycle; explainReject()
+// them with buckets bounded by the excess (Dial's algorithm) — backward
+// from u, then forward from each t — and returns the smallest scheduled id
+// it settles.
+//
+// The id bound. Graph::addNode() makes every data operand's id smaller
+// than its consumer's, so a data edge always leads to a larger id. Let
+// `best` be the backward walk's answer and minControlTarget_ the smallest
+// target of any graph control edge or committed extra edge. If
+// minControlTarget_ >= best, every edge leaving a node with id >= best
+// lands on an id >= best, so no forward path through such a node can
+// reach a smaller id. The forward walk then seeds and relaxes only ids
+// below the best so far; the nodes it skips could not have lowered the
+// answer, and the ones it keeps see the same distances. Otherwise it
+// walks unbounded. The constructor, commit() and restore() keep
+// minControlTarget_ current.
+//
+// A batch whose target reaches u closes a cycle; explainReject()
 // then throws push()'s error. The check is O(1) per target when the frames
 // rule the path out, and a walk confined to the frame window otherwise.
 //
@@ -249,7 +263,11 @@ class TimeFrameOracle {
   void walkRelax(NodeId x, int d);
   /// Dial walk over frame slack, from the seeded buckets, keeping distances
   /// below the bucket count. Returns the smallest scheduled id settled.
-  NodeId slackWalk(bool forward, NodeId best);
+  /// With `idBounded` a forward walk skips nodes with ids at or above the
+  /// best so far.
+  NodeId slackWalk(bool forward, NodeId best, bool idBounded = false);
+  /// Smallest target of a control edge of the graph itself.
+  [[nodiscard]] NodeId minGraphControlTarget() const;
 
   template <typename Queue>
   void enqueue(Queue& q, NodeId v) {
@@ -285,6 +303,9 @@ class TimeFrameOracle {
   std::vector<Batch> batchPool_;
   std::size_t depth_ = 0;
 
+  /// Smallest target of a graph control edge or committed extra edge;
+  /// kInvalidNode when there is none.
+  NodeId minControlTarget_ = kInvalidNode;
   bool slackExact_ = true;               ///< one edge weight for both frames
   bool pinned_ = false;                  ///< pin() has been called
 

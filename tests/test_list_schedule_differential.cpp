@@ -369,5 +369,39 @@ TEST(ListScheduleDifferential, FixedLimitsAndInfeasibleBudgets) {
   }
 }
 
+TEST(ListScheduleDifferential, OutOfStepsBlamesTheMostDeferredClass) {
+  // Zero-cycle adders complete in the step they start, yet each consumer
+  // still waits for the next step: the chain add1 -> add2 -> add3 fits its
+  // frames in one step but needs three, so add3 never arrives within two
+  // steps and the run ends out of steps with add3 the worst unplaced node.
+  // Meanwhile two multipliers share one unit, so step 1 defers one of them.
+  // The blame must go to the deferred class (Multiplier), not to the worst
+  // node's class (Adder).
+  Graph g("deferral_blame");
+  const NodeId a = g.addInput("a");
+  const NodeId b = g.addInput("b");
+  const NodeId add1 = g.addOp(OpKind::Add, {a, b}, "add1");
+  const NodeId add2 = g.addOp(OpKind::Add, {add1, a}, "add2");
+  const NodeId add3 = g.addOp(OpKind::Add, {add2, b}, "add3");
+  const NodeId m1 = g.addOp(OpKind::Mul, {a, b}, "m1");
+  const NodeId m2 = g.addOp(OpKind::Mul, {b, a}, "m2");
+  g.addOutput(add3, "sum");
+  g.addOutput(m1, "p1");
+  g.addOutput(m2, "p2");
+
+  LatencyModel model = LatencyModel::unit();
+  model.cycles[unitIndex(ResourceClass::Adder)] = 0;
+  ResourceVector limits;
+  limits.count.fill(1);
+  const int steps = 2;
+  ASSERT_TRUE(computeTimeFrames(g, steps, {}, model).feasible(g));
+
+  const ListScheduleResult fast = listSchedule(g, steps, limits, 0, model);
+  expectSameResult(g, fast, listScheduleReference(g, steps, limits, 0, model), "deferral blame");
+  ASSERT_FALSE(fast.schedule.has_value());
+  EXPECT_EQ(fast.blockedOn, ResourceClass::Multiplier);
+  EXPECT_EQ(fast.message, "ran out of steps with 1 operations unplaced (first: 'add3')");
+}
+
 }  // namespace
 }  // namespace pmsched

@@ -1,6 +1,7 @@
-// Tests for the paper's core transform: gated-set computation, the
-// commit/revert loop, control edges, orderings, and the exact-subset
-// extension.
+// Tests for the paper's core transform: gated-set computation (including a
+// differential check of GatedSetFinder against the mask-based definition,
+// kept here as computeGatedSetsReference), the commit/revert loop, control
+// edges, orderings, and the exact-subset extension.
 
 #include <algorithm>
 
@@ -9,6 +10,7 @@
 #include "circuits/circuits.hpp"
 #include "power/activation.hpp"
 #include "sched/power_transform.hpp"
+#include "support/random_dfg.hpp"
 
 namespace pmsched {
 namespace {
@@ -99,6 +101,241 @@ TEST(GatedSets, NestedMuxesGateTheInnerMux) {
   EXPECT_TRUE(contains(sets.gatedFalse, *g.findByName("d")));
   // Tops: only c2 has no in-set ancestor on the true side (mA reads c2).
   EXPECT_EQ(sets.topTrue, (std::vector<NodeId>{*g.findByName("c2")}));
+}
+
+// ---------------------------------------------------------------------------
+// Mask-based reference: the paper's definition read literally. Per side, the
+// exclusive cone (side cone minus the other side's and the select's cones,
+// minus inputs, constants and outputs), shrunk to the greatest fixed point
+// in which every data fanout stays inside the set or is the mux.
+// ---------------------------------------------------------------------------
+
+std::vector<NodeId> gatedSideReference(const Graph& g, NodeId mux, const NodeMask& coneSide,
+                                       const NodeMask& coneOther, const NodeMask& coneSel) {
+  NodeMask in = coneSide;
+  in.subtract(coneOther);
+  in.subtract(coneSel);
+  std::vector<NodeId> members;
+  in.forEachSet([&](std::size_t n) {
+    const OpKind k = g.kind(static_cast<NodeId>(n));
+    if (k == OpKind::Input || k == OpKind::Const || k == OpKind::Output)
+      in.reset(n);
+    else
+      members.push_back(static_cast<NodeId>(n));
+  });
+  std::vector<NodeId> work = members;
+  while (!work.empty()) {
+    const NodeId n = work.back();
+    work.pop_back();
+    if (!in.test(n)) continue;
+    for (const NodeId f : g.fanouts(n)) {
+      if (f == mux || in.test(f)) continue;
+      in.reset(n);
+      for (const NodeId p : g.fanins(n))
+        if (in.test(p)) work.push_back(p);
+      break;
+    }
+  }
+  return in.toVector();
+}
+
+/// Scheduled members with no scheduled in-set ancestor (through in-set
+/// wires), by ascending-id reachability flags.
+std::vector<NodeId> topNodesReference(const Graph& g, const std::vector<NodeId>& set) {
+  NodeMask in(g.size());
+  for (const NodeId n : set) in.set(n);
+  NodeMask reach(g.size());
+  for (const NodeId n : set) {
+    if (isScheduled(g.kind(n))) {
+      reach.set(n);
+      continue;
+    }
+    for (const NodeId p : g.fanins(n))
+      if (in.test(p) && reach.test(p)) {
+        reach.set(n);
+        break;
+      }
+  }
+  std::vector<NodeId> tops;
+  for (const NodeId n : set) {
+    if (!isScheduled(g.kind(n))) continue;
+    const std::span<const NodeId> ops = g.fanins(n);
+    if (std::none_of(ops.begin(), ops.end(),
+                     [&](NodeId p) { return in.test(p) && reach.test(p); }))
+      tops.push_back(n);
+  }
+  return tops;
+}
+
+GatedSets computeGatedSetsReference(const Graph& g, NodeId mux) {
+  const NodeMask coneSel = g.operandCone(mux, 0);
+  const NodeMask coneT = g.operandCone(mux, 1);
+  const NodeMask coneF = g.operandCone(mux, 2);
+  GatedSets sets;
+  sets.gatedTrue = gatedSideReference(g, mux, coneT, coneF, coneSel);
+  sets.gatedFalse = gatedSideReference(g, mux, coneF, coneT, coneSel);
+  sets.topTrue = topNodesReference(g, sets.gatedTrue);
+  sets.topFalse = topNodesReference(g, sets.gatedFalse);
+  return sets;
+}
+
+/// Checks every mux of `g` against the reference with one finder (so stale
+/// scratch from earlier muxes would show). Returns the muxes that gate
+/// something.
+int expectFinderMatchesReference(const Graph& g, const std::string& what) {
+  GatedSetFinder finder(g);
+  int gating = 0;
+  for (const NodeId m : g.nodesOfKind(OpKind::Mux)) {
+    const GatedSets fast = finder.find(m);
+    const GatedSets ref = computeGatedSetsReference(g, m);
+    const std::string at = what + " mux '" + g.node(m).name + "'";
+    EXPECT_EQ(fast.gatedTrue, ref.gatedTrue) << at;
+    EXPECT_EQ(fast.gatedFalse, ref.gatedFalse) << at;
+    EXPECT_EQ(fast.topTrue, ref.topTrue) << at;
+    EXPECT_EQ(fast.topFalse, ref.topFalse) << at;
+    if (::testing::Test::HasFailure()) return gating;
+    if (!ref.gatedTrue.empty() || !ref.gatedFalse.empty()) ++gating;
+  }
+  return gating;
+}
+
+TEST(GatedSetFinder, MatchesReferenceOnPaperAndHlsCircuits) {
+  std::vector<Graph> graphs;
+  for (const auto& entry : circuits::paperCircuits()) graphs.push_back(entry.build());
+  graphs.push_back(circuits::absdiff());
+  graphs.push_back(circuits::cordic());
+  graphs.push_back(circuits::diffeq());
+  graphs.push_back(circuits::fir8());
+  graphs.push_back(circuits::arf());
+  graphs.push_back(circuits::ewf());
+  int gating = 0;
+  for (const Graph& g : graphs) gating += expectFinderMatchesReference(g, g.name());
+  EXPECT_GT(gating, 5);
+}
+
+TEST(GatedSetFinder, MatchesReferenceOnRandomLadder) {
+  struct Shape {
+    int layers, perLayer;
+  };
+  int gating = 0;
+  for (const Shape s : {Shape{2, 2}, Shape{4, 4}, Shape{8, 4}, Shape{16, 8}, Shape{32, 6},
+                        Shape{64, 8}, Shape{128, 8}, Shape{256, 16}, Shape{512, 16},
+                        Shape{1024, 16}}) {
+    const std::uint64_t seeds = s.layers >= 256 ? 1 : 4;
+    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+      const Graph g = randomLayeredDfg(s.layers, s.perLayer, seed);
+      gating += expectFinderMatchesReference(g, g.name() + " seed " + std::to_string(seed));
+      if (HasFailure()) return;
+    }
+  }
+  EXPECT_GT(gating, 100);
+}
+
+TEST(GatedSetFinder, MatchesReferenceOnHandBuiltCases) {
+  // Each case isolates one rule of the definition; the mux is always `m`.
+  std::vector<Graph> cases;
+  {  // One operand feeds both data sides: it is in neither gated set.
+    Graph g("shared_operand");
+    const NodeId a = g.addInput("a");
+    const NodeId b = g.addInput("b");
+    const NodeId c = g.addOp(OpKind::CmpGt, {a, b}, "c");
+    const NodeId t = g.addOp(OpKind::Add, {a, b}, "t");
+    const NodeId pre = g.addOp(OpKind::Mul, {a, b}, "pre");
+    const NodeId both = g.addOp(OpKind::Sub, {pre, a}, "both");
+    const NodeId m = g.addMux(c, both, both, "m");
+    g.addOutput(m, "out");
+    g.addOutput(t, "t_out");
+    cases.push_back(std::move(g));
+  }
+  {  // The select also feeds the true side, directly and through an adder.
+    Graph g("select_feeds_side");
+    const NodeId a = g.addInput("a");
+    const NodeId b = g.addInput("b");
+    const NodeId c = g.addOp(OpKind::CmpGt, {a, b}, "c");
+    const NodeId f = g.addOp(OpKind::Sub, {a, b}, "f");
+    const NodeId m = g.addMux(c, c, f, "m");
+    const NodeId d = g.addOp(OpKind::CmpLt, {a, b}, "d");
+    const NodeId u = g.addOp(OpKind::Add, {d, a}, "u");
+    const NodeId m2 = g.addMux(d, u, m, "m2");
+    g.addOutput(m2, "out");
+    cases.push_back(std::move(g));
+  }
+  {  // Wire chains inside a gated set: tops look through them.
+    Graph g("wire_chain");
+    const NodeId a = g.addInput("a");
+    const NodeId b = g.addInput("b");
+    const NodeId c = g.addOp(OpKind::CmpGt, {a, b}, "c");
+    const NodeId x = g.addOp(OpKind::Mul, {a, b}, "x");
+    const NodeId w1 = g.addWire(x, 1, "w1");
+    const NodeId w2 = g.addWire(w1, 0, "w2");
+    const NodeId y = g.addOp(OpKind::Add, {w2, w1}, "y");
+    const NodeId wa = g.addWire(a, 2, "wa");
+    const NodeId z = g.addOp(OpKind::Sub, {wa, b}, "z");
+    const NodeId m = g.addMux(c, y, z, "m");
+    g.addOutput(m, "out");
+    cases.push_back(std::move(g));
+  }
+  {  // A would-be gated node also feeds an Output: it and its producers leak.
+    Graph g("gated_feeds_output");
+    const NodeId a = g.addInput("a");
+    const NodeId b = g.addInput("b");
+    const NodeId c = g.addOp(OpKind::CmpGt, {a, b}, "c");
+    const NodeId p = g.addOp(OpKind::Mul, {a, b}, "p");
+    const NodeId q = g.addOp(OpKind::Add, {p, a}, "q");
+    const NodeId r = g.addOp(OpKind::Sub, {q, b}, "r");
+    const NodeId k = g.addConst(3, 8, "k");
+    const NodeId s = g.addOp(OpKind::Add, {k, b}, "s");
+    const NodeId m = g.addMux(c, r, s, "m");
+    g.addOutput(m, "out");
+    g.addOutput(q, "leak");
+    cases.push_back(std::move(g));
+  }
+  {  // A mux feeding a mux: the inner mux and its exclusive cones are gated
+     // by the outer one.
+    Graph g("mux_into_mux");
+    const NodeId a = g.addInput("a");
+    const NodeId b = g.addInput("b");
+    const NodeId c1 = g.addOp(OpKind::CmpGt, {a, b}, "c1");
+    const NodeId c2 = g.addOp(OpKind::CmpLt, {a, b}, "c2");
+    const NodeId x = g.addOp(OpKind::Add, {a, b}, "x");
+    const NodeId y = g.addOp(OpKind::Sub, {a, b}, "y");
+    const NodeId inner = g.addMux(c2, x, y, "inner");
+    const NodeId z = g.addOp(OpKind::Mul, {a, b}, "z");
+    const NodeId outer = g.addMux(c1, inner, z, "outer");
+    g.addOutput(outer, "out");
+    cases.push_back(std::move(g));
+  }
+  for (const Graph& g : cases) {
+    g.validate();
+    expectFinderMatchesReference(g, g.name());
+  }
+
+  // The cases pin the rules, not just agreement: a shared operand, a
+  // select on a data side and a leaking producer are never gated.
+  const auto gatedIn = [](const Graph& g, std::string_view mux) {
+    return computeGatedSets(g, *g.findByName(mux));
+  };
+  const GatedSets shared = gatedIn(cases[0], "m");
+  EXPECT_TRUE(shared.gatedTrue.empty());
+  EXPECT_TRUE(shared.gatedFalse.empty());
+  const GatedSets sel = gatedIn(cases[1], "m");
+  EXPECT_TRUE(sel.gatedTrue.empty());
+  EXPECT_EQ(sel.gatedFalse, (std::vector<NodeId>{*cases[1].findByName("f")}));
+  const GatedSets wires = gatedIn(cases[2], "m");
+  EXPECT_EQ(wires.topTrue, (std::vector<NodeId>{*cases[2].findByName("x")}));
+  EXPECT_TRUE(contains(wires.gatedTrue, *cases[2].findByName("w2")));
+  EXPECT_TRUE(contains(wires.gatedFalse, *cases[2].findByName("wa")));
+  const GatedSets leak = gatedIn(cases[3], "m");
+  EXPECT_EQ(leak.gatedTrue, (std::vector<NodeId>{*cases[3].findByName("r")}));
+  EXPECT_EQ(leak.gatedFalse, (std::vector<NodeId>{*cases[3].findByName("s")}));
+  const GatedSets nested = gatedIn(cases[4], "outer");
+  EXPECT_EQ(nested.gatedTrue.size(), 4u);  // c2, x, y, inner
+  EXPECT_EQ(nested.topTrue.size(), 3u);    // c2, x, y
+}
+
+TEST(GatedSetFinder, RejectsANonMux) {
+  const Graph g = circuits::absdiff();
+  EXPECT_THROW((void)computeGatedSets(g, *g.findByName("a_minus_b")), SynthesisError);
 }
 
 TEST(Transform, AbsdiffInfeasibleAtTwoSteps) {

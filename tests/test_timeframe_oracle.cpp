@@ -3,7 +3,8 @@
 // tentative-edge batches — on the built-in circuits, on seeded random DFGs,
 // with unit and multi-cycle latency models, and across nesting depths. The
 // slack verdicts explainReject()/tryCommit() must answer exactly what
-// push/feasible/firstInfeasible/pop answer.
+// push/feasible/firstInfeasible/pop answer, with the reject walk's id bound
+// in force and with control edges that switch it off.
 
 #include <gtest/gtest.h>
 
@@ -404,13 +405,13 @@ TEST(TimeFrameOracle, SlackVerdictsMatchPushOnTransformBatches) {
   // The transform's own batches (select producer -> gated tops), offered
   // in order on a realistic graph at tight and loose budgets.
   const Graph g = randomLayeredDfg(64, 8, 7);
-  const std::vector<NodeMask> cones = faninConeMasks(g);
+  GatedSetFinder finder(g);
   for (const int slack : {0, 2, 8}) {
     const int steps = criticalPathLength(g) + slack;
     TimeFrameOracle oracle(g, steps);
     int accepted = 0;
     for (const NodeId m : g.nodesOfKind(OpKind::Mux)) {
-      const GatedSets sets = computeGatedSets(g, m, cones);
+      const GatedSets sets = finder.find(m);
       const NodeId ctrl = traceSelectProducer(g, m);
       if (!isScheduled(g.kind(ctrl))) continue;
       std::vector<Edge> batch;
@@ -472,6 +473,167 @@ TEST(TimeFrameOracle, ZeroCycleModelTakesTheFallback) {
     }
   }
   EXPECT_GT(checked, 0);
+}
+
+// ---------------------------------------------------------------------------
+// The id bound: explainReject() walks forward only below the backward walk's
+// answer while no control edge lands below it. The cases below pin both
+// sides of that condition, for graph control edges, committed edges and
+// restored snapshots.
+// ---------------------------------------------------------------------------
+
+/// Does `from` reach `to` over data and control edges?
+bool reachesInGraph(const Graph& g, NodeId from, NodeId to) {
+  std::vector<char> seen(g.size(), 0);
+  std::vector<NodeId> stack{from};
+  while (!stack.empty()) {
+    const NodeId v = stack.back();
+    stack.pop_back();
+    if (v == to) return true;
+    if (seen[v]) continue;
+    seen[v] = 1;
+    for (const NodeId s : g.fanouts(v)) stack.push_back(s);
+    for (const NodeId s : g.controlSuccessors(v)) stack.push_back(s);
+  }
+  return false;
+}
+
+/// x (id 2) has a smaller id than the select producer u (id 3), and only
+/// an edge t -> x — t is the batch's target, id 4 — puts x downstream of
+/// the batch. With that edge the batch {u -> t} makes x infeasible, and x
+/// is the node push() names; the backward walk from u alone would name u.
+struct LowTargetCase {
+  Graph g{"low_target"};
+  NodeId x = kInvalidNode, u = kInvalidNode, t = kInvalidNode;
+  explicit LowTargetCase(bool graphEdge) {
+    const NodeId a = g.addInput("a");
+    const NodeId b = g.addInput("b");
+    x = g.addOp(OpKind::Add, {a, b}, "x");
+    u = g.addOp(OpKind::CmpGt, {a, b}, "u");
+    t = g.addOp(OpKind::Sub, {a, b}, "t");
+    g.addOutput(x, "x_out");
+    g.addOutput(u, "u_out");
+    g.addOutput(t, "t_out");
+    if (graphEdge) g.addControlEdge(t, x);
+  }
+};
+
+TEST(TimeFrameOracle, IdBoundAppliesWithoutControlEdges) {
+  // No graph control edges and nothing committed: every reject takes the
+  // bounded forward walk.
+  int rejects = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const Graph g = randomLayeredDfg(10 + static_cast<int>(seed) * 2, 6, seed);
+    for (const int slack : {0, 2}) {
+      TimeFrameOracle oracle(g, minSteps(g, LatencyModel::unit()) + slack);
+      std::mt19937_64 rng(seed * 131 + static_cast<std::uint64_t>(slack));
+      for (int round = 0; round < 80; ++round) {
+        const std::vector<Edge> batch = randomSingleSourceBatch(g, rng);
+        std::string error;
+        const std::optional<PushAnswer> ref = answerByPush(oracle, batch, error);
+        if (!ref || ref->feasible) continue;
+        ++rejects;
+        ASSERT_EQ(oracle.explainReject(batch), ref->firstInfeasible)
+            << "seed " << seed << " +" << slack << " round " << round;
+      }
+    }
+  }
+  EXPECT_GT(rejects, 40);
+}
+
+TEST(TimeFrameOracle, IdBoundYieldsToALowControlTarget) {
+  {  // A graph control edge lands below the backward walk's answer.
+    const LowTargetCase c(/*graphEdge=*/true);
+    TimeFrameOracle oracle(c.g, 2);
+    const std::optional<PushAnswer> ref =
+        expectSlackVerdictsMatch(c.g, oracle, {{c.u, c.t}}, "graph edge");
+    ASSERT_TRUE(ref.has_value());
+    EXPECT_EQ(ref->firstInfeasible, c.x);
+  }
+  {  // The same edge, committed instead of built into the graph.
+    const LowTargetCase c(/*graphEdge=*/false);
+    TimeFrameOracle oracle(c.g, 2);
+    ASSERT_EQ(oracle.tryCommit(std::vector<Edge>{{c.t, c.x}}), std::nullopt);
+    const std::optional<PushAnswer> ref =
+        expectSlackVerdictsMatch(c.g, oracle, {{c.u, c.t}}, "committed edge");
+    ASSERT_TRUE(ref.has_value());
+    EXPECT_EQ(ref->firstInfeasible, c.x);
+  }
+  // Random DFGs with graph control edges from late nodes to early ones.
+  int rejects = 0;
+  int withEdges = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    Graph g = randomLayeredDfg(12, 6, seed);
+    const std::vector<NodeId> ops = g.scheduledNodes();
+    std::mt19937_64 rng(seed);
+    int added = 0;
+    for (int tries = 0; tries < 200 && added < 3; ++tries) {
+      const NodeId late = ops[ops.size() / 2 + rng() % (ops.size() - ops.size() / 2)];
+      const NodeId early = ops[rng() % (ops.size() / 2)];
+      if (reachesInGraph(g, early, late)) continue;
+      g.addControlEdge(late, early);
+      ++added;
+    }
+    if (added == 0) continue;
+    ++withEdges;
+    for (const int slack : {0, 2, 6}) {
+      TimeFrameOracle oracle(g, minSteps(g, LatencyModel::unit()) + slack);
+      for (int round = 0; round < 40; ++round) {
+        const std::optional<PushAnswer> ref = expectSlackVerdictsMatch(
+            g, oracle, randomSingleSourceBatch(g, rng),
+            "seed " + std::to_string(seed) + " +" + std::to_string(slack) + " round " +
+                std::to_string(round));
+        if (HasFailure()) return;
+        if (ref && !ref->feasible) ++rejects;
+      }
+    }
+  }
+  EXPECT_GT(withEdges, 5);
+  EXPECT_GT(rejects, 50);
+}
+
+TEST(TimeFrameOracle, IdBoundFollowsRestore) {
+  {  // A snapshot carrying the low edge into a fresh oracle, then back out.
+    const LowTargetCase c(/*graphEdge=*/false);
+    TimeFrameOracle source(c.g, 2);
+    ASSERT_EQ(source.tryCommit(std::vector<Edge>{{c.t, c.x}}), std::nullopt);
+    TimeFrameOracle oracle(c.g, 2);
+    oracle.restore(source.snapshot());
+    std::optional<PushAnswer> ref =
+        expectSlackVerdictsMatch(c.g, oracle, {{c.u, c.t}}, "restored");
+    ASSERT_TRUE(ref.has_value());
+    EXPECT_EQ(ref->firstInfeasible, c.x);
+    oracle.restoreInitial();
+    ref = expectSlackVerdictsMatch(c.g, oracle, {{c.u, c.t}}, "initial");
+    ASSERT_TRUE(ref.has_value());
+  }
+  // Random committed states moved between oracles.
+  int rejects = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const Graph g = randomLayeredDfg(14, 6, seed);
+    const int steps = minSteps(g, LatencyModel::unit()) + 2;
+    std::mt19937_64 rng(seed * 7);
+    TimeFrameOracle source(g, steps);
+    for (int round = 0; round < 30; ++round) {
+      (void)expectSlackVerdictsMatch(g, source, randomSingleSourceBatch(g, rng), "source");
+      if (HasFailure()) return;
+    }
+    const TimeFrameOracle::FrameSnapshot snap = source.snapshot();
+    TimeFrameOracle oracle(g, steps);
+    for (const bool initial : {false, true}) {
+      if (initial) oracle.restoreInitial();
+      else oracle.restore(snap);
+      for (int round = 0; round < 30; ++round) {
+        const std::string what = std::string(initial ? "initial" : "restored") + " seed " +
+                                 std::to_string(seed) + " round " + std::to_string(round);
+        const std::optional<PushAnswer> ref =
+            expectSlackVerdictsMatch(g, oracle, randomSingleSourceBatch(g, rng), what);
+        if (HasFailure()) return;
+        if (ref && !ref->feasible) ++rejects;
+      }
+    }
+  }
+  EXPECT_GT(rejects, 20);
 }
 
 }  // namespace
