@@ -118,6 +118,21 @@ void BM_ListSchedule(benchmark::State& state) {
 }
 BENCHMARK(BM_ListSchedule)->RangeMultiplier(2)->Range(4, 256)->Complexity();
 
+// Unit binding, left-edge registers and the interconnect estimate on the
+// one-shot job's design shape: a strict transform at cp+2, scheduled at its
+// minimum units.
+void BM_BindDesign(benchmark::State& state) {
+  const Graph g = randomLayeredDfg(static_cast<int>(state.range(0)), 16, 42);
+  const int steps = criticalPathLength(g) + 2;
+  const PowerManagedDesign design = applyPowerManagement(g, steps);
+  const Schedule sched = minimizeSchedule(design.graph, steps).schedule;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bindDesign(design.graph, sched));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_BindDesign)->RangeMultiplier(2)->Range(4, 256)->Complexity();
+
 void BM_ForceDirected(benchmark::State& state) {
   const Graph g = randomLayeredDfg(static_cast<int>(state.range(0)), 6, 42);
   const int steps = criticalPathLength(g) + 4;

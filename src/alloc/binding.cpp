@@ -1,6 +1,7 @@
 #include "alloc/binding.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 
 #include "sched/condition.hpp"
@@ -99,7 +100,7 @@ Binding bindDesign(const Graph& g, const Schedule& sched, const BindingOptions& 
   // Step at which a node's value becomes available (transparent nodes relay
   // their producer's time).
   std::vector<int> avail(g.size(), 0);
-  for (const NodeId n : g.topoOrder()) {
+  for (const NodeId n : g.topoOrderView()) {
     if (isScheduled(g.kind(n))) {
       avail[n] = sched.stepOf(n);
     } else {
@@ -109,13 +110,16 @@ Binding bindDesign(const Graph& g, const Schedule& sched, const BindingOptions& 
     }
   }
 
+  // Lifetimes in id order; begin steps are counted for the bucketing below.
   std::vector<Lifetime> lifetimes;
+  std::vector<std::size_t> beginStart(static_cast<std::size_t>(sched.steps()) + 2, 0);
+  std::vector<NodeId> stack;
   for (NodeId n = 0; n < g.size(); ++n) {
     if (!isScheduled(g.kind(n))) continue;
     int lastUse = avail[n];
     bool hasUse = false;
     // Uses through wires count at the wire consumer's step.
-    std::vector<NodeId> stack{n};
+    stack.assign(1, n);
     while (!stack.empty()) {
       const NodeId v = stack.back();
       stack.pop_back();
@@ -133,15 +137,17 @@ Binding bindDesign(const Graph& g, const Schedule& sched, const BindingOptions& 
     }
     if (!hasUse) continue;  // dead value: no register needed
     lifetimes.push_back(Lifetime{n, avail[n], lastUse, g.node(n).width});
+    ++beginStart[static_cast<std::size_t>(avail[n]) + 1];
   }
 
-  std::sort(lifetimes.begin(), lifetimes.end(), [](const Lifetime& a, const Lifetime& b) {
-    if (a.begin != b.begin) return a.begin < b.begin;
-    return a.value < b.value;
-  });
+  // Left-edge order (begin, id): a stable bucketing of the id-ordered list
+  // by begin step.
+  for (std::size_t b = 1; b < beginStart.size(); ++b) beginStart[b] += beginStart[b - 1];
+  std::vector<Lifetime> ordered(lifetimes.size());
+  for (const Lifetime& lt : lifetimes) ordered[beginStart[static_cast<std::size_t>(lt.begin)]++] = lt;
 
   std::vector<int> regFreeAt;  // per register: first step it is free again
-  for (const Lifetime& lt : lifetimes) {
+  for (const Lifetime& lt : ordered) {
     int reg = -1;
     for (std::size_t r = 0; r < regFreeAt.size(); ++r) {
       if (regFreeAt[r] <= lt.begin && binding.registers[r].width == lt.width) {
@@ -162,20 +168,26 @@ Binding bindDesign(const Graph& g, const Schedule& sched, const BindingOptions& 
   // ---- interconnect estimate -----------------------------------------------
   // Each unit input port needs a (k-1)-deep 2:1 mux tree over its k distinct
   // sources; sources are producer registers or primary inputs/constants.
+  // seenAt[src] is the stamp of the last port that counted src, so a
+  // source counts once per port.
+  std::vector<std::uint32_t> seenAt(g.size(), 0);
+  std::uint32_t stamp = 0;
   for (const FunctionalUnit& unit : binding.units) {
     const std::size_t ports = unit.cls == ResourceClass::Mux ? 3 : 2;
     for (std::size_t port = 0; port < ports; ++port) {
-      std::vector<NodeId> sources;
+      ++stamp;
+      int sources = 0;
       for (const NodeId op : unit.ops) {
         const auto operands = g.fanins(op);
         if (port >= operands.size()) continue;
         NodeId src = operands[port];
         while (g.kind(src) == OpKind::Wire) src = g.fanins(src)[0];
-        if (std::find(sources.begin(), sources.end(), src) == sources.end())
-          sources.push_back(src);
+        if (seenAt[src] != stamp) {
+          seenAt[src] = stamp;
+          ++sources;
+        }
       }
-      if (sources.size() > 1)
-        binding.interconnectMuxes += static_cast<int>(sources.size()) - 1;
+      if (sources > 1) binding.interconnectMuxes += sources - 1;
     }
   }
 

@@ -731,13 +731,8 @@ PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, b
       break;  // remaining tail muxes stay unmanaged
     }
     if (budget != nullptr) budget->chargeProbes();
-    oracle->push(muxEdges[i], /*probe=*/true);
-    if (oracle->feasible()) {
-      best[i] = true;
-      oracle->commit();
-    } else {
-      oracle->pop();
-    }
+    // One-source batches at depth 0: the committed frames decide.
+    if (!oracle->tryCommit(muxEdges[i])) best[i] = true;
   }
 
   std::vector<NodeId> chosen;

@@ -60,14 +60,34 @@
 // lies on a path through x whose total frame slack is below e: either the
 // ALAP slack sum(alap[b] - alap[a] - w(a,b)) from t forward to x, or the
 // ASAP slack sum(asap[b] - asap[a] - w(a,b)) from x forward to u. Both
-// slacks are non-negative at the fixed point, so explainReject() walks
-// them with buckets bounded by the excess (Dial's algorithm) — backward
-// from u, then forward from each t — and returns the smallest scheduled id
-// it settles.
+// slacks are non-negative at the fixed point, so explainReject() answers
+// the backward side from a table and walks the forward side with buckets
+// bounded by the excess (Dial's algorithm) from each t, and returns the
+// smallest scheduled id either side finds.
+//
+// The min-id table. Let dist(x, v) be the smallest ASAP slack over the live
+// paths from x to v, and minIn[v][k] the smallest scheduled id x with
+// dist(x, v) <= k (x = v counts, at distance 0). Over the same predecessors
+// and weights the backward walk relaxes,
+//
+//   minIn[v][k] = min(v if scheduled,
+//                     min over preds p with s = asap[v] - asap[p] - w(p,v) <= k
+//                         of minIn[p][k - s]),
+//
+// a recurrence on a DAG with a unique solution, so the backward answer for
+// a batch with largest excess e is minIn[u][e - 1] — one read. The table
+// keeps kSlackLevels levels. Building it is one pass over the graph in a
+// topological order of the live edges, so it is built only once the
+// backward walks it replaces have settled as many nodes as the graph has;
+// a run with few or cheap rejects never pays for it. Once built, it is
+// repaired on the next reject from the nodes whose ASAP moved and the
+// targets of the batches committed since, and dropped by restore() and
+// pin(). Before that point, and for a batch with e > kSlackLevels, the
+// Dial walk backward from u answers.
 //
 // The id bound. Graph::addNode() makes every data operand's id smaller
 // than its consumer's, so a data edge always leads to a larger id. Let
-// `best` be the backward walk's answer and minControlTarget_ the smallest
+// `best` be the backward answer and minControlTarget_ the smallest
 // target of any graph control edge or committed extra edge. If
 // minControlTarget_ >= best, every edge leaving a node with id >= best
 // lands on an id >= best, so no forward path through such a node can
@@ -92,7 +112,8 @@
 //
 // Differential tests (tests/test_timeframe_oracle.cpp) assert frame
 // equality against computeTimeFrames under randomized batch sequences, and
-// explainReject()/tryCommit() against push/feasible/firstInfeasible/pop.
+// explainReject()/tryCommit() against push/feasible/firstInfeasible/pop —
+// across repaired and rebuilt tables and excesses above kSlackLevels.
 //
 // The oracle snapshots the graph's CSR views at construction; the graph
 // must not be mutated while the oracle is alive. Batches and pins must not
@@ -177,6 +198,10 @@ class TimeFrameOracle {
   [[nodiscard]] TimeFrames frames();
 
   // ---- slack verdicts (see header comment) ----------------------------------
+
+  /// Levels of the min-id table (see header comment): a reject whose
+  /// largest excess is at most this reads its backward answer from it.
+  static constexpr int kSlackLevels = 8;
 
   /// True when the ASAP and ALAP recurrences share one edge weight (no
   /// scheduled node has a zero-cycle latency), which the fast path needs.
@@ -268,6 +293,14 @@ class TimeFrameOracle {
   NodeId slackWalk(bool forward, NodeId best, bool idBounded = false);
   /// Smallest target of a control edge of the graph itself.
   [[nodiscard]] NodeId minGraphControlTarget() const;
+  /// Build the min-id table from the committed frames.
+  void buildMinIn();
+  /// Recompute v's table row from its predecessors' rows; true if it changed.
+  bool updateMinInRow(NodeId v);
+  /// Bring the table up to date with the commits since it was last current.
+  void repairMinIn();
+  /// Forget the table (the committed state was replaced or pinned).
+  void dropMinIn();
 
   template <typename Queue>
   void enqueue(Queue& q, NodeId v) {
@@ -327,6 +360,19 @@ class TimeFrameOracle {
   std::uint32_t walkEpoch_ = 0;
   std::vector<std::vector<NodeId>> buckets_;
   std::vector<NodeId> walkStack_;
+  // Min-id table: row v is minIn_[v * kSlackLevels, (v + 1) * kSlackLevels).
+  std::vector<NodeId> minIn_;
+  bool minInValid_ = false;
+  /// Nodes the backward walks have settled; the table is built once this
+  /// reaches the graph's size.
+  std::size_t backwardSettled_ = 0;
+  /// Nodes whose ASAP moved, or that gained a predecessor edge, in commits
+  /// since the table was last current (duplicates allowed).
+  std::vector<NodeId> minInStale_;
+  /// Table repair worklist keyed (asap, topoPos): predecessors first along
+  /// graph edges; a node is re-enqueued when a predecessor's row changes.
+  using RowItem = std::pair<std::uint64_t, NodeId>;
+  std::priority_queue<RowItem, std::vector<RowItem>, std::greater<RowItem>> rowQueue_;
 };
 
 /// `count` seeded random acyclic edge batches on `g` (`edgesPerBatch`

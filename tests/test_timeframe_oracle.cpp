@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <random>
 #include <string>
@@ -634,6 +635,246 @@ TEST(TimeFrameOracle, IdBoundFollowsRestore) {
     }
   }
   EXPECT_GT(rejects, 20);
+}
+
+// ---------------------------------------------------------------------------
+// The min-id table: explainReject() reads the backward answer of a reject
+// whose largest excess is at most kSlackLevels from a per-node table, built
+// once the backward walks have settled a graph's worth of nodes, repaired
+// from the commits since the last reject, and dropped by restore(); above
+// that excess it walks. The cases below take enough rejects per oracle to
+// reach each of those states and check the verdicts against push.
+// ---------------------------------------------------------------------------
+
+/// Largest excess asap[u] + w(u,t) - alap[t] over the batch, read off the
+/// committed frames (w is the frame recurrence's edge weight).
+int maxExcess(const Graph& g, TimeFrameOracle& oracle, const std::vector<Edge>& batch,
+              const LatencyModel& model) {
+  auto weight = [&](NodeId a, NodeId b) {
+    const int fromA = isScheduled(g.kind(a)) ? model.latencyOf(g.kind(a)) - 1 : 0;
+    return fromA + (isScheduled(g.kind(b)) ? 1 : 0);
+  };
+  int excess = 0;
+  for (const auto& [u, t] : batch)
+    excess = std::max(excess, oracle.asap(u) + weight(u, t) - oracle.alap(t));
+  return excess;
+}
+
+/// One source towards 1-4 of the next 16 scheduled nodes in the cached
+/// topological order: never a cycle with other such batches, and a reject
+/// overshoots by a few steps, as the transform's batches do.
+std::vector<Edge> forwardSingleSourceBatch(const Graph& g, std::mt19937_64& rng) {
+  const std::span<const NodeId> order = g.topoOrderView();
+  std::vector<NodeId> later;
+  std::vector<Edge> batch;
+  const std::size_t at = rng() % order.size();
+  const NodeId u = order[at];
+  if (!isScheduled(g.kind(u))) return batch;
+  for (std::size_t i = at + 1; i < order.size() && later.size() < 16; ++i)
+    if (isScheduled(g.kind(order[i]))) later.push_back(order[i]);
+  if (later.empty()) return batch;
+  for (int k = 1 + static_cast<int>(rng() % 4); k > 0; --k)
+    batch.emplace_back(u, later[rng() % later.size()]);
+  return batch;
+}
+
+/// Half forward batches, half drawn anywhere (some close a cycle).
+std::vector<Edge> mixedSingleSourceBatch(const Graph& g, std::mt19937_64& rng) {
+  return rng() % 2 == 0 ? forwardSingleSourceBatch(g, rng) : randomSingleSourceBatch(g, rng);
+}
+
+/// Tallies of which path the verdicts took.
+struct VerdictCounts {
+  int tableRejects = 0;  ///< largest excess within the table's levels
+  int walkRejects = 0;   ///< largest excess above them
+  int accepts = 0;
+};
+
+/// Check one batch against push and tally it.
+void checkAndCount(const Graph& g, TimeFrameOracle& oracle, const std::vector<Edge>& batch,
+                   const LatencyModel& model, const std::string& what, VerdictCounts& counts) {
+  if (batch.empty()) return;
+  const int excess = maxExcess(g, oracle, batch, model);
+  const std::optional<PushAnswer> ref = expectSlackVerdictsMatch(g, oracle, batch, what);
+  if (!ref) return;
+  if (ref->feasible) ++counts.accepts;
+  else if (excess <= TimeFrameOracle::kSlackLevels) ++counts.tableRejects;
+  else ++counts.walkRejects;
+}
+
+TEST(TimeFrameOracle, MinIdTableFollowsLongCommitSequences) {
+  // One oracle per graph takes hundreds of batches; the first reject builds
+  // the table and every later accept repairs it in place.
+  for (const LatencyModel& model : {LatencyModel::unit(), LatencyModel::multiCycleMultiplier(2)}) {
+    VerdictCounts counts;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const Graph g = randomLayeredDfg(40, 8, seed);
+      for (const int slack : {0, 1, 2}) {
+        TimeFrameOracle oracle(g, minSteps(g, model) + slack, model);
+        std::mt19937_64 rng(seed * 31 + static_cast<std::uint64_t>(slack));
+        for (int round = 0; round < 250; ++round) {
+          checkAndCount(g, oracle, mixedSingleSourceBatch(g, rng), model,
+                        "seed " + std::to_string(seed) + " +" + std::to_string(slack) +
+                            " round " + std::to_string(round),
+                        counts);
+          if (HasFailure()) return;
+        }
+      }
+    }
+    EXPECT_GT(counts.accepts, 300);
+    EXPECT_GT(counts.tableRejects, 300);
+  }
+}
+
+TEST(TimeFrameOracle, MinIdTableDroppedByRestore) {
+  // The table is built on one committed state, then the oracle jumps to
+  // another by restore() and back by restoreInitial(): a table kept across
+  // the jump would answer for the wrong frames.
+  const LatencyModel model = LatencyModel::unit();
+  VerdictCounts counts;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const Graph g = randomLayeredDfg(24, 8, seed);
+    const int steps = minSteps(g, model) + 1;
+    std::mt19937_64 rng(seed * 53);
+    TimeFrameOracle source(g, steps);
+    for (int round = 0; round < 120; ++round)
+      checkAndCount(g, source, mixedSingleSourceBatch(g, rng), model, "source", counts);
+    TimeFrameOracle oracle(g, steps);
+    for (int round = 0; round < 20; ++round)
+      checkAndCount(g, oracle, mixedSingleSourceBatch(g, rng), model, "before restore", counts);
+    for (const bool initial : {false, true, false}) {
+      if (initial) oracle.restoreInitial();
+      else oracle.restore(source.snapshot());
+      for (int round = 0; round < 30; ++round) {
+        checkAndCount(g, oracle, mixedSingleSourceBatch(g, rng), model,
+                      std::string(initial ? "initial" : "restored") + " seed " +
+                          std::to_string(seed) + " round " + std::to_string(round),
+                      counts);
+        if (HasFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(counts.tableRejects, 100);
+}
+
+/// `chains` independent chains of `length` operations each, built one chain
+/// after another, so ids grow chain by chain.
+Graph parallelChains(int chains, int length, std::uint64_t seed) {
+  Graph g("chains");
+  std::mt19937_64 rng(seed);
+  const OpKind kinds[] = {OpKind::Add, OpKind::Sub, OpKind::Mul};
+  for (int c = 0; c < chains; ++c) {
+    const NodeId in = g.addInput("in" + std::to_string(c));
+    NodeId v = in;
+    for (int i = 0; i < length; ++i) v = g.addOp(kinds[rng() % 3], {v, in});
+    g.addOutput(v, "out" + std::to_string(c));
+  }
+  return g;
+}
+
+/// One source in some chain towards 1-3 nodes of later chains: acyclic with
+/// every other such batch, and a late source into an early target
+/// overshoots by up to a chain's depth.
+std::vector<Edge> crossChainBatch(const Graph& g, int chains, std::mt19937_64& rng) {
+  const std::vector<NodeId> ops = g.scheduledNodes();
+  const std::size_t perChain = ops.size() / static_cast<std::size_t>(chains);
+  const std::size_t from = rng() % (static_cast<std::size_t>(chains) - 1);
+  const NodeId u = ops[from * perChain + rng() % perChain];
+  std::vector<Edge> batch;
+  for (int k = 1 + static_cast<int>(rng() % 3); k > 0; --k) {
+    const std::size_t to = from + 1 + rng() % (static_cast<std::size_t>(chains) - 1 - from);
+    batch.emplace_back(u, ops[to * perChain + rng() % perChain]);
+  }
+  return batch;
+}
+
+TEST(TimeFrameOracle, ExcessAboveTableLevelsTakesTheWalk) {
+  // Chains deeper than the table's levels at tight budgets: a late source
+  // into an early target overshoots by more than kSlackLevels.
+  VerdictCounts counts;
+  constexpr int kChains = 6;
+  for (const LatencyModel& model : {LatencyModel::unit(), LatencyModel::multiCycleMultiplier(2)}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const Graph g = parallelChains(kChains, 24, seed);
+      for (const int slack : {0, 3, 12}) {
+        TimeFrameOracle oracle(g, minSteps(g, model) + slack, model);
+        std::mt19937_64 rng(seed * 17 + static_cast<std::uint64_t>(slack));
+        for (int round = 0; round < 120; ++round) {
+          checkAndCount(g, oracle, crossChainBatch(g, kChains, rng), model,
+                        "seed " + std::to_string(seed) + " +" + std::to_string(slack) +
+                            " round " + std::to_string(round),
+                        counts);
+          if (HasFailure()) return;
+        }
+      }
+    }
+  }
+  EXPECT_GT(counts.walkRejects, 100);
+  EXPECT_GT(counts.tableRejects, 100);
+}
+
+/// A layered DFG whose operands pass through wires a third of the time, so
+/// transparent nodes sit between scheduled ones.
+Graph wiredLayeredDfg(int layers, int perLayer, std::uint64_t seed) {
+  Graph g("wired");
+  std::mt19937_64 rng(seed);
+  std::vector<NodeId> prev;
+  for (int i = 0; i < perLayer; ++i) prev.push_back(g.addInput("in" + std::to_string(i)));
+  std::vector<NodeId> all = prev;
+  const OpKind kinds[] = {OpKind::Add, OpKind::Sub, OpKind::Mul};
+  for (int l = 0; l < layers; ++l) {
+    std::vector<NodeId> layer;
+    for (int i = 0; i < perLayer; ++i) {
+      auto operand = [&] {
+        const NodeId src = rng() % 3 != 0 ? prev[rng() % prev.size()] : all[rng() % all.size()];
+        return rng() % 3 == 0 ? g.addWire(src, 1) : src;
+      };
+      const NodeId a = operand();
+      const NodeId b = operand();
+      layer.push_back(g.addOp(kinds[rng() % 3], {a, b}));
+    }
+    all.insert(all.end(), layer.begin(), layer.end());
+    prev = std::move(layer);
+  }
+  for (const NodeId v : prev) g.addOutput(v, "out" + std::to_string(v));
+  return g;
+}
+
+TEST(TimeFrameOracle, TransparentTopsWeighZero) {
+  // Batches from a one-cycle op into wires: the new edge weighs 0, so a
+  // target's excess is asap[u] - alap[t].
+  const LatencyModel model = LatencyModel::unit();
+  VerdictCounts counts;
+  int wireTargets = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const Graph g = wiredLayeredDfg(20, 6, seed);
+    const std::vector<NodeId> wires = g.nodesOfKind(OpKind::Wire);
+    const std::vector<NodeId> ops = g.scheduledNodes();
+    ASSERT_FALSE(wires.empty());
+    for (const int slack : {0, 2, 5}) {
+      TimeFrameOracle oracle(g, minSteps(g, model) + slack, model);
+      ASSERT_TRUE(oracle.slackExact());
+      std::mt19937_64 rng(seed * 71 + static_cast<std::uint64_t>(slack));
+      for (int round = 0; round < 120; ++round) {
+        const NodeId u = ops[rng() % ops.size()];
+        std::vector<Edge> batch;
+        for (int k = 1 + static_cast<int>(rng() % 3); k > 0; --k) {
+          const NodeId t = rng() % 2 == 0 ? wires[rng() % wires.size()] : ops[rng() % ops.size()];
+          if (t == u) continue;
+          if (g.kind(t) == OpKind::Wire) ++wireTargets;
+          batch.emplace_back(u, t);
+        }
+        checkAndCount(g, oracle, batch, model,
+                      "seed " + std::to_string(seed) + " +" + std::to_string(slack) +
+                          " round " + std::to_string(round),
+                      counts);
+        if (HasFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(wireTargets, 500);
+  EXPECT_GT(counts.tableRejects, 100);
+  EXPECT_GT(counts.accepts, 100);
 }
 
 }  // namespace
