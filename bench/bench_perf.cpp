@@ -463,6 +463,34 @@ void BM_ExplorePerPoint(benchmark::State& state) {
 }
 BENCHMARK(BM_ExplorePerPoint)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 
+// The text front end on the one-shot input shape (layers x 16): every CLI
+// run, served request and explore input pays these before any scheduling.
+// Rates are nodes per second.
+void BM_LoadGraphText(benchmark::State& state) {
+  const Graph g = randomLayeredDfg(static_cast<int>(state.range(0)), 16, 42);
+  const std::string text = saveGraphText(g);
+  for (auto _ : state) benchmark::DoNotOptimize(loadGraphText(text));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(g.size()));
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_LoadGraphText)->RangeMultiplier(2)->Range(4, 256)->Complexity();
+
+void BM_CanonicalizeGraph(benchmark::State& state) {
+  const Graph g = randomLayeredDfg(static_cast<int>(state.range(0)), 16, 42);
+  for (auto _ : state) benchmark::DoNotOptimize(canonicalizeGraph(g));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(g.size()));
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_CanonicalizeGraph)->RangeMultiplier(2)->Range(4, 256)->Complexity();
+
+void BM_SaveGraphText(benchmark::State& state) {
+  const Graph g = randomLayeredDfg(static_cast<int>(state.range(0)), 16, 42);
+  for (auto _ : state) benchmark::DoNotOptimize(saveGraphText(g));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(g.size()));
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_SaveGraphText)->RangeMultiplier(2)->Range(4, 256)->Complexity();
+
 }  // namespace
 
 BENCHMARK_MAIN();

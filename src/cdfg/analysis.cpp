@@ -1,10 +1,13 @@
 #include "cdfg/analysis.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <queue>
 #include <sstream>
 #include <string_view>
 #include <utility>
+
+#include "support/strings.hpp"
 
 namespace pmsched {
 
@@ -123,8 +126,9 @@ std::uint64_t baseSignature(const Node& n) {
   return h;
 }
 
-std::uint64_t fnv1a(std::string_view text) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+/// 64-bit FNV-1a of `text`, continued from `h` (the offset basis starts a
+/// fresh hash), so a text can be hashed piece by piece as it is written.
+std::uint64_t fnv1a(std::string_view text, std::uint64_t h = 0xcbf29ce484222325ULL) {
   for (const char c : text) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ULL;
@@ -137,6 +141,33 @@ std::uint64_t fnv1a(std::string_view text) {
 CanonicalForm canonicalizeGraph(const Graph& g) {
   const std::size_t n = g.size();
   const std::span<const NodeId> topo = g.topoOrderView();
+  const CsrAdjacency& fanoutCsr = g.fanoutCsr();
+  const CsrAdjacency& ctrlSuccCsr = g.controlSuccCsr();
+  const CsrAdjacency& ctrlPredCsr = g.controlPredCsr();
+
+  // Every pass below reads operands, some in a random order, so copy them
+  // once, in id order, into one flat array: row id of `fanin` is
+  // [faninStart[id], faninStart[id + 1]). The same pass counts each node's
+  // predecessors for the Kahn traversal (`missing`) and lays out the rows
+  // of the down pass (`rowFill`, below).
+  std::vector<std::uint32_t> faninStart(n + 1);
+  std::vector<NodeId> fanin;
+  fanin.reserve(fanoutCsr.edgeCount());
+  std::vector<std::uint32_t> missing(n);
+  std::vector<std::uint32_t> rowFill(n);
+  std::uint32_t rowsEnd = 0;
+  for (NodeId id = 0; id < n; ++id) {
+    faninStart[id] = static_cast<std::uint32_t>(fanin.size());
+    const std::span<const NodeId> ops = g.fanins(id);
+    fanin.insert(fanin.end(), ops.begin(), ops.end());
+    missing[id] = static_cast<std::uint32_t>(ops.size() + ctrlPredCsr.row(id).size());
+    rowsEnd += static_cast<std::uint32_t>(fanoutCsr.row(id).size() + ctrlSuccCsr.row(id).size());
+    rowFill[id] = rowsEnd;
+  }
+  faninStart[n] = static_cast<std::uint32_t>(fanin.size());
+  const auto faninsOf = [&](NodeId id) {
+    return std::span<const NodeId>(fanin.data() + faninStart[id], fanin.data() + faninStart[id + 1]);
+  };
 
   // Pass 1 (up): fanin-cone signatures, operand order preserved, control
   // predecessors folded in as a sorted (unordered) set.
@@ -145,30 +176,36 @@ CanonicalForm canonicalizeGraph(const Graph& g) {
   for (const NodeId id : topo) {
     std::uint64_t h = baseSignature(g.node(id));
     std::size_t slot = 0;
-    for (const NodeId p : g.fanins(id)) h = mix(h, mix(up[p], 0x10 + slot++));
+    for (const NodeId p : faninsOf(id)) h = mix(h, mix(up[p], 0x10 + slot++));
     scratch.clear();
-    for (const NodeId p : g.controlPredecessors(id)) scratch.push_back(up[p]);
+    for (const NodeId p : ctrlPredCsr.row(id)) scratch.push_back(up[p]);
     std::sort(scratch.begin(), scratch.end());
     for (const std::uint64_t v : scratch) h = mix(h, v ^ 0xc0117Ead5ULL);
     up[id] = h;
   }
 
   // Pass 2 (down): consumer-context signatures in reverse topological
-  // order. A node's contribution to its operand records WHICH slot of which
-  // consumer it feeds, so sub(a, b) and sub(b, a) refine differently.
-  std::vector<std::uint64_t> down(n, 0);
-  std::vector<std::vector<std::uint64_t>> incoming(n);
+  // order, folded with `up` into each node's static signature `sig`. A
+  // node's contribution to its operand records WHICH slot of which
+  // consumer it feeds, so sub(a, b) and sub(b, a) refine differently. Each
+  // data or control consumer edge adds one value to its producer's row of
+  // one flat buffer; every consumer comes later in topological order, so a
+  // row is full by the time its producer is reached. `rowFill[p]` counts
+  // down from the row's end and is the row's start once it is full.
+  std::vector<std::uint64_t> incoming(rowsEnd);
+  std::vector<std::uint64_t> sig(n);
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const NodeId id = *it;
-    std::vector<std::uint64_t>& contrib = incoming[id];
-    std::sort(contrib.begin(), contrib.end());
-    std::uint64_t h = mix(up[id], 0xd0d0ULL);
-    for (const std::uint64_t v : contrib) h = mix(h, v);
-    down[id] = h;
+    std::uint64_t* const rowBegin = incoming.data() + rowFill[id];
+    std::uint64_t* const rowEnd =
+        rowBegin + fanoutCsr.row(id).size() + ctrlSuccCsr.row(id).size();
+    std::sort(rowBegin, rowEnd);
+    std::uint64_t down = mix(up[id], 0xd0d0ULL);
+    for (const std::uint64_t* v = rowBegin; v != rowEnd; ++v) down = mix(down, *v);
+    sig[id] = mix(up[id], down);
     std::size_t slot = 0;
-    for (const NodeId p : g.fanins(id)) incoming[p].push_back(mix(down[id], 0x20 + slot++));
-    for (const NodeId p : g.controlPredecessors(id))
-      incoming[p].push_back(mix(down[id], 0xc791ULL));
+    for (const NodeId p : faninsOf(id)) incoming[--rowFill[p]] = mix(down, 0x20 + slot++);
+    for (const NodeId p : ctrlPredCsr.row(id)) incoming[--rowFill[p]] = mix(down, 0xc791ULL);
   }
 
   // Kahn traversal: ready nodes picked in ascending priority order. The
@@ -182,29 +219,23 @@ CanonicalForm canonicalizeGraph(const Graph& g) {
   // and any two candidates with different operand tuples now separate
   // deterministically. The pending heap never holds two entries for one
   // node, so the loop runs exactly n times on any DAG.
-  std::vector<std::uint64_t> sig(n);
-  for (std::size_t i = 0; i < n; ++i) sig[i] = mix(up[i], down[i]);
-
-  std::vector<std::uint32_t> missing(n, 0);
-  for (NodeId id = 0; id < n; ++id) {
-    missing[id] = static_cast<std::uint32_t>(g.fanins(id).size() +
-                                             g.controlPredecessors(id).size());
-  }
-
   CanonicalForm form;
   form.order.reserve(n);
   form.indexOf.assign(n, 0);
 
+  // Control predecessors of `id` by canonical index, ascending.
   std::vector<std::uint32_t> ctrlIdx;
+  const auto sortedCtrlIndices = [&](NodeId id) -> const std::vector<std::uint32_t>& {
+    ctrlIdx.clear();
+    for (const NodeId p : ctrlPredCsr.row(id)) ctrlIdx.push_back(form.indexOf[p]);
+    std::sort(ctrlIdx.begin(), ctrlIdx.end());
+    return ctrlIdx;
+  };
   auto readyPriority = [&](NodeId id) {
     std::uint64_t h = sig[id];
     std::size_t slot = 0;
-    for (const NodeId p : g.fanins(id))
-      h = mix(h, mix(form.indexOf[p] + 1, 0x40 + slot++));
-    ctrlIdx.clear();
-    for (const NodeId p : g.controlPredecessors(id)) ctrlIdx.push_back(form.indexOf[p]);
-    std::sort(ctrlIdx.begin(), ctrlIdx.end());
-    for (const std::uint32_t v : ctrlIdx) h = mix(h, v ^ 0x51edeULL);
+    for (const NodeId p : faninsOf(id)) h = mix(h, mix(form.indexOf[p] + 1, 0x40 + slot++));
+    for (const std::uint32_t v : sortedCtrlIndices(id)) h = mix(h, v ^ 0x51edeULL);
     return h;
   };
 
@@ -214,7 +245,9 @@ CanonicalForm canonicalizeGraph(const Graph& g) {
     if (sig[a.second] != sig[b.second]) return sig[a.second] > sig[b.second];
     return up[a.second] > up[b.second];
   };
-  std::priority_queue<Entry, std::vector<Entry>, decltype(later)> ready(later);
+  std::vector<Entry> heap;
+  heap.reserve(n);
+  std::priority_queue<Entry, std::vector<Entry>, decltype(later)> ready(later, std::move(heap));
   for (NodeId id = 0; id < n; ++id)
     if (missing[id] == 0) ready.push({readyPriority(id), id});
 
@@ -223,31 +256,59 @@ CanonicalForm canonicalizeGraph(const Graph& g) {
     ready.pop();
     form.indexOf[id] = static_cast<std::uint32_t>(form.order.size());
     form.order.push_back(id);
-    for (const NodeId s : g.fanoutCsr().row(id))
+    for (const NodeId s : fanoutCsr.row(id))
       if (--missing[s] == 0) ready.push({readyPriority(s), s});
-    for (const NodeId s : g.controlSuccessors(id))
+    for (const NodeId s : ctrlSuccCsr.row(id))
       if (--missing[s] == 0) ready.push({readyPriority(s), s});
   }
 
   // Serialize in canonical order, operands/edges by canonical index. The
-  // text is the collision guard the cache compares on every hit.
-  std::ostringstream os;
-  os << "cform1 " << n << "\n";
-  std::vector<std::uint32_t> ctrl;
+  // text is the collision guard the cache compares on every hit. Each line
+  // is put together in a stack buffer, then appended and hashed while it is
+  // hot: a decimal gets a fixed window past the cursor (24 bytes hold any
+  // int64, 12 any canonical index), the head of a line fits in 64 bytes,
+  // and index fields spill the buffer before they could overrun it.
+  std::string& text = form.text;
+  text.reserve(16 + 20 * n + 8 * fanin.size() + 8 * ctrlPredCsr.edgeCount());
+  text += "cform1 ";
+  appendInt(text, static_cast<std::int64_t>(n));
+  text += '\n';
+  std::uint64_t hash = fnv1a(text);
+  char line[96];
+  char* p = line;
+  const auto flush = [&] {
+    const auto size = static_cast<std::size_t>(p - line);
+    text.append(line, size);
+    hash = fnv1a(std::string_view(line, size), hash);
+    p = line;
+  };
+  const auto index = [&](std::string_view tag, std::uint32_t v) {
+    if (p - line > 64) flush();
+    p = std::copy(tag.begin(), tag.end(), p);
+    p = std::to_chars(p, p + 12, v).ptr;
+  };
   for (const NodeId id : form.order) {
     const Node& node = g.node(id);
-    os << opName(node.kind) << " w" << node.width;
-    if (node.kind == OpKind::Const) os << " c" << node.constValue;
-    if (node.kind == OpKind::Wire) os << " s" << node.shift;
-    for (const NodeId p : node.operands) os << " " << form.indexOf[p];
-    ctrl.clear();
-    for (const NodeId p : g.controlPredecessors(id)) ctrl.push_back(form.indexOf[p]);
-    std::sort(ctrl.begin(), ctrl.end());
-    for (const std::uint32_t p : ctrl) os << " ^" << p;
-    os << "\n";
+    const std::string_view kind = opName(node.kind);
+    p = std::copy(kind.begin(), kind.end(), line);
+    *p++ = ' ';
+    *p++ = 'w';
+    p = std::to_chars(p, p + 24, node.width).ptr;
+    if (node.kind == OpKind::Const) {
+      *p++ = ' ';
+      *p++ = 'c';
+      p = std::to_chars(p, p + 24, node.constValue).ptr;
+    } else if (node.kind == OpKind::Wire) {
+      *p++ = ' ';
+      *p++ = 's';
+      p = std::to_chars(p, p + 24, node.shift).ptr;
+    }
+    for (const NodeId op : faninsOf(id)) index(" ", form.indexOf[op]);
+    for (const std::uint32_t v : sortedCtrlIndices(id)) index(" ^", v);
+    *p++ = '\n';
+    flush();
   }
-  form.text = os.str();
-  form.hash = fnv1a(form.text);
+  form.hash = hash;
   return form;
 }
 

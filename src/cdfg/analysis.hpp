@@ -51,10 +51,12 @@ struct OpStats {
 // ---------------------------------------------------------------------------
 // Canonical form — identity of a CDFG modulo node naming and insertion order.
 //
-// The server's design cache (src/server/design_cache.hpp) keys finished
-// results on this: two requests whose graphs differ only in node names (or
-// in the order producers-first statements were emitted) canonicalize to the
-// same text and hash, so the second request is served from the cache.
+// Two graphs that differ only in node names, or in the order their
+// producers-first statements were emitted, canonicalize to the same text
+// and hash. The server's design cache (src/server/design_cache.hpp) keys
+// finished results on the text together with `order`: the pipeline breaks
+// ties by node id, so a renamed graph in the same statement order is served
+// from the cache and a reordered one is not.
 //
 // Construction: two refinement passes assign every node a structural
 // signature — an "up" hash over its fanin cone (kind, width, constant

@@ -1,7 +1,9 @@
 #include "cdfg/graph.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <numeric>
+
+#include "cdfg/name_table.hpp"
 
 namespace pmsched {
 
@@ -125,6 +127,13 @@ void Graph::addControlEdge(NodeId before, NodeId after) {
   invalidateCaches();
 }
 
+void Graph::reserve(std::size_t nodes) {
+  nodes_.reserve(nodes);
+  fanouts_.reserve(nodes);
+  ctrlSucc_.reserve(nodes);
+  ctrlPred_.reserve(nodes);
+}
+
 void Graph::clearControlEdges() {
   for (auto& v : ctrlSucc_) v.clear();
   for (auto& v : ctrlPred_) v.clear();
@@ -180,6 +189,19 @@ std::optional<NodeId> Graph::findByName(std::string_view name) const {
 
 std::span<const NodeId> Graph::topoOrderView() const {
   if (topoValid_) return topoCache_;
+
+  // Data edges always run from a lower id to a higher one (addNode only
+  // accepts existing operands). When every control edge does too, the
+  // smallest-id-first Kahn order below is exactly 0, 1, ..., n-1.
+  bool forward = true;
+  for (NodeId i = 0; i < size() && forward; ++i)
+    for (const NodeId succ : ctrlSucc_[i]) forward = forward && succ > i;
+  if (forward) {
+    topoCache_.resize(size());
+    std::iota(topoCache_.begin(), topoCache_.end(), NodeId{0});
+    topoValid_ = true;
+    return topoCache_;
+  }
 
   std::vector<int> indegree(size(), 0);
   for (NodeId i = 0; i < size(); ++i) {
@@ -244,10 +266,10 @@ NodeMask Graph::operandCone(NodeId id, std::size_t opIndex) const {
 }
 
 void Graph::validate() const {
-  std::unordered_set<std::string_view> names;
+  NameTable names(*this, size());
   for (NodeId i = 0; i < size(); ++i) {
     const Node& n = nodes_[i];
-    if (!names.insert(n.name).second)
+    if (!names.insert(n.name, i))
       throw SynthesisError("duplicate node name '" + n.name + "'");
     if (static_cast<int>(n.operands.size()) != operandCount(n.kind))
       throw SynthesisError("node '" + n.name + "': wrong operand count");

@@ -93,6 +93,10 @@ class Graph {
   /// Pure precedence edge: `after` must be scheduled strictly after `before`.
   void addControlEdge(NodeId before, NodeId after);
 
+  /// Capacity for `nodes` nodes, so a builder that knows its size up front
+  /// (the text reader) adds them without regrowing the per-node arrays.
+  void reserve(std::size_t nodes);
+
   // ---- queries -------------------------------------------------------------
 
   [[nodiscard]] const std::string& name() const { return name_; }

@@ -12,7 +12,7 @@ namespace pmsched {
 namespace {
 
 constexpr char kMagic[8] = {'P', 'M', 'S', 'C', 'A', 'C', 'H', 'E'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 constexpr std::size_t kHeaderSize = sizeof(kMagic) + sizeof(std::uint32_t);
 
 /// Frames larger than this are rejected on decode: no legitimate record
@@ -98,6 +98,8 @@ std::string encodePayload(const PersistRecord& r) {
     putU32(p, from);
     putU32(p, to);
   }
+  putU32(p, static_cast<std::uint32_t>(r.order.size()));
+  for (const std::uint32_t id : r.order) putU32(p, id);
   return p;
 }
 
@@ -120,13 +122,20 @@ std::optional<PersistRecord> decodePayload(std::string_view p) {
     return std::nullopt;
   std::uint32_t edgeCount = 0;
   if (!getU32(p, off, edgeCount)) return std::nullopt;
-  if (static_cast<std::size_t>(edgeCount) * 8 != p.size() - off) return std::nullopt;
+  if (static_cast<std::size_t>(edgeCount) * 8 > p.size() - off) return std::nullopt;
   r.value.ctrlEdges.reserve(edgeCount);
   for (std::uint32_t i = 0; i < edgeCount; ++i) {
     std::uint32_t from = 0, to = 0;
     if (!getU32(p, off, from) || !getU32(p, off, to)) return std::nullopt;
     r.value.ctrlEdges.emplace_back(from, to);
   }
+  // The permutation fills the rest of the payload exactly.
+  std::uint32_t orderCount = 0;
+  if (!getU32(p, off, orderCount)) return std::nullopt;
+  if (static_cast<std::size_t>(orderCount) * 4 != p.size() - off) return std::nullopt;
+  r.order.resize(orderCount);
+  for (std::uint32_t& id : r.order)
+    if (!getU32(p, off, id)) return std::nullopt;
   // Only persisted-as-finished entries are valid; degraded results are
   // never written, so a decoded record is always replayable.
   s.degraded = false;

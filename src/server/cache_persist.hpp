@@ -7,9 +7,14 @@
 //
 // A record is [u32 payloadLen][u32 crc32(payload)][payload]; the payload is
 // one canonical-form cache entry (hash, options, summary, canonical text,
-// control edges) in a fixed little-endian encoding. The exact-request memo
-// is deliberately NOT persisted: it is keyed on raw request bytes and
-// rebuilds itself from canonical hits within a few requests.
+// control edges, order permutation) in a fixed little-endian encoding.
+// Version 2 added the permutation. A version-1 snapshot fails its header
+// check and a version-1 journal record ends where the permutation should
+// start, so either is dropped and counted in `skipped`, and the cache
+// starts cold rather than replaying keys without a permutation. The
+// exact-request memo is deliberately NOT persisted: it is keyed on raw
+// request bytes and rebuilds itself from canonical hits within a few
+// requests.
 //
 // Crash model: the server may die at ANY byte boundary (kill -9 mid-append
 // included). Restart replays the snapshot, then the journal, stopping at
@@ -39,6 +44,7 @@ namespace pmsched {
 struct PersistRecord {
   std::uint64_t hash = 0;  ///< CanonicalForm::hash (FNV-1a of canonicalText)
   std::string canonicalText;
+  std::vector<std::uint32_t> order;  ///< CanonicalForm::order
   DesignCacheOptions options;
   CachedDesign value;
 };

@@ -23,9 +23,10 @@ std::uint64_t avalanche(std::uint64_t x) {
 
 DesignCache::DesignCache(std::size_t maxEntries) : maxEntries_(maxEntries) {}
 
-std::uint64_t DesignCache::keyHash(std::uint64_t formHash,
+std::uint64_t DesignCache::keyHash(std::uint64_t formHash, const std::vector<std::uint32_t>& order,
                                    const DesignCacheOptions& options) {
   std::uint64_t h = formHash;
+  for (const std::uint32_t id : order) h = avalanche(h ^ id);
   h = avalanche(h ^ static_cast<std::uint64_t>(options.steps));
   h = avalanche(h ^ (static_cast<std::uint64_t>(options.ordering) << 8));
   h = avalanche(h ^ (options.optimal ? 0x11ULL : 0x22ULL));
@@ -33,16 +34,22 @@ std::uint64_t DesignCache::keyHash(std::uint64_t formHash,
   return h;
 }
 
+bool DesignCache::sameKey(const Entry& e, const std::string& canonicalText,
+                          const std::vector<std::uint32_t>& order,
+                          const DesignCacheOptions& options) {
+  return e.options == options && e.order == order && e.canonicalText == canonicalText;
+}
+
 std::optional<CachedDesign> DesignCache::lookup(const CanonicalForm& form,
                                                 const DesignCacheOptions& options) {
   if (maxEntries_ == 0) return std::nullopt;
-  const std::uint64_t key = keyHash(form.hash, options);
+  const std::uint64_t key = keyHash(form.hash, form.order, options);
   std::lock_guard<std::mutex> lock(mutex_);
   auto [it, end] = entries_.equal_range(key);
   for (; it != end; ++it) {
     Entry& e = it->second;
-    // Full-text comparison: the hash only routes here, it never decides.
-    if (e.options == options && e.canonicalText == form.text) {
+    // Full comparison: the hash only routes here, it never decides.
+    if (sameKey(e, form.text, form.order, options)) {
       ++stats_.hits;
       lru_.splice(lru_.end(), lru_, e.lruIt);  // mark most-recently-used
       return e.value;
@@ -104,15 +111,16 @@ void DesignCache::insert(const CanonicalForm& form, const DesignCacheOptions& op
   Entry entry;
   entry.formHash = form.hash;
   entry.canonicalText = form.text;
+  entry.order = form.order;
   entry.options = options;
   entry.value.summary = outcome.summary;
   entry.value.ctrlEdges = encodeCtrlEdges(form, outcome.design.graph);
 
-  const std::uint64_t key = keyHash(form.hash, options);
+  const std::uint64_t key = keyHash(form.hash, form.order, options);
   std::lock_guard<std::mutex> lock(mutex_);
   auto [it, end] = entries_.equal_range(key);
   for (; it != end; ++it) {
-    if (it->second.options == options && it->second.canonicalText == form.text)
+    if (sameKey(it->second, form.text, form.order, options))
       return;  // lost an insert race for the same design — keep the first
   }
   lru_.push_back(key);
@@ -125,6 +133,7 @@ void DesignCache::insert(const CanonicalForm& form, const DesignCacheOptions& op
     PersistRecord record;
     record.hash = entry.formHash;
     record.canonicalText = entry.canonicalText;
+    record.order = entry.order;
     record.options = entry.options;
     record.value = entry.value;
     if (!persist_->append(record)) {
@@ -161,16 +170,16 @@ void DesignCache::evictToCapacityLocked() {
 void DesignCache::insertRestoredLocked(PersistRecord&& record) {
   // Restores skip the "cache-insert" fault site and the journal: they came
   // FROM the journal, and re-appending them would double the file per boot.
-  const std::uint64_t key = keyHash(record.hash, record.options);
+  const std::uint64_t key = keyHash(record.hash, record.order, record.options);
   auto [it, end] = entries_.equal_range(key);
   for (; it != end; ++it) {
-    if (it->second.options == record.options &&
-        it->second.canonicalText == record.canonicalText)
+    if (sameKey(it->second, record.canonicalText, record.order, record.options))
       return;  // snapshot + journal overlap after a mid-compaction crash
   }
   Entry entry;
   entry.formHash = record.hash;
   entry.canonicalText = std::move(record.canonicalText);
+  entry.order = std::move(record.order);
   entry.options = record.options;
   entry.value = std::move(record.value);
   lru_.push_back(key);
@@ -193,6 +202,7 @@ std::vector<PersistRecord> DesignCache::exportRecordsLocked() const {
         PersistRecord record;
         record.hash = it->second.formHash;
         record.canonicalText = it->second.canonicalText;
+        record.order = it->second.order;
         record.options = it->second.options;
         record.value = it->second.value;
         records.push_back(std::move(record));

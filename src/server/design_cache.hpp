@@ -2,8 +2,13 @@
 // Canonical-form design cache — the server's warm request path.
 //
 // Key: the canonical form of the request graph (cdfg/analysis.hpp —
-// identity modulo node naming / insertion order) plus every option that
-// steers the pipeline (steps, ordering, optimal, shared). Value: the
+// identity modulo node naming / insertion order) together with its `order`
+// permutation, plus every option that steers the pipeline (steps,
+// ordering, optimal, shared). The pipeline breaks ties by node id, so a
+// statement reordering of the same graph can yield a different design; the
+// permutation makes such a request miss instead of replaying another
+// ordering's design, while a renamed isomorph in the same statement order
+// still hits. Value: the
 // name-free parts of the finished design — the summary numbers and the
 // inserted control edges encoded as canonical-index pairs, in exactly the
 // order saveGraphText() walks them. A hit replays those edges onto the
@@ -12,8 +17,9 @@
 // a differently-named isomorph.
 //
 // Collision safety: the 64-bit hash only routes to a bucket; every hit
-// compares the full canonical text before replaying. A hash coincidence
-// between different graphs therefore costs a miss, never a wrong design.
+// compares the full canonical text and permutation before replaying. A hash
+// coincidence between different graphs therefore costs a miss, never a
+// wrong design.
 //
 // Degraded results (budget exhaustion mid-pipeline) are never inserted:
 // they depend on wall-clock, so replaying one would break the
@@ -79,7 +85,8 @@ class DesignCache {
   /// (every lookup is a miss, every insert a no-op).
   explicit DesignCache(std::size_t maxEntries = 256);
 
-  /// Warm lookup: canonical text + options must both match exactly.
+  /// Warm lookup: canonical text, order permutation and options must all
+  /// match exactly.
   [[nodiscard]] std::optional<CachedDesign> lookup(const CanonicalForm& form,
                                                    const DesignCacheOptions& options);
 
@@ -134,13 +141,18 @@ class DesignCache {
   struct Entry {
     std::uint64_t formHash = 0;  ///< CanonicalForm::hash (persisted verbatim)
     std::string canonicalText;
+    std::vector<std::uint32_t> order;  ///< CanonicalForm::order
     DesignCacheOptions options;
     CachedDesign value;
     std::list<std::uint64_t>::iterator lruIt;  ///< position in lru_
   };
 
   [[nodiscard]] static std::uint64_t keyHash(std::uint64_t formHash,
+                                             const std::vector<std::uint32_t>& order,
                                              const DesignCacheOptions& options);
+  [[nodiscard]] static bool sameKey(const Entry& e, const std::string& canonicalText,
+                                    const std::vector<std::uint32_t>& order,
+                                    const DesignCacheOptions& options);
   void insertRestoredLocked(PersistRecord&& record);
   void evictToCapacityLocked();
   [[nodiscard]] std::vector<PersistRecord> exportRecordsLocked() const;

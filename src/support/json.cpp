@@ -1,9 +1,12 @@
 #include "support/json.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
+
+#include "support/strings.hpp"
 
 namespace pmsched {
 
@@ -11,7 +14,7 @@ void JsonWriter::beforeValue() {
   if (done_) throw std::logic_error("JsonWriter: document already complete");
   if (top() == Ctx::Object) throw std::logic_error("JsonWriter: expected key inside object");
   if (top() == Ctx::Array) {
-    if (needComma_.back()) out_ << ',';
+    if (needComma_.back()) out_ += ',';
     needComma_.back() = true;
   } else if (top() == Ctx::ExpectValue) {
     stack_.pop_back();  // the pending key consumed exactly one value
@@ -20,7 +23,7 @@ void JsonWriter::beforeValue() {
 
 JsonWriter& JsonWriter::beginObject() {
   beforeValue();
-  out_ << '{';
+  out_ += '{';
   push(Ctx::Object);
   needComma_.push_back(false);
   return *this;
@@ -28,7 +31,7 @@ JsonWriter& JsonWriter::beginObject() {
 
 JsonWriter& JsonWriter::endObject() {
   if (top() != Ctx::Object) throw std::logic_error("JsonWriter: endObject outside object");
-  out_ << '}';
+  out_ += '}';
   stack_.pop_back();
   needComma_.pop_back();
   if (stack_.empty()) done_ = true;
@@ -37,7 +40,7 @@ JsonWriter& JsonWriter::endObject() {
 
 JsonWriter& JsonWriter::beginArray() {
   beforeValue();
-  out_ << '[';
+  out_ += '[';
   push(Ctx::Array);
   needComma_.push_back(false);
   return *this;
@@ -45,7 +48,7 @@ JsonWriter& JsonWriter::beginArray() {
 
 JsonWriter& JsonWriter::endArray() {
   if (top() != Ctx::Array) throw std::logic_error("JsonWriter: endArray outside array");
-  out_ << ']';
+  out_ += ']';
   stack_.pop_back();
   needComma_.pop_back();
   if (stack_.empty()) done_ = true;
@@ -54,23 +57,24 @@ JsonWriter& JsonWriter::endArray() {
 
 JsonWriter& JsonWriter::key(const std::string& name) {
   if (top() != Ctx::Object) throw std::logic_error("JsonWriter: key outside object");
-  if (needComma_.back()) out_ << ',';
+  if (needComma_.back()) out_ += ',';
   needComma_.back() = true;
-  out_ << '"' << escape(name) << "\":";
+  appendQuoted(name);
+  out_ += ':';
   push(Ctx::ExpectValue);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(const std::string& v) {
   beforeValue();
-  out_ << '"' << escape(v) << '"';
+  appendQuoted(v);
   if (stack_.empty()) done_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::int64_t v) {
   beforeValue();
-  out_ << v;
+  appendInt(out_, v);
   if (stack_.empty()) done_ = true;
   return *this;
 }
@@ -78,47 +82,50 @@ JsonWriter& JsonWriter::value(std::int64_t v) {
 JsonWriter& JsonWriter::value(double v) {
   beforeValue();
   if (!std::isfinite(v)) throw std::domain_error("JsonWriter: non-finite double");
-  std::ostringstream tmp;
-  tmp.precision(12);
-  tmp << v;
-  out_ << tmp.str();
+  // Shortest-general form at 12 significant digits: printf's "%.12g" in the
+  // "C" locale, which is what a stream at precision(12) writes.
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 12);
+  out_.append(buf, static_cast<std::size_t>(result.ptr - buf));
   if (stack_.empty()) done_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::value(bool v) {
   beforeValue();
-  out_ << (v ? "true" : "false");
+  out_ += v ? "true" : "false";
   if (stack_.empty()) done_ = true;
   return *this;
 }
 
 std::string JsonWriter::str() const {
   if (!done_ && !stack_.empty()) throw std::logic_error("JsonWriter: document incomplete");
-  return out_.str();
+  return out_;
 }
 
-std::string JsonWriter::escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
+void JsonWriter::appendQuoted(std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out_ += '"';
+  std::size_t run = 0;  // start of the pending run that needs no escaping
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out_.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\t': out_ += "\\t"; break;
+      case '\r': out_ += "\\r"; break;
+      default: {
+        const char escaped[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out_.append(escaped, sizeof escaped);
+      }
     }
   }
-  return out;
+  out_.append(s, run, s.size() - run);
+  out_ += '"';
 }
 
 // ---- JsonValue -------------------------------------------------------------
@@ -291,6 +298,14 @@ class JsonParser {
     expect('"');
     std::string out;
     for (;;) {
+      // Copy the run of plain ASCII up to the next byte that needs a look.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size()) {
+        const unsigned char u = static_cast<unsigned char>(text_[pos_]);
+        if (u < 0x20 || u >= 0x80 || u == '"' || u == '\\') break;
+        ++pos_;
+      }
+      out.append(text_, run, pos_ - run);
       const char c = take();
       const unsigned char u = static_cast<unsigned char>(c);
       if (c == '"') break;
@@ -310,8 +325,6 @@ class JsonParser {
         }
       } else if (u < 0x20) {
         fail("unescaped control character in string");
-      } else if (u < 0x80) {
-        out += c;
       } else {
         appendUtf8Sequence(out, u);
       }
@@ -329,18 +342,17 @@ class JsonParser {
     else if ((lead & 0xF0) == 0xE0) { extra = 2; cp = lead & 0x0F; }
     else if ((lead & 0xF8) == 0xF0) { extra = 3; cp = lead & 0x07; }
     else fail("invalid UTF-8 byte in string");
-    std::string seq(1, static_cast<char>(lead));
+    const std::size_t start = pos_ - 1;
     for (int i = 0; i < extra; ++i) {
       const char c = take();
       if ((static_cast<unsigned char>(c) & 0xC0) != 0x80)
         fail("truncated UTF-8 sequence in string");
       cp = (cp << 6) | (static_cast<unsigned char>(c) & 0x3F);
-      seq += c;
     }
     static constexpr unsigned kMinForLen[4] = {0, 0x80, 0x800, 0x10000};
     if (cp < kMinForLen[extra] || cp > 0x10FFFF || (cp >= 0xD800 && cp <= 0xDFFF))
       fail("invalid UTF-8 codepoint in string");
-    out += seq;
+    out.append(text_, start, pos_ - start);
   }
 
   unsigned parseHex4() {

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -14,7 +13,8 @@
 
 namespace pmsched {
 
-/// Streaming JSON writer; produces compact, valid JSON.
+/// Streaming JSON writer; produces compact, valid JSON, appended to one
+/// string.
 ///
 /// The writer enforces well-formedness dynamically (keys only inside
 /// objects, values only where a value is expected) and throws
@@ -44,9 +44,10 @@ class JsonWriter {
   void push(Ctx c) { stack_.push_back(c); }
   [[nodiscard]] Ctx top() const { return stack_.empty() ? Ctx::Top : stack_.back(); }
 
-  static std::string escape(const std::string& s);
+  /// Append `s` as a quoted JSON string.
+  void appendQuoted(std::string_view s);
 
-  std::ostringstream out_;
+  std::string out_;
   std::vector<Ctx> stack_;
   std::vector<bool> needComma_{false};
   bool done_ = false;

@@ -1,6 +1,8 @@
 #pragma once
 // Small string helpers shared across modules.
 
+#include <charconv>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,6 +17,13 @@ namespace pmsched {
 
 /// Split `text` at `sep`, keeping empty fields.
 [[nodiscard]] std::vector<std::string> split(std::string_view text, char sep);
+
+/// Append the decimal text of `v` (what `std::ostream <<` writes for it).
+inline void appendInt(std::string& out, std::int64_t v) {
+  char buf[24];
+  const auto result = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, static_cast<std::size_t>(result.ptr - buf));
+}
 
 /// Strip ASCII whitespace from both ends.
 [[nodiscard]] std::string_view trim(std::string_view text);

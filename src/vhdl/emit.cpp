@@ -1,6 +1,8 @@
 #include "vhdl/emit.hpp"
 
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
 
 #include "cdfg/interpreter.hpp"
 #include "support/rng.hpp"
@@ -236,6 +238,11 @@ std::string emitTestbench(const PowerManagedDesign& design, const Schedule& sche
      << "  -- (see " << name << "_datapath / " << name << "_controller)\n\n"
      << "  stimulus : process\n  begin\n    wait for 20 ns;\n    reset <= '0';\n";
 
+  // Width of each asserted output, looked up once: the first node of each
+  // name, which is the node Graph::findByName would return.
+  std::unordered_map<std::string_view, int> widthByName;
+  for (NodeId n = 0; n < g.size(); ++n) widthByName.try_emplace(g.node(n).name, g.node(n).width);
+
   Rng rng(seed);
   for (int v = 0; v < vectors; ++v) {
     std::map<std::string, std::int64_t> inputs;
@@ -255,8 +262,8 @@ std::string emitTestbench(const PowerManagedDesign& design, const Schedule& sche
     os << "    wait for " << (sched.steps() + 1) * 10 << " ns;\n";
     for (const auto& [outName, value] : evaluateGraph(g, inputs)) {
       os << "    assert po_" << sanitizeIdentifier(outName);
-      const auto outNode = g.findByName(outName);
-      const int width = outNode ? g.node(*outNode).width : 8;
+      const auto found = widthByName.find(outName);
+      const int width = found != widthByName.end() ? found->second : 8;
       if (width == 1) {
         os << " = '" << (value & 1) << "'";
       } else {

@@ -59,6 +59,7 @@ PersistRecord sampleRecord(int steps = 6) {
   r.value.summary.units = "add:2 mul:1";
   r.value.summary.reductionPercent = "17.50";
   r.value.ctrlEdges = {{0, 3}, {2, 5}, {7, 1}};
+  r.order = {2, 0, 1, 3, 7, 5, 4, 6};
   return r;
 }
 
@@ -75,6 +76,7 @@ void expectEqual(const PersistRecord& a, const PersistRecord& b) {
   EXPECT_EQ(a.value.summary.reductionPercent, b.value.summary.reductionPercent);
   EXPECT_FALSE(b.value.summary.degraded) << "restored entries are never degraded";
   EXPECT_EQ(a.value.ctrlEdges, b.value.ctrlEdges);
+  EXPECT_EQ(a.order, b.order);
 }
 
 void appendBytes(const std::string& file, const std::string& bytes) {
@@ -186,6 +188,40 @@ TEST(CachePersist, JournalWriteFaultLosesOnlyThatAppend) {
   expectEqual(sampleRecord(4), loaded.records[0]);
 }
 
+/// `record` framed as format version 1 wrote it: the same payload without
+/// the trailing order permutation.
+std::string versionOneFrame(const PersistRecord& record) {
+  const std::string frame = encodePersistRecord(record);
+  std::string payload = frame.substr(8);
+  payload.resize(payload.size() - 4 * (record.order.size() + 1));
+  std::string out;
+  for (const std::uint32_t v : {static_cast<std::uint32_t>(payload.size()), crc32(payload)})
+    for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
+  return out + payload;
+}
+
+TEST(CachePersist, VersionOneFilesStartColdAndCountTheDrop) {
+  TempStore store;
+  {
+    std::ofstream out(store.path, std::ios::binary);
+    out.write("PMSCACHE", 8);
+    out.write("\x01\x00\x00\x00", 4);
+    const std::string frame = versionOneFrame(sampleRecord(2));
+    out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+  }
+  appendBytes(store.path + ".journal", versionOneFrame(sampleRecord(3)));
+
+  const auto loaded = CachePersistence(store.path).load();
+  EXPECT_TRUE(loaded.records.empty());
+  EXPECT_EQ(loaded.replayed, 0u);
+  EXPECT_EQ(loaded.skipped, 2u) << "one for the snapshot, one for the journal";
+
+  DesignCache cache(8);
+  cache.enablePersistence(std::make_unique<CachePersistence>(store.path));
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().journalSkipped, 2u);
+}
+
 // ---- DesignCache integration ----------------------------------------------
 
 constexpr const char* kGraphText =
@@ -283,6 +319,35 @@ TEST(CachePersist, FlushSnapshotMakesTheDrainStateDurable) {
   DesignCache restarted(8);
   restarted.enablePersistence(std::make_unique<CachePersistence>(store.path));
   EXPECT_EQ(restarted.stats().journalReplayed, 1u);
+  EXPECT_TRUE(restarted.lookup(a.form, a.options).has_value());
+}
+
+TEST(CachePersist, OrderPermutationIsPartOfTheKeyAcrossARestart) {
+  TempStore store;
+  const RealEntry a = makeRealEntry(4);
+  // The same graph with its statements reordered (c first) and, separately,
+  // with every node renamed in the original order.
+  const CanonicalForm reordered = canonicalizeGraph(loadGraphText(
+      "graph g\ninput c 8\ninput a 8\ninput b 8\nnode add s 8 a b\nnode mul p 8 s c\n"
+      "output o p\n"));
+  const CanonicalForm renamed = canonicalizeGraph(loadGraphText(
+      "graph h\ninput x 8\ninput y 8\ninput z 8\nnode add u 8 x y\nnode mul v 8 u z\n"
+      "output w v\n"));
+  ASSERT_EQ(reordered.text, a.form.text);
+  ASSERT_NE(reordered.order, a.form.order);
+  ASSERT_EQ(renamed.order, a.form.order);
+  {
+    DesignCache cache(8);
+    cache.enablePersistence(std::make_unique<CachePersistence>(store.path));
+    cache.insert(a.form, a.options, a.outcome);
+    EXPECT_FALSE(cache.lookup(reordered, a.options).has_value());
+    EXPECT_TRUE(cache.lookup(renamed, a.options).has_value());
+  }
+  DesignCache restarted(8);
+  restarted.enablePersistence(std::make_unique<CachePersistence>(store.path));
+  EXPECT_EQ(restarted.stats().journalReplayed, 1u);
+  EXPECT_FALSE(restarted.lookup(reordered, a.options).has_value());
+  EXPECT_TRUE(restarted.lookup(renamed, a.options).has_value());
   EXPECT_TRUE(restarted.lookup(a.form, a.options).has_value());
 }
 

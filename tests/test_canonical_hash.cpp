@@ -15,65 +15,17 @@
 
 #include "cdfg/analysis.hpp"
 #include "cdfg/graph.hpp"
+#include "graph_permute.hpp"
 #include "support/random_dfg.hpp"
 
 namespace pmsched {
 namespace {
 
-/// Re-add every node of `g` in `order` (must be topological) with fresh
-/// names; `tweak` may mutate one node record before insertion.
+/// Every node renamed (p0, p1, ...), added in `order`; `tweak` may edit
+/// one node record before insertion.
 Graph rebuild(const Graph& g, const std::vector<NodeId>& order,
               const std::function<void(NodeId, Node&)>& tweak = nullptr) {
-  Graph out("rebuilt");
-  std::vector<NodeId> map(g.size(), kInvalidNode);
-  std::size_t serial = 0;
-  for (NodeId id : order) {
-    Node n = g.node(id);
-    if (tweak) tweak(id, n);
-    const std::string name = "p" + std::to_string(serial++);
-    std::vector<NodeId> ops;
-    ops.reserve(n.operands.size());
-    for (NodeId o : n.operands) ops.push_back(map[o]);
-    NodeId fresh = kInvalidNode;
-    switch (n.kind) {
-      case OpKind::Input: fresh = out.addInput(name, n.width); break;
-      case OpKind::Const: fresh = out.addConst(n.constValue, n.width, name); break;
-      case OpKind::Output: fresh = out.addOutput(ops[0], name); break;
-      case OpKind::Wire: fresh = out.addWire(ops[0], n.shift, name); break;
-      case OpKind::Mux: fresh = out.addMux(ops[0], ops[1], ops[2], name); break;
-      default: fresh = out.addOp(n.kind, ops, name, n.width); break;
-    }
-    map[id] = fresh;
-  }
-  // Control edges under the same mapping, in the original emit order.
-  for (NodeId id = 0; id < g.size(); ++id)
-    for (NodeId succ : g.controlSuccessors(id)) out.addControlEdge(map[id], map[succ]);
-  return out;
-}
-
-/// A uniformly random topological order (data edges only suffice for the
-/// generator's DFGs; control edges are handled by the indegree count too).
-std::vector<NodeId> randomTopoOrder(const Graph& g, std::mt19937_64& rng) {
-  std::vector<std::size_t> missing(g.size(), 0);
-  for (NodeId id = 0; id < g.size(); ++id)
-    missing[id] = g.fanins(id).size() + g.controlPredecessors(id).size();
-  std::vector<NodeId> ready;
-  for (NodeId id = 0; id < g.size(); ++id)
-    if (missing[id] == 0) ready.push_back(id);
-  std::vector<NodeId> order;
-  order.reserve(g.size());
-  while (!ready.empty()) {
-    const std::size_t pick = rng() % ready.size();
-    const NodeId id = ready[pick];
-    ready[pick] = ready.back();
-    ready.pop_back();
-    order.push_back(id);
-    for (NodeId c : g.fanoutCsr().row(id))
-      if (--missing[c] == 0) ready.push_back(c);
-    for (NodeId c : g.controlSuccessors(id))
-      if (--missing[c] == 0) ready.push_back(c);
-  }
-  return order;
+  return rebuildInOrder(g, order, "p", tweak);
 }
 
 std::vector<Graph> testGraphs() {

@@ -47,7 +47,7 @@ std::vector<fs::path> corpusFiles(const std::string& suffix) {
 
 TEST(Corpus, EveryMalformedFileIsRejectedWithAStructuredParseError) {
   const std::vector<fs::path> bad = corpusFiles(".bad.cdfg");
-  ASSERT_GE(bad.size(), 12u) << "corpus went missing from " << PMSCHED_CORPUS_DIR;
+  ASSERT_GE(bad.size(), 17u) << "corpus went missing from " << PMSCHED_CORPUS_DIR;
   for (const fs::path& path : bad) {
     const std::string text = slurp(path);
     try {
@@ -68,11 +68,33 @@ TEST(Corpus, EveryMalformedFileIsRejectedWithAStructuredParseError) {
 
 TEST(Corpus, EveryValidFileLoadsAndValidates) {
   const std::vector<fs::path> ok = corpusFiles(".ok.cdfg");
-  ASSERT_GE(ok.size(), 2u) << "corpus went missing from " << PMSCHED_CORPUS_DIR;
+  ASSERT_GE(ok.size(), 5u) << "corpus went missing from " << PMSCHED_CORPUS_DIR;
   for (const fs::path& path : ok) {
     const Graph g = loadGraphText(slurp(path));
     EXPECT_GT(g.size(), 0u) << path.filename();
     EXPECT_NO_THROW(g.validate()) << path.filename();
+  }
+}
+
+// Lexical corners of the text format, pinned by file: line endings and
+// field separators the reader must take, and integer fields it must refuse
+// with the same message the stream-based reader gave.
+TEST(Corpus, LexicalEdgeCasesArePinned) {
+  const fs::path dir(PMSCHED_CORPUS_DIR);
+  const Graph crlf = loadGraphText(slurp(dir / "crlf.ok.cdfg"));
+  EXPECT_EQ(crlf.name(), "crlf");
+  EXPECT_EQ(crlf.size(), 7u);
+  const Graph tabs = loadGraphText(slurp(dir / "tabs-no-final-newline.ok.cdfg"));
+  EXPECT_EQ(tabs.name(), "tabs");
+  ASSERT_TRUE(tabs.findByName("out").has_value());
+  EXPECT_EQ(tabs.size(), 5u);
+  for (const char* file : {"width-overflow.bad.cdfg", "bare-sign.bad.cdfg"}) {
+    try {
+      (void)loadGraphText(slurp(dir / file));
+      ADD_FAILURE() << file << ": expected ParseError";
+    } catch (const ParseError& e) {
+      EXPECT_STREQ(e.what(), "2:1: expected width after 'input'") << file;
+    }
   }
 }
 

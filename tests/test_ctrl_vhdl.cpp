@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "alloc/binding.hpp"
+#include "cdfg/analysis.hpp"
 #include "circuits/circuits.hpp"
 #include "ctrl/controller.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/shared_gating.hpp"
+#include "support/strings.hpp"
 #include "vhdl/emit.hpp"
 
 namespace pmsched {
@@ -133,6 +135,33 @@ TEST(Vhdl, TestbenchAssertsInterpreterValues) {
     ++count;
   EXPECT_EQ(count, 3u);
   EXPECT_NE(text.find("report \"testbench done\""), std::string::npos);
+}
+
+TEST(Vhdl, TestbenchAssertsUseEachOutputsOwnWidth) {
+  // Every vector asserts every output once, at the width of the node that
+  // output's name resolves to (one bit as a '0'/'1' literal).
+  for (const Graph& g : {circuits::dealer(), circuits::vender(), circuits::cordic()}) {
+    const int steps = criticalPathLength(g) + 2;
+    const Flow flow = runFlow(g, steps, true);
+    const std::string text =
+        vhdl::emitTestbench(flow.design, flow.sched, flow.ctrl, /*vectors=*/4, /*seed=*/5);
+    const Graph& dg = flow.design.graph;
+    for (const NodeId out : dg.nodesOfKind(OpKind::Output)) {
+      const std::string& name = dg.node(out).name;
+      const int width = dg.node(*dg.findByName(name)).width;
+      const std::string head = "assert po_" + sanitizeIdentifier(name) + " = ";
+      const std::string widthText =
+          width == 1 ? std::string(" = '") : ", " + std::to_string(width) + ") report";
+      std::size_t asserts = 0;
+      for (std::size_t pos = text.find(head); pos != std::string::npos;
+           pos = text.find(head, pos + 1)) {
+        const std::string line = text.substr(pos, text.find('\n', pos) - pos);
+        EXPECT_NE(line.find(widthText), std::string::npos) << g.name() << ": " << line;
+        ++asserts;
+      }
+      EXPECT_EQ(asserts, 4u) << g.name() << " output " << name;
+    }
+  }
 }
 
 TEST(Vhdl, EmittedTextIsBalanced) {

@@ -12,6 +12,8 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,6 +21,8 @@
 
 #include "cdfg/analysis.hpp"
 #include "cdfg/textio.hpp"
+#include "graph_permute.hpp"
+#include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "server/service.hpp"
 #include "server/transport.hpp"
@@ -148,6 +152,93 @@ TEST(Server, CacheHitIsBitIdenticalAndSurvivesRenaming) {
   const ServerStats stats = core.statsSnapshot();
   EXPECT_EQ(stats.cache.hits, 2u);
   EXPECT_EQ(stats.cache.inserts, 1u);
+}
+
+/// What a one-shot in-process run of `text` replies: runDesignJob +
+/// makeDesignResponse, or the typed error the server sends for it.
+std::string oneShotReply(int id, const std::string& text, int steps) {
+  DesignJob job;
+  job.graph = loadGraphText(text);
+  job.steps = steps;
+  const std::string idJson = std::to_string(id);
+  try {
+    const DesignOutcome out = runDesignJob(job);
+    return makeDesignResponse(idJson, out.summary, saveGraphText(out.design.graph),
+                              /*cacheHit=*/false);
+  } catch (const InfeasibleError& e) {
+    return makeErrorResponse(idJson, ServerErrorCategory::Infeasible, e.what());
+  } catch (const SynthesisError& e) {
+    return makeErrorResponse(idJson, ServerErrorCategory::Internal, e.what());
+  }
+}
+
+/// Submit one frame; the single raw reply line with cache_hit forced false.
+std::string replyIgnoringCacheHit(ServerCore& core, const std::string& frame, bool& cacheHit) {
+  std::vector<std::string> out;
+  core.submitFrame(frame, [&](const std::string& line) { out.push_back(line); });
+  core.waitIdle();
+  EXPECT_EQ(out.size(), 1u) << frame;
+  std::string reply = out.at(0);
+  const std::string hit = "\"cache_hit\":true";
+  const std::size_t at = reply.find(hit);
+  cacheHit = at != std::string::npos;
+  if (cacheHit) reply.replace(at, hit.size(), "\"cache_hit\":false");
+  return reply;
+}
+
+TEST(Server, ReorderedIsomorphsMissAndMatchOneShotRuns) {
+  // The pipeline breaks ties by node id, so one graph written in another
+  // producers-first statement order can get a different design. Every
+  // reply must be what a one-shot run of ITS text gives: a reordering hits
+  // only when its canonical order permutation was seen before, while a
+  // renamed copy in the same statement order still hits.
+  ServerOptions opts;
+  opts.workers = 1;
+  ServerCore core(opts);
+  std::mt19937_64 rng(0x0DE5);
+  const std::vector<std::pair<int, int>> shapes = {{16, 4}, {24, 4}, {32, 6}, {48, 8}, {64, 8}};
+  std::set<std::pair<std::string, std::vector<std::uint32_t>>> warm;  // (text, order) keys
+  int id = 0, reorderings = 0, misses = 0, renamedHits = 0;
+  for (const auto& [layers, perLayer] : shapes) {
+    for (const std::uint64_t seed : {3ULL, 8ULL}) {
+      const Graph base = randomLayeredDfg(layers, perLayer, seed);
+      const int steps = criticalPathLength(base) + static_cast<int>(rng() % 9);
+      std::vector<std::string> texts = {saveGraphText(base)};
+      for (int r = 0; r < 3; ++r)
+        texts.push_back(saveGraphText(rebuildInOrder(base, randomTopoOrder(base, rng))));
+      for (std::size_t t = 0; t < texts.size(); ++t) {
+        const CanonicalForm form = canonicalizeGraph(loadGraphText(texts[t]));
+        const bool seen = !warm.emplace(form.text, form.order).second;
+        bool cacheHit = false;
+        const std::string reply =
+            replyIgnoringCacheHit(core, designFrame(++id, texts[t], steps), cacheHit);
+        EXPECT_EQ(reply, oneShotReply(id, texts[t], steps))
+            << layers << "x" << perLayer << ":" << seed << " text " << t;
+        const bool ok = reply.find("\"ok\":true") != std::string::npos;
+        if (ok) {
+          EXPECT_EQ(cacheHit, seen) << layers << "x" << perLayer << " text " << t;
+        }
+        if (t > 0) {
+          ++reorderings;
+          misses += cacheHit ? 0 : 1;
+        }
+      }
+      // Renamed, same statement order as the base text: served warm, with
+      // its own names.
+      const std::string renamed = saveGraphText(rebuildInOrder(base, base.allNodes(), "v"));
+      bool cacheHit = false;
+      const std::string reply =
+          replyIgnoringCacheHit(core, designFrame(++id, renamed, steps), cacheHit);
+      EXPECT_EQ(reply, oneShotReply(id, renamed, steps));
+      if (reply.find("\"ok\":true") != std::string::npos) {
+        EXPECT_TRUE(cacheHit) << layers << "x" << perLayer << ":" << seed;
+        renamedHits += cacheHit ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GE(reorderings, 20);
+  EXPECT_GE(misses, 20);
+  EXPECT_GE(renamedHits, 5);
 }
 
 TEST(Server, CacheRespectsOptionsAndOptOut) {
@@ -480,10 +571,10 @@ TEST(Server, DefaultDeadlineBoundsUnbudgetedRequests) {
   opts.defaultDeadlineMs = 1;
   ServerCore core(opts);
 
-  // An exact-DFS request big enough that a 1 ms deadline must trip; the
-  // response is still a valid design, just degraded — same contract as a
-  // client-sent budget.
-  const Graph g = randomLayeredDfg(64, 6, 1);
+  // An exact-DFS request big enough that a 1 ms deadline must trip (about
+  // 20 ms unbudgeted); the response is still a valid design, just degraded
+  // — same contract as a client-sent budget.
+  const Graph g = randomLayeredDfg(96, 8, 1);
   const int steps = criticalPathLength(g) + 2;
   std::vector<std::string> out;
   core.submitFrame(designFrame(1, saveGraphText(g), steps, ",\"optimal\":true"),

@@ -55,7 +55,7 @@ for f in "$corpus"/*.ok.cdfg; do
   ok=$((ok + 1))
 done
 
-if [ "$bad" -lt 12 ] || [ "$ok" -lt 2 ]; then
+if [ "$bad" -lt 17 ] || [ "$ok" -lt 5 ]; then
   echo "FAIL: corpus incomplete ($bad bad, $ok ok files in $corpus)" >&2
   failures=$((failures + 1))
 fi
