@@ -27,14 +27,11 @@
 #include "sched/force_directed.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/power_transform.hpp"
-#include "sched/probe_farm.hpp"
 #include "sched/shared_gating.hpp"
-#include "sched/timeframe_oracle.hpp"
 #include "server/server.hpp"
 #include "support/json.hpp"
 #include "support/random_dfg.hpp"
 #include "support/run_budget.hpp"
-#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -197,99 +194,6 @@ void BM_DnfProbabilityReference(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_DnfProbabilityReference)->RangeMultiplier(2)->Range(4, 24)->Complexity();
-
-// ---------------------------------------------------------------------------
-// Probe-farm handoff: the PR-4 per-probe protocol (one cv round per probe)
-// vs the PR-5 batched wave (one cv round per wave). Empty-edge probes make
-// the repair itself free, so the measured time IS the handoff; the consumer
-// only polls the lock-free result slots (never claims), as in a real reject
-// streak where the consumer runs ahead of the lanes. With a single lane
-// (PMSCHED_THREADS=1) there is no cross-thread handoff to measure and the
-// consumer claims inline — that run is the no-handoff baseline.
-// ---------------------------------------------------------------------------
-
-void BM_ProbeFarmHandoffPerProbe(benchmark::State& state) {
-  const Graph g = randomLayeredDfg(6, 4, 42);
-  const int steps = criticalPathLength(g) + 2;
-  ProbeFarm farm(g, steps, LatencyModel::unit(), "bench-handoff");
-  const bool solo = farm.lanes() <= 1;
-  if (!solo) (void)farm.await(farm.enqueue({}));  // spin the lanes up
-  for (auto _ : state) {
-    const std::size_t t = farm.enqueue({});  // stage + ring: a wave of one
-    if (solo) {
-      benchmark::DoNotOptimize(farm.await(t));
-    } else {
-      while (!farm.tryResult(t)) {
-      }
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ProbeFarmHandoffPerProbe)->UseRealTime();
-
-void BM_ProbeFarmHandoffWave(benchmark::State& state) {
-  const Graph g = randomLayeredDfg(6, 4, 42);
-  const int steps = criticalPathLength(g) + 2;
-  ProbeFarm farm(g, steps, LatencyModel::unit(), "bench-handoff");
-  const bool solo = farm.lanes() <= 1;
-  if (!solo) (void)farm.await(farm.enqueue({}));
-  const std::size_t waveSize = static_cast<std::size_t>(state.range(0));
-  std::vector<std::size_t> tickets(waveSize);
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < waveSize; ++i) tickets[i] = farm.stage({});
-    farm.ring();  // the one cv round for the whole wave
-    for (const std::size_t t : tickets) {
-      if (solo) {
-        benchmark::DoNotOptimize(farm.await(t));
-      } else {
-        while (!farm.tryResult(t)) {
-        }
-      }
-    }
-  }
-  // items/s here vs BM_ProbeFarmHandoffPerProbe is the amortization factor.
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(waveSize));
-}
-BENCHMARK(BM_ProbeFarmHandoffWave)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->UseRealTime();
-
-// The inline side of the speculation crossover: one incremental probe
-// (push + feasibility + pop) on the consumer's own oracle as a function of
-// graph size. The empirical crossover is the smallest graph whose inline
-// probe costs more than BM_ProbeFarmHandoffWave's per-item time.
-void BM_OracleProbeInline(benchmark::State& state) {
-  const Graph g = randomLayeredDfg(static_cast<int>(state.range(0)), 8, 42);
-  const int steps = criticalPathLength(g) + 4;
-  TimeFrameOracle oracle(g, steps);
-  // The calibration's own batch recipe, pre-generated off the clock, so
-  // this curve measures exactly the probe shape measureMedianProbeNs
-  // estimates per node.
-  const std::vector<std::vector<TimeFrameOracle::Edge>> batches = seededProbeBatches(g, 64);
-  std::size_t next = 0;
-  for (auto _ : state) {
-    oracle.push(batches[next]);
-    benchmark::DoNotOptimize(oracle.feasible());
-    oracle.pop();
-    next = (next + 1) % batches.size();
-  }
-  state.counters["nodes"] = static_cast<double>(g.size());
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_OracleProbeInline)->RangeMultiplier(2)->Range(4, 64)->Complexity();
-
-// Records the startup self-calibration (or the PMSCHED_CALIBRATION
-// override) into the JSON snapshot: the measured wave-amortized handoff,
-// the median repair cost per node, and the auto-mode crossover they imply.
-void BM_SpeculationCrossover(benchmark::State& state) {
-  const SpeculationCalibration cal = speculationCalibration();  // memoized measurement
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cal.crossoverNodes());
-  }
-  state.counters["handoff_ns"] = cal.handoffNs;
-  state.counters["repair_ns_per_node"] = cal.repairNsPerNode;
-  state.counters["crossover_nodes"] = static_cast<double>(cal.crossoverNodes());
-  state.counters["measured"] = cal.measured ? 1 : 0;
-}
-BENCHMARK(BM_SpeculationCrossover);
 
 // ---------------------------------------------------------------------------
 // PR-7 condition-stack benchmarks: raw ite/unique-table throughput, the

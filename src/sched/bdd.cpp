@@ -425,51 +425,6 @@ void BddManager::registerVariables(std::span<const NodeId> selects) {
   for (const NodeId s : selects) (void)varIndex(s);
 }
 
-BddRef BddManager::importFrom(const BddManager& src, BddRef f, std::vector<BddRef>& memo) {
-  if (f <= kBddTrue) return f;
-  // Map src's variables into this manager (registering unseen selects at
-  // the end). The cheap structural copy is valid iff src levels land on
-  // strictly increasing levels here — true for the pre-registered shared
-  // order of the partitioned analysis, false as soon as either side
-  // reordered; then the ite-based transfer (correct under any order pair)
-  // takes over.
-  bool monotone = true;
-  std::uint32_t prev = 0;
-  bool first = true;
-  for (const NodeId s : src.order_) {
-    const std::uint32_t d = varIndex(s);
-    if (!first && d <= prev) monotone = false;
-    prev = d;
-    first = false;
-  }
-  const BddRef r = monotone ? importStructural(src, f, memo) : importByIte(src, f, memo);
-  noteRoot(r);
-  return r;
-}
-
-BddRef BddManager::importStructural(const BddManager& src, BddRef f, std::vector<BddRef>& memo) {
-  if (f <= kBddTrue) return f;
-  if (memo[f] != kBddInvalid) return memo[f];
-  const Node& n = src.nodes_[f];
-  const BddRef lo = importStructural(src, n.lo, memo);
-  const BddRef hi = importStructural(src, n.hi, memo);
-  const BddRef r = makeNode(varOf_.at(src.order_[n.var]), lo, hi);
-  memo[f] = r;
-  return r;
-}
-
-BddRef BddManager::importByIte(const BddManager& src, BddRef f, std::vector<BddRef>& memo) {
-  if (f <= kBddTrue) return f;
-  if (memo[f] != kBddInvalid) return memo[f];
-  const Node& n = src.nodes_[f];
-  const BddRef lo = importByIte(src, n.lo, memo);
-  const BddRef hi = importByIte(src, n.hi, memo);
-  const BddRef x = makeNode(varOf_.at(src.order_[n.var]), kBddFalse, kBddTrue);
-  const BddRef r = iteRec(x, hi, lo);
-  memo[f] = r;
-  return r;
-}
-
 std::vector<NodeId> BddManager::support(BddRef f) const {
   std::vector<NodeId> out;
   std::vector<BddRef> stack{f};

@@ -29,12 +29,11 @@
 //    fromDnf() registers a DNF's support in ascending select-id order
 //    before building, which makes conversion deterministic;
 //  * dynamic reordering (Rudell-style sifting) swaps adjacent levels IN
-//    PLACE: every live ref keeps denoting the same function, so refs,
-//    probability caches and importFrom memos held by callers stay valid
-//    across a sift. Liveness is "reachable from any ref a public call ever
-//    returned"; everything else is garbage the sift may drop from the
-//    unique tables (the arena itself never shrinks, so refs are never
-//    reused).
+//    PLACE: every live ref keeps denoting the same function, so refs and
+//    probability caches held by callers stay valid across a sift.
+//    Liveness is "reachable from any ref a public call ever returned";
+//    everything else is garbage the sift may drop from the unique tables
+//    (the arena itself never shrinks, so refs are never reused).
 
 #include <cstdint>
 #include <span>
@@ -52,7 +51,7 @@ using BddRef = std::uint32_t;
 
 inline constexpr BddRef kBddFalse = 0;
 inline constexpr BddRef kBddTrue = 1;
-/// Sentinel for "no ref" (importFrom memo tables, empty unique-table slots).
+/// Sentinel for "no ref" (empty unique-table slots, refused handles).
 inline constexpr BddRef kBddInvalid = static_cast<BddRef>(-1);
 
 /// Dynamic-reordering policy for every BddManager in the process.
@@ -95,24 +94,12 @@ class BddManager {
   /// the conversion canonical: equivalent DNFs yield the same ref — and
   /// in-place sifting preserves that, so the guarantee survives reordering.
   /// Under BddReorderMode::Auto this is the one entry point that may
-  /// trigger a sift (never mid-build, never inside ite or importFrom).
+  /// trigger a sift (never mid-build, never inside ite).
   [[nodiscard]] BddRef fromDnf(const GateDnf& dnf);
 
   /// Register selects as variables in the given order (no-op for already
-  /// known ones). The parallel activation analysis uses this to give every
-  /// partition manager — and the final merge manager — one identical
-  /// variable order, so partition BDDs are structural copies of what the
-  /// merge manager builds.
+  /// known ones), fixing the initial variable order ahead of any build.
   void registerVariables(std::span<const NodeId> selects);
-
-  /// Recursively copy `f` (a ref of `src`) into this manager, mapping
-  /// variables by select id. When this manager's variable order is
-  /// consistent with src's on src's variables the copy is a cheap
-  /// structural walk; otherwise (either side reordered) it falls back to a
-  /// memoized ite-based transfer that is correct under any order pair.
-  /// `memo` carries src-ref -> dst-ref mappings across calls for one src;
-  /// size it to src.nodeCount() filled with kBddInvalid.
-  [[nodiscard]] BddRef importFrom(const BddManager& src, BddRef f, std::vector<BddRef>& memo);
 
   /// Exact P(f) under independent fair selects. Memoized per node for the
   /// manager's lifetime, so repeated queries over a family of conditions
@@ -143,8 +130,8 @@ class BddManager {
 
   /// One full Rudell sifting pass: each variable (most populated level
   /// first) is moved through the order by in-place adjacent-level swaps and
-  /// parked at its best position. Refs keep their functions, so handles,
-  /// probability caches and import memos stay valid. A node-cap trip or an
+  /// parked at its best position. Refs keep their functions, so handles
+  /// and probability caches stay valid. A node-cap trip or an
   /// injected fault ("bdd-sift") between swaps aborts cleanly: the manager
   /// stays canonical for whatever order it reached. No-op under pressure of
   /// fewer than two variables.
@@ -245,10 +232,6 @@ class BddManager {
   /// Remember r as externally held: every ref a public call returns is a
   /// liveness root for sift(). Deduped via a stamp vector.
   void noteRoot(BddRef r);
-
-  /// importFrom's two strategies (see importFrom).
-  [[nodiscard]] BddRef importStructural(const BddManager& src, BddRef f, std::vector<BddRef>& memo);
-  [[nodiscard]] BddRef importByIte(const BddManager& src, BddRef f, std::vector<BddRef>& memo);
 
   /// The one shared bottom-up traversal (satellite of PR 7): append to
   /// `out` every node reachable from `roots` (nonterminals only), children

@@ -1,17 +1,12 @@
 #include "sched/power_transform.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <limits>
-#include <memory>
 #include <numeric>
 #include <optional>
-#include <thread>
 
 #include "cdfg/analysis.hpp"
 #include "sched/timeframe_oracle.hpp"
 #include "support/run_budget.hpp"
-#include "support/thread_pool.hpp"
 
 namespace pmsched {
 
@@ -348,58 +343,42 @@ namespace {
 // ---------------------------------------------------------------------------
 // Exact search (applyPowerManagementOptimal).
 //
-// The DFS over include/exclude decisions is parallelized at the root: a
-// sequential enumeration walks the first K levels on the main oracle and
-// records every reachable prefix ("leaf") in DFS visit order; each leaf's
-// subtree is then explored independently on its own oracle, and the results
-// are merged in visit order with the same strict-improvement rule the
-// sequential DFS applies — so the chosen subset is bit-identical (see
-// docs/PARALLELISM.md for the argument, including why cross-leaf pruning
-// hints are restricted to earlier-in-order leaves).
+// A branch-and-bound DFS over include/exclude decisions on one oracle:
+// push the mux's edges on descend, pop on backtrack.
 //
 // The infeasibility memo (ROADMAP open item): a probe that fails with at
 // most one other mux chosen is a monotone fact — (i) alone infeasible, or
 // (i, j) jointly infeasible — valid in every superset context, so sibling
-// branches skip the doomed probe entirely. Facts are published with relaxed
-// atomic OR; discovering a fact late only costs an extra probe, never a
-// different verdict.
+// branches skip the doomed probe entirely.
 // ---------------------------------------------------------------------------
 
 class InfeasMemo {
  public:
-  explicit InfeasMemo(std::size_t count)
-      : count_(count), words_((count + 63) / 64),
-        bits_(std::make_unique<std::atomic<std::uint64_t>[]>(count_ * words_)) {
-    for (std::size_t i = 0; i < count_ * words_; ++i)
-      bits_[i].store(0, std::memory_order_relaxed);
-  }
+  explicit InfeasMemo(std::size_t count) : words_((count + 63) / 64), bits_(count * words_, 0) {}
 
   /// Row i, bit i: mux i alone infeasible. Row i, bit j: pair (i, j)
   /// jointly infeasible.
   [[nodiscard]] bool blocked(std::size_t i, std::span<const std::uint64_t> chosenMask) const {
-    const std::atomic<std::uint64_t>* row = bits_.get() + i * words_;
-    if (row[i / 64].load(std::memory_order_relaxed) & (std::uint64_t{1} << (i % 64)))
-      return true;
+    const std::uint64_t* row = bits_.data() + i * words_;
+    if (row[i / 64] & (std::uint64_t{1} << (i % 64))) return true;
     for (std::size_t w = 0; w < words_; ++w)
-      if (row[w].load(std::memory_order_relaxed) & chosenMask[w]) return true;
+      if (row[w] & chosenMask[w]) return true;
     return false;
   }
 
-  void learnSelf(std::size_t i) { orBit(i, i); }
+  void learnSelf(std::size_t i) { setBit(i, i); }
   void learnPair(std::size_t i, std::size_t j) {
-    orBit(i, j);
-    orBit(j, i);
+    setBit(i, j);
+    setBit(j, i);
   }
 
  private:
-  void orBit(std::size_t row, std::size_t bit) {
-    bits_[row * words_ + bit / 64].fetch_or(std::uint64_t{1} << (bit % 64),
-                                            std::memory_order_relaxed);
+  void setBit(std::size_t row, std::size_t bit) {
+    bits_[row * words_ + bit / 64] |= std::uint64_t{1} << (bit % 64);
   }
 
-  std::size_t count_;
   std::size_t words_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> bits_;
+  std::vector<std::uint64_t> bits_;
 };
 
 /// DFS working state over the exact window: the chosen set as both a list
@@ -422,11 +401,11 @@ struct ChosenSet {
 PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, bool useOracle,
                               const RunBudget* budget = nullptr) {
   g.validate();
-  // Set once any search phase stops on the budget; the chosen subset at
+  // Set once the search stops on the budget; the chosen subset at
   // that point is the best COMPLETE assignment found so far (possibly
   // empty), which is always jointly feasible — the final materialization
   // below turns it into a valid, differentially-checkable design.
-  std::atomic<bool> stopped{false};
+  bool stopped = false;
 
   // Candidates: muxes with gated work, most promising first. The gated sets
   // feed both the savings estimate and the control edges, so compute them
@@ -488,8 +467,6 @@ PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, b
   for (std::size_t i = exactCount; i-- > 0;)
     suffix[i] = suffix[i + 1] + savings[candidates[i]];
 
-  const std::size_t threads = useOracle ? threadCount() : 1;
-
   if (!useOracle) {
     std::vector<bool> current(candidates.size(), false);
     auto dfs = [&](auto&& self, std::size_t i, double value) -> void {
@@ -519,40 +496,15 @@ PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, b
   }
 
   InfeasMemo memo(exactCount);
-
-  // Sequential-first with a probe-budget escape: most searches are pruned
-  // to a few hundred probes and finish here with zero parallel overhead; a
-  // search that exhausts the budget is genuinely large, so it restarts on
-  // the root-split parallel path below. The budget verdict depends only on
-  // the (deterministic) probe count, so the chosen path — and therefore
-  // the result — is reproducible at every thread count. Facts the memo
-  // learned before the escape stay valid (they are context-free).
-  bool escaped = false;
   {
-    // Force mode escapes immediately so the differential tests drive the
-    // parallel DFS on their small graphs; Auto escapes only where the
-    // root-split actually helps (enough physical cores), since a large
-    // pruned tree is still better explored in place than fanned out onto
-    // two contended cores.
-    const bool canEscape =
-        threads > 1 && exactCount >= 4 &&
-        (speculationMode() == SpeculationMode::Force ||
-         (speculationMode() == SpeculationMode::Auto &&
-          std::thread::hardware_concurrency() >= 4));
-    const std::size_t probeBudget = !canEscape ? std::numeric_limits<std::size_t>::max()
-                                   : speculationMode() == SpeculationMode::Force ? 0
-                                                                                 : 4096;
-    std::size_t probes = 0;
-    // Sequential oracle-backed DFS: push the mux's edges on descend, pop on
-    // backtrack, so each node of the search tree costs one incremental
-    // repair instead of a from-scratch frame computation; the memo skips
-    // probes whose failure is already a recorded fact.
+    // Oracle-backed DFS: each node of the search tree costs one
+    // incremental repair instead of a from-scratch frame computation; the
+    // memo skips probes whose failure is already a recorded fact.
     ChosenSet chosen(exactCount);
     std::vector<bool> current(candidates.size(), false);
     auto dfs = [&](auto&& self, std::size_t i, double value) -> void {
-      if (escaped) return;
       if (budget != nullptr && budget->exhausted()) {
-        stopped.store(true, std::memory_order_relaxed);
+        stopped = true;
         return;  // best-so-far stands
       }
       if (value + suffix[i] <= bestValue) return;
@@ -564,10 +516,6 @@ PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, b
         return;
       }
       if (!memo.blocked(i, chosen.mask)) {
-        if (probes++ >= probeBudget) {
-          escaped = true;
-          return;
-        }
         if (budget != nullptr) budget->chargeProbes();
         oracle->push(muxEdges[i], /*probe=*/true);
         if (oracle->feasible()) {
@@ -585,137 +533,6 @@ PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, b
       self(self, i + 1, value);
     };
     dfs(dfs, 0, 0);
-    // A budget stop outranks the probe escape: restarting on the parallel
-    // path would discard the best-so-far the degradation contract promises.
-    if (stopped.load(std::memory_order_relaxed)) escaped = false;
-    if (escaped) {
-      bestValue = -1;
-      best.assign(candidates.size(), false);
-    }
-  }
-  if (escaped) {
-    // ---- root-level parallel DFS ----
-    // Phase 1: enumerate every reachable prefix of the first K levels in
-    // DFS visit order on the main oracle (no bound pruning: at this point
-    // the sequential search has no complete assignment either, and a
-    // superset of the sequential tree cannot change the first maximum).
-    std::size_t splitDepth = 0;
-    std::size_t leafTarget = 4 * threads;
-    while (splitDepth < exactCount && (std::size_t{1} << splitDepth) < leafTarget &&
-           splitDepth < 10)
-      ++splitDepth;
-    const std::size_t K = splitDepth;
-
-    struct Leaf {
-      std::vector<bool> chosenPrefix;  // first K levels
-      std::vector<std::size_t> chosenList;
-      double value = 0;
-    };
-    std::vector<Leaf> leaves;
-    {
-      ChosenSet chosen(exactCount);
-      std::vector<bool> prefix(K, false);
-      auto enumerate = [&](auto&& self, std::size_t i, double value) -> void {
-        if (budget != nullptr && budget->exhausted()) {
-          stopped.store(true, std::memory_order_relaxed);
-          return;  // the leaves found so far still cover valid prefixes
-        }
-        if (i == K) {
-          leaves.push_back(Leaf{prefix, chosen.list, value});
-          return;
-        }
-        if (!memo.blocked(i, chosen.mask)) {
-          if (budget != nullptr) budget->chargeProbes();
-          oracle->push(muxEdges[i], /*probe=*/true);
-          if (oracle->feasible()) {
-            prefix[i] = true;
-            chosen.add(i);
-            self(self, i + 1, value + savings[candidates[i]]);
-            chosen.remove(i);
-            prefix[i] = false;
-          } else {
-            if (chosen.list.empty()) memo.learnSelf(i);
-            else if (chosen.list.size() == 1) memo.learnPair(i, chosen.list[0]);
-          }
-          oracle->pop();
-        }
-        self(self, i + 1, value);
-      };
-      enumerate(enumerate, 0, 0);
-    }
-
-    // Phase 2: explore every leaf's subtree on its own oracle. Pruning may
-    // use the final results of earlier-in-order leaves only (a later
-    // leaf's bound could prune this leaf's first maximum, which sequential
-    // order would have kept).
-    struct LeafResult {
-      std::vector<bool> chosen;  // full exact window
-      double value = -1;
-    };
-    const std::size_t leafCount = leaves.size();
-    auto published = std::make_unique<std::atomic<double>[]>(leafCount);
-    for (std::size_t i = 0; i < leafCount; ++i)
-      published[i].store(-1, std::memory_order_relaxed);
-
-    std::vector<LeafResult> results(leafCount);
-    globalThreadPool().parallelFor(0, leafCount, 1, [&](std::size_t, std::size_t li) {
-      const Leaf& leaf = leaves[li];
-      TimeFrameOracle sub(g, steps, LatencyModel::unit(), "power-transform");
-      ChosenSet chosen(exactCount);
-      for (const std::size_t j : leaf.chosenList) {
-        sub.push(muxEdges[j]);  // feasible by construction (phase 1 probed it)
-        chosen.add(j);
-      }
-      auto hint = [&]() {
-        double h = -1;
-        for (std::size_t jj = 0; jj < li; ++jj)
-          h = std::max(h, published[jj].load(std::memory_order_relaxed));
-        return h;
-      };
-      LeafResult& out = results[li];
-      std::vector<bool> current(exactCount, false);
-      for (std::size_t j = 0; j < K; ++j) current[j] = leaf.chosenPrefix[j];
-      auto dfs = [&](auto&& self, std::size_t i, double value) -> void {
-        if (budget != nullptr && budget->exhausted()) {
-          stopped.store(true, std::memory_order_relaxed);
-          return;  // this leaf keeps its best complete assignment so far
-        }
-        if (value + suffix[i] <= std::max(out.value, hint())) return;
-        if (i == exactCount) {
-          if (value > out.value) {
-            out.value = value;
-            out.chosen = current;
-          }
-          return;
-        }
-        if (!memo.blocked(i, chosen.mask)) {
-          if (budget != nullptr) budget->chargeProbes();
-          sub.push(muxEdges[i], /*probe=*/true);
-          if (sub.feasible()) {
-            current[i] = true;
-            chosen.add(i);
-            self(self, i + 1, value + savings[candidates[i]]);
-            chosen.remove(i);
-            current[i] = false;
-          } else {
-            if (chosen.list.empty()) memo.learnSelf(i);
-            else if (chosen.list.size() == 1) memo.learnPair(i, chosen.list[0]);
-          }
-          sub.pop();
-        }
-        self(self, i + 1, value);
-      };
-      dfs(dfs, K, leaf.value);
-      published[li].store(out.value, std::memory_order_release);
-    });
-
-    // Phase 3: merge in DFS visit order with the sequential strict-> rule.
-    for (std::size_t li = 0; li < leafCount; ++li) {
-      if (results[li].value > bestValue) {
-        bestValue = results[li].value;
-        for (std::size_t i = 0; i < exactCount; ++i) best[i] = results[li].chosen[i];
-      }
-    }
   }
 
   // Greedy tail beyond the exact window: commit the chosen window on the
@@ -727,7 +544,7 @@ PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, b
     }
   for (std::size_t i = exactCount; i < candidates.size(); ++i) {
     if (budget != nullptr && budget->exhausted()) {
-      stopped.store(true, std::memory_order_relaxed);
+      stopped = true;
       break;  // remaining tail muxes stay unmanaged
     }
     if (budget != nullptr) budget->chargeProbes();
@@ -743,7 +560,7 @@ PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, b
   // decisions must be materialized completely for the design to be
   // consistent.
   PowerManagedDesign design = runTransform(g, steps, chosen, useOracle);
-  if (stopped.load(std::memory_order_relaxed)) {
+  if (stopped) {
     design.degraded = true;
     const BudgetKind kind = budget->exhaustedWhy().value_or(BudgetKind::Deadline);
     design.degradeReason = std::string("exact search stopped early (") + budgetKindName(kind) +

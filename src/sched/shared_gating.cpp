@@ -6,11 +6,9 @@
 
 #include "sched/bdd.hpp"
 #include "sched/condition.hpp"
-#include "sched/probe_farm.hpp"
 #include "sched/timeframe_oracle.hpp"
 #include "support/fault_injector.hpp"
 #include "support/run_budget.hpp"
-#include "support/thread_pool.hpp"
 
 namespace pmsched {
 
@@ -26,22 +24,6 @@ namespace {
 // conjoin/disjoin below runs directly on term ids. The reference pass
 // (further down) keeps the original decode/encode-per-call flow; the
 // differential tests assert bit-identical gating decisions.
-//
-// Parallel path (threadCount() > 1): candidates are processed in WAVES. The
-// main thread evaluates the DNF part of a wave's candidates under the
-// assumption that none of them is accepted (every memo write is logged),
-// staging each candidate's oracle probe onto a ProbeFarm wave as its edges
-// become known and ringing the pool ONCE per wave (the PR-5 batched
-// handoff); verdicts are then consumed strictly in order. The
-// assumption only breaks on an acceptance — which changes condOf() of the
-// accepted node and thereby the needs of its producers (all LATER in the
-// sweep, since consumers are processed before producers) — so the wave is
-// cut at the winner: memo entries written by later candidates' evaluations
-// are rolled back and the remainder re-enters the next wave against the
-// updated state. A candidate's final decision is therefore always derived
-// from exactly the committed decisions of its turn, which is what makes
-// the pass bit-identical to the sequential sweep at any thread count (and
-// to the retained from-scratch reference).
 // ---------------------------------------------------------------------------
 
 class SharedGatingPass {
@@ -55,10 +37,7 @@ class SharedGatingPass {
     need_.resize(g_.size());
   }
 
-  /// Probeworthy candidates the oracle rejected for schedulability. Wave
-  /// rejections are only counted when their verdict is consumed (candidates
-  /// past a wave cut re-enter the next wave unconsumed), so the count is
-  /// identical to the sequential sweep's at any thread count.
+  /// Probeworthy candidates the oracle rejected for schedulability.
   [[nodiscard]] int slackRejects() const { return slackRejects_; }
 
   int run() {
@@ -74,12 +53,15 @@ class SharedGatingPass {
     }
     // gates/sharedGating of candidates only change when a candidate is
     // accepted (each node is visited once), so the up-front filter sees
-    // exactly what the per-turn filter would. Waves engage under
-    // farmProbesWorthwhile's policy: PMSCHED_SPECULATE, else the graph
-    // size against the calibrated probe/handoff crossover.
-    const bool waves =
-        threadCount() > 1 && cands.size() >= 8 && farmProbesWorthwhile(g_.size());
-    const int gated = waves ? runWaves(cands) : runSequential(cands);
+    // exactly what the per-turn filter would.
+    int gated = 0;
+    for (const NodeId n : cands) {
+      if (budgetStop()) {
+        markDegraded();
+        break;
+      }
+      if (tryGate(n)) ++gated;
+    }
     // The oracle's committed fixed point equals the from-scratch frames of
     // the augmented graph; snapshot it before mutating.
     design_.frames = oracle_.frames();
@@ -111,154 +93,6 @@ class SharedGatingPass {
                           "stopped at the last accepted gate; design stays valid");
   }
 
-  int runSequential(const std::vector<NodeId>& cands) {
-    int gated = 0;
-    for (const NodeId n : cands) {
-      if (budgetStop()) {
-        markDegraded();
-        break;
-      }
-      if (tryGate(n)) ++gated;
-    }
-    return gated;
-  }
-
-  /// The DNF half of tryGate(): decide whether `n` is probeworthy and
-  /// compute its tentative edges. Pure with respect to the oracle; memo
-  /// writes go through the (logged) condOf/needOf below.
-  struct Eval {
-    bool probeworthy = false;
-    Dnf need;
-    std::vector<Edge> edges;
-    std::size_t ticket = static_cast<std::size_t>(-1);
-    std::size_t logEnd = 0;  ///< memoLog_ size after this evaluation
-  };
-
-  void evalCandidate(NodeId n, Eval& e) {
-    if (g_.fanouts(n).empty()) return;
-    const Dnf& need = needOf(n);
-    if (eng_.isTrue(need) || need.isFalse()) return;
-    const std::vector<NodeId> support = eng_.support(need);
-    for (const NodeId sel : support) {
-      if (sel == n) return;
-      if (!isScheduled(g_.kind(sel))) continue;
-      if (faninOf(sel).test(n)) return;
-    }
-    for (const NodeId sel : support)
-      if (isScheduled(g_.kind(sel))) e.edges.emplace_back(sel, n);
-    e.need = need;
-    e.probeworthy = true;
-  }
-
-  /// Reset every memo entry written after log position `mark` (entries are
-  /// only ever written when unset, so the undo is a reset).
-  void rollbackTo(std::size_t mark) {
-    while (memoLog_.size() > mark) {
-      const auto [table, n] = memoLog_.back();
-      memoLog_.pop_back();
-      (table == 'c' ? cond_ : need_)[n].reset();
-    }
-  }
-
-  int runWaves(const std::vector<NodeId>& cands) {
-    ProbeFarm farm(g_, design_.steps, design_.latency, "shared-gating", budget_);
-    const std::size_t wave = std::max<std::size_t>(2 * farm.lanes(), 8);
-    int gated = 0;
-    std::size_t idx = 0;
-    std::vector<Eval> evals;
-    while (idx < cands.size()) {
-      if (budgetStop()) {
-        // Stop between waves: everything committed so far stays, staged
-        // probes of the abandoned wave are reaped by the farm destructor
-        // (its lanes poll the same budget, so the drain is one
-        // slice-quantum).
-        markDegraded();
-        break;
-      }
-      const std::size_t end = std::min(idx + wave, cands.size());
-      evals.assign(end - idx, Eval{});
-      memoLog_.clear();
-      logging_ = true;
-      // Sub-waves: publish every ~lanes staged probes instead of ringing
-      // once at the end, so the lanes work on the early candidates' probes
-      // WHILE the consumer is still evaluating the later candidates' DNFs.
-      // Verdicts are still consumed strictly in j order below (and no
-      // commit happens during staging, so every job's captured version is
-      // unchanged) — the overlap moves wall-clock idle time, not results.
-      const std::size_t subWave = std::max<std::size_t>(farm.lanes(), 4);
-      std::size_t staged = 0;
-      for (std::size_t j = idx; j < end; ++j) {
-        Eval& e = evals[j - idx];
-        evalCandidate(cands[j], e);
-        e.logEnd = memoLog_.size();
-        if (e.probeworthy && !e.edges.empty()) {
-          e.ticket = farm.stage(e.edges);
-          if (++staged >= subWave) {
-            farm.ring();
-            staged = 0;
-          }
-        }
-      }
-      logging_ = false;
-      farm.ring();  // tail sub-wave (no-op when nothing is pending)
-
-      std::size_t nextIdx = end;
-      for (std::size_t j = idx; j < end; ++j) {
-        Eval& e = evals[j - idx];
-        if (!e.probeworthy) continue;  // rejected before probing
-        const NodeId n = cands[j];
-        bool ok;
-        if (e.edges.empty()) {
-          ok = true;  // no scheduled select: trivially feasible
-        } else {
-          const ProbeFarm::Result r = farm.await(e.ticket);
-          if (r.error && r.version == farm.version()) std::rethrow_exception(r.error);
-          if (r.ran && !r.error && r.version == farm.version()) {
-            ok = r.feasible;
-            if (ok) {
-              oracle_.push(e.edges);
-              if (!oracle_.feasible())
-                throw SynthesisError("shared-gating: speculative verdict diverged");
-              oracle_.commit();
-              farm.commitBatch(oracle_);
-            }
-          } else {
-            // Defensive (a wave is cut at the first acceptance, so awaited
-            // results should never be stale): sequential re-validation.
-            oracle_.push(e.edges, /*probe=*/true);
-            ok = oracle_.feasible();
-            if (ok) {
-              oracle_.commit();
-              farm.commitBatch(oracle_);
-            } else {
-              oracle_.pop();
-            }
-          }
-        }
-        if (!ok) {
-          // A consumed rejection is final (later commits only tighten), so
-          // it counts exactly like the sequential sweep's oracle reject.
-          ++slackRejects_;
-          continue;
-        }
-
-        // ACCEPT: roll back the assumption-tainted memo writes of the later
-        // candidates in this wave BEFORE installing the new condition (the
-        // rollback log may contain a speculative condOf(n) entry).
-        fault::point("gating-commit");
-        rollbackTo(e.logEnd);
-        committed_.insert(committed_.end(), e.edges.begin(), e.edges.end());
-        design_.sharedGating[n] = eng_.decode(e.need);
-        cond_[n] = std::move(e.need);
-        ++gated;
-        nextIdx = j + 1;
-        break;
-      }
-      idx = nextIdx;
-    }
-    return gated;
-  }
-
   /// Activation condition of node n as an interned DNF handle.
   const Dnf& condOf(NodeId n) {
     if (cond_[n]) return *cond_[n];
@@ -275,7 +109,6 @@ class SharedGatingPass {
       }
     }
     cond_[n] = std::move(result);
-    if (logging_) memoLog_.emplace_back('c', n);
     return *cond_[n];
   }
 
@@ -323,20 +156,25 @@ class SharedGatingPass {
       }
     }
     need_[n] = std::move(result);
-    if (logging_) memoLog_.emplace_back('n', n);
     return *need_[n];
   }
 
   bool tryGate(NodeId n) {
-    // One evaluation path for both sweeps: the wave protocol is only
-    // bit-identical to this sequential loop because the DNF half is
-    // literally the same code (evalCandidate).
-    Eval e;
-    evalCandidate(n, e);
-    if (!e.probeworthy) return false;
+    if (g_.fanouts(n).empty()) return false;
+    Dnf need = needOf(n);
+    if (eng_.isTrue(need) || need.isFalse()) return false;
+    const std::vector<NodeId> support = eng_.support(need);
+    for (const NodeId sel : support) {
+      if (sel == n) return false;
+      if (!isScheduled(g_.kind(sel))) continue;  // PI-driven select: free
+      if (faninOf(sel).test(n)) return false;
+    }
+    std::vector<Edge> edges;
+    for (const NodeId sel : support)
+      if (isScheduled(g_.kind(sel))) edges.emplace_back(sel, n);
 
-    if (budget_ != nullptr && !e.edges.empty()) budget_->chargeProbes();
-    oracle_.push(e.edges, /*probe=*/true);
+    if (budget_ != nullptr && !edges.empty()) budget_->chargeProbes();
+    oracle_.push(edges, /*probe=*/true);
     if (!oracle_.feasible()) {
       oracle_.pop();
       ++slackRejects_;
@@ -345,11 +183,11 @@ class SharedGatingPass {
     fault::point("gating-commit");
     oracle_.commit();
 
-    committed_.insert(committed_.end(), e.edges.begin(), e.edges.end());
-    design_.sharedGating[n] = eng_.decode(e.need);
-    // condOf(n) would re-intern design_.sharedGating[n]; `e.need` is
+    committed_.insert(committed_.end(), edges.begin(), edges.end());
+    design_.sharedGating[n] = eng_.decode(need);
+    // condOf(n) would re-intern design_.sharedGating[n]; `need` is
     // already simplified, so the handle itself is that result.
-    cond_[n] = std::move(e.need);
+    cond_[n] = std::move(need);
     return true;
   }
 
@@ -369,9 +207,6 @@ class SharedGatingPass {
   std::vector<std::optional<Dnf>> cond_;
   std::vector<std::optional<Dnf>> need_;
   std::unordered_map<NodeId, NodeMask> faninCache_;
-  /// Wave-evaluation memo write log for rollback (table tag, node).
-  std::vector<std::pair<char, NodeId>> memoLog_;
-  bool logging_ = false;
   int slackRejects_ = 0;
   /// Pipeline callers interleave this pass with code holding refs into the
   /// thread's DNF→probability manager (controller condition-class keys,

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
-#include <random>
 
 #include "support/fault_injector.hpp"
 
@@ -55,9 +53,6 @@ TimeFrameOracle::TimeFrameOracle(const Graph& g, int steps, const LatencyModel& 
   for (NodeId v = 0; v < n; ++v)
     if (sched_[v] && asap_[v] > latestStart_[v]) ++overEnd_;
 
-  initial_.asap = asap_;
-  initial_.alap = alap_;
-  initial_.overEnd = overEnd_;
   minControlTarget_ = minGraphControlTarget();
 }
 
@@ -65,34 +60,6 @@ NodeId TimeFrameOracle::minGraphControlTarget() const {
   for (NodeId v = 0; v < g_.size(); ++v)
     if (!ctrlPredCsr_.row(v).empty()) return v;
   return kInvalidNode;
-}
-
-TimeFrameOracle::FrameSnapshot TimeFrameOracle::snapshot() const {
-  if (depth_ != 0) throw SynthesisError(ctx_ + ": snapshot with open tentative batches");
-  FrameSnapshot s;
-  s.asap = asap_;
-  s.alap = alap_;
-  s.overEnd = overEnd_;
-  for (NodeId v = 0; v < g_.size(); ++v)
-    for (const NodeId t : xSucc_[v]) s.extraEdges.emplace_back(v, t);
-  return s;
-}
-
-void TimeFrameOracle::restore(const FrameSnapshot& s) {
-  if (depth_ != 0) throw SynthesisError(ctx_ + ": restore with open tentative batches");
-  beginChangeEpoch();
-  asap_ = s.asap;
-  alap_ = s.alap;
-  overEnd_ = s.overEnd;
-  for (std::vector<NodeId>& row : xSucc_) row.clear();
-  for (std::vector<NodeId>& row : xPred_) row.clear();
-  minControlTarget_ = minGraphControlTarget();
-  dropMinIn();
-  for (const Edge& e : s.extraEdges) {
-    xSucc_[e.first].push_back(e.second);
-    xPred_[e.second].push_back(e.first);
-    minControlTarget_ = std::min(minControlTarget_, e.second);
-  }
 }
 
 int TimeFrameOracle::recomputeAsap(NodeId v) const {
@@ -568,53 +535,6 @@ TimeFrames TimeFrameOracle::frames() {
   tf.asap = asap_;
   tf.alap = alap_;
   return tf;
-}
-
-std::vector<std::vector<TimeFrameOracle::Edge>> seededProbeBatches(const Graph& g, int count,
-                                                                   int edgesPerBatch) {
-  std::vector<std::vector<TimeFrameOracle::Edge>> batches(std::max(count, 0));
-  const std::vector<NodeId> ops = g.scheduledNodes();
-  if (ops.size() < 2) return batches;
-
-  // Edges oriented along the cached topological order, so every batch is
-  // acyclic by construction (same recipe as the farm stress tests). Fixed
-  // seed: the batches are reproducible per graph.
-  std::vector<std::uint32_t> pos(g.size());
-  const std::span<const NodeId> order = g.topoOrderView();
-  for (std::uint32_t i = 0; i < order.size(); ++i) pos[order[i]] = i;
-  std::mt19937_64 rng(1996);
-  std::uniform_int_distribution<std::size_t> pick(0, ops.size() - 1);
-  for (std::vector<TimeFrameOracle::Edge>& batch : batches) {
-    for (int k = 0; k < edgesPerBatch; ++k) {
-      NodeId a = ops[pick(rng)];
-      NodeId b = ops[pick(rng)];
-      if (a == b) continue;
-      if (pos[a] > pos[b]) std::swap(a, b);
-      batch.emplace_back(a, b);
-    }
-  }
-  return batches;
-}
-
-double measureMedianProbeNs(const Graph& g, int steps, int rounds) {
-  using Clock = std::chrono::steady_clock;
-  const std::vector<std::vector<TimeFrameOracle::Edge>> batches = seededProbeBatches(g, rounds);
-
-  TimeFrameOracle oracle(g, steps);
-  std::vector<double> samples;
-  samples.reserve(batches.size());
-  for (const std::vector<TimeFrameOracle::Edge>& batch : batches) {
-    if (batch.empty()) continue;  // degenerate graph or unlucky draws
-    const Clock::time_point t0 = Clock::now();
-    oracle.push(batch);  // full repair: a farm probe's worst case
-    (void)oracle.feasible();
-    oracle.pop();
-    samples.push_back(static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0).count()));
-  }
-  if (samples.empty()) return 1e3;  // nominal probe: nothing measurable
-  std::nth_element(samples.begin(), samples.begin() + samples.size() / 2, samples.end());
-  return std::max(1.0, samples[samples.size() / 2]);
 }
 
 }  // namespace pmsched

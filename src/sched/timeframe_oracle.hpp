@@ -81,9 +81,9 @@
 // backward walks it replaces have settled as many nodes as the graph has;
 // a run with few or cheap rejects never pays for it. Once built, it is
 // repaired on the next reject from the nodes whose ASAP moved and the
-// targets of the batches committed since, and dropped by restore() and
-// pin(). Before that point, and for a batch with e > kSlackLevels, the
-// Dial walk backward from u answers.
+// targets of the batches committed since, and dropped by pin(). Before
+// that point, and for a batch with e > kSlackLevels, the Dial walk
+// backward from u answers.
 //
 // The id bound. Graph::addNode() makes every data operand's id smaller
 // than its consumer's, so a data edge always leads to a larger id. Let
@@ -94,8 +94,8 @@
 // reach a smaller id. The forward walk then seeds and relaxes only ids
 // below the best so far; the nodes it skips could not have lowered the
 // answer, and the ones it keeps see the same distances. Otherwise it
-// walks unbounded. The constructor, commit() and restore() keep
-// minControlTarget_ current.
+// walks unbounded. The constructor and commit() keep minControlTarget_
+// current.
 //
 // A batch whose target reaches u closes a cycle; explainReject()
 // then throws push()'s error. The check is O(1) per target when the frames
@@ -172,8 +172,7 @@ class TimeFrameOracle {
 
   [[nodiscard]] int asap(NodeId n) const { return asap_[n]; }
   /// Reading an ALAP value flushes the lazy backward repair of every open
-  /// batch (any depth; ProbeFarm replicas stack committed batches and read
-  /// diagnostics on top of them). Throws on an aborted probe batch.
+  /// batch (any depth). Throws on an aborted probe batch.
   [[nodiscard]] int alap(NodeId n) {
     ensureAlap();
     return alap_[n];
@@ -215,31 +214,6 @@ class TimeFrameOracle {
   /// Throws push()'s SynthesisError on a cycle. A one-source batch that
   /// fits costs O(edges) plus push(); any other batch costs one push().
   [[nodiscard]] std::optional<NodeId> tryCommit(std::span<const Edge> edges);
-
-  // ---- committed-state snapshots (ProbeFarm replicas) ----------------------
-
-  /// A committed frame state: the fixed-point frames plus the live extra
-  /// edges that produced them. O(V + E) to capture or restore — the
-  /// ProbeFarm shares one per committed version so replicas jump between
-  /// versions instead of replaying every batch repair.
-  struct FrameSnapshot {
-    std::vector<int> asap;
-    std::vector<int> alap;
-    std::vector<Edge> extraEdges;
-    int overEnd = 0;
-  };
-
-  /// Capture the current committed state. Requires depth() == 0 (commit()
-  /// flushed the lazy ALAP, so the arrays are exact) and no pins.
-  [[nodiscard]] FrameSnapshot snapshot() const;
-
-  /// Replace the committed state with a snapshot taken from an oracle over
-  /// the SAME graph, budget and model. Requires depth() == 0 and no pins;
-  /// changedNodes() is reset, not populated.
-  void restore(const FrameSnapshot& s);
-
-  /// Restore the construction-time state (no extra edges, no pins).
-  void restoreInitial() { restore(initial_); }
 
   /// Nodes whose asap or alap changed in the last push()/pop()/pin(),
   /// each listed once. Used by the force-directed force-cache invalidation.
@@ -346,8 +320,6 @@ class TimeFrameOracle {
   std::vector<char> changedFlag_;
   std::vector<char> inQueue_;
 
-  FrameSnapshot initial_;  ///< construction-time frames (restoreInitial)
-
   // Pooled repair scratch (drained after every repair; capacity persists).
   using MinItem = std::pair<std::uint32_t, NodeId>;
   std::priority_queue<MinItem, std::vector<MinItem>, std::greater<MinItem>> fwdQueue_;
@@ -374,19 +346,5 @@ class TimeFrameOracle {
   using RowItem = std::pair<std::uint64_t, NodeId>;
   std::priority_queue<RowItem, std::vector<RowItem>, std::greater<RowItem>> rowQueue_;
 };
-
-/// `count` seeded random acyclic edge batches on `g` (`edgesPerBatch`
-/// edges each, oriented along the cached topological order so any union
-/// with other such batches stays acyclic). One recipe shared by
-/// measureMedianProbeNs and the crossover benchmarks (BM_OracleProbeInline)
-/// so both sides of the speculation calibration probe the same shape.
-[[nodiscard]] std::vector<std::vector<TimeFrameOracle::Edge>> seededProbeBatches(
-    const Graph& g, int count, int edgesPerBatch = 2);
-
-/// Median wall-clock nanoseconds of one full incremental probe (push of a
-/// small random acyclic edge batch, feasibility, pop) on `g`, over `rounds`
-/// seeded batches. The speculation self-calibration (probe_farm.hpp)
-/// divides this by g.size() to estimate probe cost on arbitrary graphs.
-[[nodiscard]] double measureMedianProbeNs(const Graph& g, int steps, int rounds = 33);
 
 }  // namespace pmsched

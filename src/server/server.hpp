@@ -3,9 +3,9 @@
 //
 // One core multiplexes many concurrent design requests onto shared warm
 // state:
-//  * each worker thread wraps itself in a ScopedComputePool, so every
-//    request still runs the full parallel pipeline without fighting other
-//    requests for the single-coordinator global pool;
+//  * each worker thread wraps itself in a ScopedComputePool, so no request
+//    contends with another for the single-coordinator global pool; each
+//    design job itself runs on one lane;
 //  * the thread-local DnfEngine/BddManager arenas stay warm across requests
 //    on a worker and are trimmed (epoch-bumping, pin-respecting) between
 //    requests so tenants cannot grow each other's memory unboundedly;

@@ -15,13 +15,11 @@ namespace {
 // The registry of every point() call compiled into the library. Kept here
 // (not distributed) so the CI fault matrix and docs/ROBUSTNESS.md have one
 // authoritative list to iterate.
-constexpr std::array<std::string_view, 16> kSites = {
+constexpr std::array<std::string_view, 14> kSites = {
     "parse-stmt",      // textio: per accepted statement (input path)
     "bdd-node",        // BddManager::makeNode (allocation)
     "bdd-sift",        // BddManager::swapLevels (pre-mutation, reordering)
     "dnf-intern",      // DnfEngine term interning (allocation)
-    "farm-stage",      // ProbeFarm::stage (consumer-side handoff)
-    "farm-run",        // ProbeFarm lane job execution (lane-side handoff)
     "oracle-commit",   // TimeFrameOracle::commit (commit)
     "gating-commit",   // shared-gating acceptance (commit)
     "serve-accept",    // server admission (clean: typed rejection, keeps serving)

@@ -11,9 +11,8 @@
 //
 // An armed site's nth hit (1-based, counted process-wide across threads)
 // throws FaultInjectedError. Every site is placed where an exception
-// already has a defined propagation path — lane-side sites are captured
-// into ProbeFarm results and rethrown on the consumer in candidate order —
-// so firing one must produce a structured diagnostic, never a crash.
+// already has a defined propagation path, so firing one must produce a
+// structured diagnostic, never a crash.
 
 #include <cstdint>
 #include <span>

@@ -3,10 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <memory>
-#include <optional>
 #include <stdexcept>
-#include <string>
-#include <string_view>
 
 namespace pmsched {
 
@@ -183,20 +180,6 @@ std::size_t& overrideSlot() {
   return value;
 }
 
-std::optional<SpeculationMode>& speculationOverrideSlot() {
-  static std::optional<SpeculationMode> value;
-  return value;
-}
-
-SpeculationMode resolveAutoSpeculation() {
-  if (const char* env = std::getenv("PMSCHED_SPECULATE")) {
-    const std::string_view v(env);
-    if (v == "force") return SpeculationMode::Force;
-    if (v == "off") return SpeculationMode::Off;
-  }
-  return SpeculationMode::Auto;
-}
-
 std::unique_ptr<ThreadPool>& poolSlot() {
   static std::unique_ptr<ThreadPool> pool;
   return pool;
@@ -236,17 +219,6 @@ void setThreadCount(std::size_t n) {
   std::lock_guard<std::mutex> lock(poolMutex());
   overrideSlot() = n;
   poolSlot().reset();  // rebuilt at the new count on next access
-}
-
-SpeculationMode speculationMode() {
-  std::lock_guard<std::mutex> lock(poolMutex());
-  const std::optional<SpeculationMode>& o = speculationOverrideSlot();
-  return o ? *o : resolveAutoSpeculation();
-}
-
-void setSpeculationMode(SpeculationMode mode) {
-  std::lock_guard<std::mutex> lock(poolMutex());
-  speculationOverrideSlot() = mode;
 }
 
 ThreadPool& globalThreadPool() {

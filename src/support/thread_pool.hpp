@@ -1,13 +1,13 @@
 #pragma once
-// Small work-stealing thread pool for the parallel speculative-probing
-// subsystem (ProbeFarm) and the data-parallel helpers below.
+// Small work-stealing thread pool and the data-parallel helpers below.
+// Every design job runs on one lane; concurrency lives at the request
+// level (one ScopedComputePool per server worker).
 //
 // Design constraints, in order:
 //  * no external dependencies — std::thread + mutex + condition_variable;
 //  * a stable *worker index* for every participating thread, so consumers
-//    (the ProbeFarm's per-worker oracle replicas, the activation analysis's
-//    per-worker BDD managers) can own one scratch replica per lane with no
-//    sharing and no locking on the hot path;
+//    can own one scratch replica per lane with no sharing and no locking on
+//    the hot path;
 //  * the calling thread participates: it always owns lane 0, pool threads
 //    own lanes 1..threadCount()-1. With threadCount() == 1 nothing is ever
 //    spawned and every helper degenerates to the plain sequential loop —
@@ -41,7 +41,7 @@ class ThreadPool {
  public:
   /// A unit of work; receives the executing worker's lane index
   /// (1..threadCount()-1 for pool threads; lane 0 is the caller's and is
-  /// only used by the parallel helpers and inline farm execution).
+  /// only used by the parallel helpers).
   using Task = std::function<void(std::size_t lane)>;
 
   /// `threads` is the TOTAL parallelism (caller lane included); the pool
@@ -114,13 +114,11 @@ void setThreadCount(std::size_t n);
 ///
 /// The process-wide pool is single-coordinator by design: exactly one
 /// thread may drive submit()/parallelFor at a time. The server multiplexes
-/// many concurrent design requests, each of which runs the full parallel
-/// pipeline (speculative probing, partitioned activation) — so every server
-/// worker wraps its request loop in a ScopedComputePool and gets its own
-/// lanes. Everything downstream (ProbeFarm construction, parallelFor
-/// helpers, speculation gates) resolves the pool through globalThreadPool()
-/// and transparently lands on the worker's private pool. Results are
-/// unaffected: the engine is bit-identical at every thread count.
+/// many concurrent design requests, so every server worker wraps its
+/// request loop in a ScopedComputePool and gets its own lanes; anything
+/// downstream that resolves the pool through globalThreadPool() lands on
+/// the worker's private pool. Results are unaffected: no design job reads
+/// the thread count.
 ///
 /// Scopes nest (the previous override is restored on destruction); the
 /// override never leaks to other threads.
@@ -139,26 +137,5 @@ class ScopedComputePool {
   ThreadPool pool_;
   ThreadPool* previous_;
 };
-
-/// When the transform consumers hand probes to the ProbeFarm.
-///
-/// A farmed probe costs one cross-thread handoff — amortized over a whole
-/// wave since PR 5, but still nonzero — so speculation only pays when the
-/// probe itself is at least that big; probe cost scales with the graph.
-/// `Auto` compares the graph against the self-calibrated crossover
-/// (speculationCalibration() in probe_farm.hpp: one measured wave
-/// round-trip vs one median oracle repair on THIS machine, overridable via
-/// PMSCHED_CALIBRATION). `Force` farms whenever more than one thread is
-/// configured (the determinism tests pin this so small differential graphs
-/// exercise the full machinery), `Off` keeps every probe on the consumer's
-/// oracle (coarse-grained parallelism — precompute, activation partitions,
-/// DFS root splitting — is unaffected). Results are bit-identical in every
-/// mode; this steers only where probes run.
-enum class SpeculationMode { Auto, Force, Off };
-
-/// setSpeculationMode() override, else PMSCHED_SPECULATE (auto|force|off),
-/// else Auto.
-[[nodiscard]] SpeculationMode speculationMode();
-void setSpeculationMode(SpeculationMode mode);
 
 }  // namespace pmsched

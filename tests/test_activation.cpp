@@ -9,7 +9,6 @@
 #include "sched/bdd.hpp"
 #include "sched/shared_gating.hpp"
 #include "support/random_dfg.hpp"
-#include "support/thread_pool.hpp"
 
 namespace pmsched {
 namespace {
@@ -132,13 +131,10 @@ TEST(Activation, ProbabilitiesAreProbabilities) {
   }
 }
 
-// Tentpole differential (ISSUE 7): sifting triggered DURING activation
-// analysis — sequential or partitioned, at whatever thread count the ctest
-// variant pins — must not change a single probability, condition, or error
-// bar relative to the reorder-off build. Exact dyadic probabilities are
-// variable-order independent, and the partitioned merge tolerates order
-// drift via importFrom's ite fallback, so the two runs must agree bit for
-// bit.
+// Sifting triggered DURING activation analysis must not change a single
+// probability, condition, or error bar relative to the reorder-off build:
+// exact dyadic probabilities are variable-order independent, so the two
+// runs must agree bit for bit.
 TEST(Activation, ReorderDuringAnalysisIsBitIdenticalToReorderOff) {
   ReorderKnobsGuard guard;
   std::vector<Graph> graphs;
@@ -169,11 +165,10 @@ TEST(Activation, ReorderDuringAnalysisIsBitIdenticalToReorderOff) {
 
     anyReorder = anyReorder || on.bdds->reorderCount() > 0;
   }
-  // Sequential builds go through the shared manager's fromDnf, so with a
+  // Every build goes through the shared manager's fromDnf, so with a
   // watermark this low at least one of the workloads must actually have
-  // sifted — otherwise the comparison above proved nothing (partitioned
-  // builds may confine every sift to the private partition managers).
-  if (threadCount() == 1) EXPECT_TRUE(anyReorder);
+  // sifted — otherwise the comparison above proved nothing.
+  EXPECT_TRUE(anyReorder);
 }
 
 }  // namespace

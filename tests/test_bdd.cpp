@@ -233,57 +233,6 @@ TEST(Bdd, ProbabilityBeyond62VariablesViaWideAccumulation) {
   EXPECT_EQ(mgr.probability(mgr.fromDnf(chain)), Rational::dyadic(62));
 }
 
-TEST(Bdd, ImportFromMergesPartitionsCanonically) {
-  // The parallel activation path builds conditions in partition managers
-  // and merges by structural copy: with a shared variable order the
-  // imported refs must be canonical (equivalent functions collapse) and
-  // preserve probability and support.
-  std::mt19937_64 rng(2024);
-  const std::vector<NodeId> varOrder{1, 2, 3, 4, 5, 6, 7, 8};
-
-  BddManager a;
-  BddManager b;
-  BddManager merged;
-  a.registerVariables(varOrder);
-  b.registerVariables(varOrder);
-  merged.registerVariables(varOrder);
-
-  std::vector<GateDnf> dnfsA;
-  std::vector<GateDnf> dnfsB;
-  for (int i = 0; i < 20; ++i) {
-    dnfsA.push_back(randomDnf(rng, 8, 4, 3));
-    dnfsB.push_back(randomDnf(rng, 8, 4, 3));
-  }
-  // One deliberately equivalent pair across partitions.
-  dnfsA.push_back(GateDnf{{lit(1, true), lit(2, false)}});
-  dnfsB.push_back(GateDnf{{lit(2, false), lit(1, true)}});
-
-  std::vector<BddRef> memoA(0);
-  std::vector<BddRef> memoB(0);
-  auto importAll = [&](BddManager& src, const std::vector<GateDnf>& dnfs,
-                       std::vector<BddRef>& memo) {
-    std::vector<BddRef> local;
-    for (const GateDnf& d : dnfs) local.push_back(src.fromDnf(d));
-    memo.assign(src.nodeCount(), kBddInvalid);
-    std::vector<BddRef> out;
-    for (const BddRef r : local) out.push_back(merged.importFrom(src, r, memo));
-    return out;
-  };
-  const std::vector<BddRef> mergedA = importAll(a, dnfsA, memoA);
-  const std::vector<BddRef> mergedB = importAll(b, dnfsB, memoB);
-
-  for (std::size_t i = 0; i < dnfsA.size(); ++i) {
-    EXPECT_EQ(merged.probability(mergedA[i]), a.probability(a.fromDnf(dnfsA[i]))) << i;
-    EXPECT_EQ(merged.support(mergedA[i]), a.support(a.fromDnf(dnfsA[i]))) << i;
-  }
-  for (std::size_t i = 0; i < dnfsB.size(); ++i)
-    EXPECT_EQ(merged.probability(mergedB[i]), b.probability(b.fromDnf(dnfsB[i]))) << i;
-  // Canonical merge: the equivalent cross-partition pair shares one ref.
-  EXPECT_EQ(mergedA.back(), mergedB.back());
-  // And importing something the merge manager already built is a no-op ref.
-  EXPECT_EQ(merged.fromDnf(dnfsA.back()), mergedA.back());
-}
-
 TEST(BddSift, PreservesRefsCanonicityAndExactProbability) {
   // In-place sifting must keep every handed-out ref denoting the same
   // function: exact probabilities are bit-identical, supports unchanged,
@@ -418,46 +367,6 @@ TEST(Bdd, SharedTraversalApproxMatchesExactAndIsQueryOrderInvariant) {
     const Rational exact = cold.probability(coldRefs[i]);
     const double exactD = static_cast<double>(exact.num()) / static_cast<double>(exact.den());
     EXPECT_LE(std::abs(a.value - exactD), a.error + 1e-15) << "dnf " << i;
-  }
-}
-
-TEST(Bdd, ImportFromComposesWithDifferentOrdersAndReordering) {
-  // The partitioned build pre-registers one shared order, but sifting may
-  // move either side afterwards. importFrom must stay correct (falling
-  // back to the ite-based transfer) and canonical in the destination.
-  std::mt19937_64 rng(64123);
-  const std::vector<NodeId> fwd{1, 2, 3, 4, 5, 6, 7, 8};
-  const std::vector<NodeId> rev{8, 7, 6, 5, 4, 3, 2, 1};
-
-  BddManager a;  // forward order
-  BddManager b;  // reversed order
-  BddManager dst;
-  a.registerVariables(fwd);
-  b.registerVariables(rev);
-  dst.registerVariables(fwd);
-
-  std::vector<GateDnf> dnfs;
-  for (int i = 0; i < 25; ++i) dnfs.push_back(randomDnf(rng, 8, 4, 3));
-
-  std::vector<BddRef> inA;
-  std::vector<BddRef> inB;
-  for (const GateDnf& d : dnfs) {
-    inA.push_back(a.fromDnf(d));
-    inB.push_back(b.fromDnf(d));
-  }
-  a.sift();  // scramble the source order on one side for good measure
-
-  std::vector<BddRef> memoA(a.nodeCount(), kBddInvalid);
-  std::vector<BddRef> memoB(b.nodeCount(), kBddInvalid);
-  for (std::size_t i = 0; i < dnfs.size(); ++i) {
-    const BddRef viaA = dst.importFrom(a, inA[i], memoA);
-    const BddRef viaB = dst.importFrom(b, inB[i], memoB);
-    // Same function arriving from two differently-ordered sources must
-    // land on ONE canonical destination ref, with the right semantics.
-    EXPECT_EQ(viaA, viaB) << "dnf " << i;
-    EXPECT_EQ(viaA, dst.fromDnf(dnfs[i])) << "dnf " << i;
-    EXPECT_EQ(dst.probability(viaA), a.probability(inA[i])) << "dnf " << i;
-    EXPECT_EQ(dst.support(viaA), b.support(inB[i])) << "dnf " << i;
   }
 }
 

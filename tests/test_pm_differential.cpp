@@ -10,11 +10,9 @@
 
 #include "cdfg/analysis.hpp"
 #include "circuits/circuits.hpp"
-#include "power/activation.hpp"
 #include "sched/power_transform.hpp"
 #include "sched/shared_gating.hpp"
 #include "support/random_dfg.hpp"
-#include "support/thread_pool.hpp"
 
 namespace pmsched {
 namespace {
@@ -144,89 +142,6 @@ TEST(PowerTransformDifferential, OptimalMatchesReference) {
   }
 }
 
-/// RAII thread-count override so a failing test cannot leak its setting.
-/// Speculation is FORCED so the differential graphs — far below the
-/// auto-mode size heuristic — still exercise the full farm machinery; the
-/// PREVIOUS mode is restored on exit (hardcoding Auto would permanently
-/// shadow a PMSCHED_SPECULATE=force environment pin for later tests).
-struct ScopedThreads {
-  explicit ScopedThreads(std::size_t n) : prev_(speculationMode()) {
-    setThreadCount(n);
-    setSpeculationMode(SpeculationMode::Force);
-  }
-  ~ScopedThreads() {
-    setThreadCount(0);
-    setSpeculationMode(prev_);
-  }
-  SpeculationMode prev_;
-};
-
-TEST(PowerTransformDifferential, DesignsAreIdenticalAtOneTwoAndEightThreads) {
-  // The speculative parallel sweep must be BIT-identical to the sequential
-  // one at every thread count — the whole point of the wave/commit
-  // protocol. Run greedy + shared gating and the exact search on the same
-  // inputs at 1, 2 and 8 threads and compare everything.
-  std::vector<Graph> graphs;
-  graphs.push_back(circuits::dealer());
-  graphs.push_back(circuits::diffeq());
-  for (std::uint64_t seed = 90; seed < 96; ++seed)
-    graphs.push_back(randomLayeredDfg(6, 5, seed));
-
-  for (const Graph& g : graphs) {
-    const int steps = criticalPathLength(g) + 2;
-
-    std::vector<PowerManagedDesign> greedy;
-    std::vector<PowerManagedDesign> optimal;
-    std::vector<int> sharedCounts;
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      ScopedThreads guard(threads);
-      PowerManagedDesign design = applyPowerManagement(g, steps);
-      sharedCounts.push_back(applySharedGating(design));
-      greedy.push_back(std::move(design));
-      optimal.push_back(applyPowerManagementOptimal(g, steps));
-    }
-    for (std::size_t i = 1; i < greedy.size(); ++i) {
-      ASSERT_EQ(sharedCounts[0], sharedCounts[i]) << g.name();
-      expectDesignsEqual(greedy[0], greedy[i],
-                         g.name() + " greedy+shared, thread variant " + std::to_string(i));
-      expectDesignsEqual(optimal[0], optimal[i],
-                         g.name() + " optimal, thread variant " + std::to_string(i));
-    }
-  }
-}
-
-TEST(PowerTransformDifferential, ActivationAnalysisIsThreadCountInvariant) {
-  // The partitioned BDD build must produce the same conditions and exact
-  // probabilities as the sequential shared-manager build.
-  const Graph g = randomLayeredDfg(8, 5, 97);
-  const int steps = criticalPathLength(g) + 3;
-
-  ActivationResult base;
-  {
-    ScopedThreads guard(1);
-    PowerManagedDesign design = applyPowerManagement(g, steps);
-    applySharedGating(design);
-    base = analyzeActivation(design);
-  }
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    ScopedThreads guard(threads);
-    PowerManagedDesign design = applyPowerManagement(g, steps);
-    applySharedGating(design);
-    const ActivationResult r = analyzeActivation(design);
-    ASSERT_EQ(r.condition, base.condition) << threads;
-    ASSERT_EQ(r.probability.size(), base.probability.size());
-    for (std::size_t n = 0; n < r.probability.size(); ++n)
-      ASSERT_EQ(r.probability[n], base.probability[n]) << threads << " node " << n;
-    for (std::size_t c = 0; c < kNumUnitClasses; ++c)
-      ASSERT_EQ(r.averageExecuted[c], base.averageExecuted[c]) << threads;
-    // The shared manager's refs must still be canonical: equal conditions
-    // share a ref, and probability queries on the merged manager agree
-    // with the partition-computed values.
-    for (std::size_t n = 0; n < r.bdd.size(); ++n)
-      ASSERT_EQ(r.bdds->probability(r.bdd[n]), r.probability[n]) << threads << " node " << n;
-  }
-}
-
 TEST(SharedGatingDifferential, MatchesReferenceOnCircuitsAndRandomDfgs) {
   auto check = [](const Graph& g, int steps, const std::string& what) {
     PowerManagedDesign fast = applyPowerManagement(g, steps);
@@ -241,6 +156,34 @@ TEST(SharedGatingDifferential, MatchesReferenceOnCircuitsAndRandomDfgs) {
   for (std::uint64_t seed = 70; seed < 80; ++seed) {
     const Graph g = randomLayeredDfg(5, 4, seed);
     check(g, criticalPathLength(g) + 3, "shared gating seed " + std::to_string(seed));
+  }
+}
+
+TEST(SharedGatingDifferential, MatchesReferenceAtRealisticSizes) {
+  // Shared gating alone, on the graph sizes the server and the benchmark
+  // see: both passes start from the same transformed design, so every
+  // accept, reject, added control edge and frame is the pass's own.
+  struct Size {
+    int layers;
+    int perLayer;
+    std::uint64_t seeds;
+  };
+  for (const Size size : {Size{32, 6, 3}, Size{64, 8, 3}, Size{128, 8, 3}, Size{256, 16, 1}}) {
+    for (std::uint64_t seed = 1; seed <= size.seeds; ++seed) {
+      const Graph g = randomLayeredDfg(size.layers, size.perLayer, seed);
+      const int cp = criticalPathLength(g);
+      for (const int slack : {0, 2, 8}) {
+        const std::string what = std::to_string(size.layers) + "x" +
+                                 std::to_string(size.perLayer) + " seed " +
+                                 std::to_string(seed) + " @cp+" + std::to_string(slack);
+        PowerManagedDesign fast = applyPowerManagement(g, cp + slack);
+        PowerManagedDesign ref = fast;
+        const int gatedFast = applySharedGating(fast);
+        const int gatedRef = applySharedGatingReference(ref);
+        ASSERT_EQ(gatedFast, gatedRef) << what;
+        expectDesignsEqual(fast, ref, what + " (after shared gating)");
+      }
+    }
   }
 }
 

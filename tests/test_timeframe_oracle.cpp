@@ -51,7 +51,7 @@ void expectFramesMatch(const Graph& g, TimeFrameOracle& oracle,
   for (NodeId n = 0; n < g.size(); ++n)
     ASSERT_EQ(oracle.asap(n), ref.asap[n]) << what << ": asap of '" << g.node(n).name << "'";
   // ALAP reads flush the lazy backward repair of every open batch — at any
-  // depth (ProbeFarm replicas stack the committed state as open batches).
+  // depth.
   const TimeFrames tf = oracle.frames();
   for (NodeId n = 0; n < g.size(); ++n)
     ASSERT_EQ(tf.alap[n], ref.alap[n]) << what << ": alap of '" << g.node(n).name << "'";
@@ -479,8 +479,7 @@ TEST(TimeFrameOracle, ZeroCycleModelTakesTheFallback) {
 // ---------------------------------------------------------------------------
 // The id bound: explainReject() walks forward only below the backward walk's
 // answer while no control edge lands below it. The cases below pin both
-// sides of that condition, for graph control edges, committed edges and
-// restored snapshots.
+// sides of that condition, for graph control edges and committed edges.
 // ---------------------------------------------------------------------------
 
 /// Does `from` reach `to` over data and control edges?
@@ -593,56 +592,12 @@ TEST(TimeFrameOracle, IdBoundYieldsToALowControlTarget) {
   EXPECT_GT(rejects, 50);
 }
 
-TEST(TimeFrameOracle, IdBoundFollowsRestore) {
-  {  // A snapshot carrying the low edge into a fresh oracle, then back out.
-    const LowTargetCase c(/*graphEdge=*/false);
-    TimeFrameOracle source(c.g, 2);
-    ASSERT_EQ(source.tryCommit(std::vector<Edge>{{c.t, c.x}}), std::nullopt);
-    TimeFrameOracle oracle(c.g, 2);
-    oracle.restore(source.snapshot());
-    std::optional<PushAnswer> ref =
-        expectSlackVerdictsMatch(c.g, oracle, {{c.u, c.t}}, "restored");
-    ASSERT_TRUE(ref.has_value());
-    EXPECT_EQ(ref->firstInfeasible, c.x);
-    oracle.restoreInitial();
-    ref = expectSlackVerdictsMatch(c.g, oracle, {{c.u, c.t}}, "initial");
-    ASSERT_TRUE(ref.has_value());
-  }
-  // Random committed states moved between oracles.
-  int rejects = 0;
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const Graph g = randomLayeredDfg(14, 6, seed);
-    const int steps = minSteps(g, LatencyModel::unit()) + 2;
-    std::mt19937_64 rng(seed * 7);
-    TimeFrameOracle source(g, steps);
-    for (int round = 0; round < 30; ++round) {
-      (void)expectSlackVerdictsMatch(g, source, randomSingleSourceBatch(g, rng), "source");
-      if (HasFailure()) return;
-    }
-    const TimeFrameOracle::FrameSnapshot snap = source.snapshot();
-    TimeFrameOracle oracle(g, steps);
-    for (const bool initial : {false, true}) {
-      if (initial) oracle.restoreInitial();
-      else oracle.restore(snap);
-      for (int round = 0; round < 30; ++round) {
-        const std::string what = std::string(initial ? "initial" : "restored") + " seed " +
-                                 std::to_string(seed) + " round " + std::to_string(round);
-        const std::optional<PushAnswer> ref =
-            expectSlackVerdictsMatch(g, oracle, randomSingleSourceBatch(g, rng), what);
-        if (HasFailure()) return;
-        if (ref && !ref->feasible) ++rejects;
-      }
-    }
-  }
-  EXPECT_GT(rejects, 20);
-}
-
 // ---------------------------------------------------------------------------
 // The min-id table: explainReject() reads the backward answer of a reject
 // whose largest excess is at most kSlackLevels from a per-node table, built
 // once the backward walks have settled a graph's worth of nodes, repaired
-// from the commits since the last reject, and dropped by restore(); above
-// that excess it walks. The cases below take enough rejects per oracle to
+// from the commits since the last reject, and dropped by pin(); above that
+// excess it walks. The cases below take enough rejects per oracle to
 // reach each of those states and check the verdicts against push.
 // ---------------------------------------------------------------------------
 
@@ -724,37 +679,6 @@ TEST(TimeFrameOracle, MinIdTableFollowsLongCommitSequences) {
     EXPECT_GT(counts.accepts, 300);
     EXPECT_GT(counts.tableRejects, 300);
   }
-}
-
-TEST(TimeFrameOracle, MinIdTableDroppedByRestore) {
-  // The table is built on one committed state, then the oracle jumps to
-  // another by restore() and back by restoreInitial(): a table kept across
-  // the jump would answer for the wrong frames.
-  const LatencyModel model = LatencyModel::unit();
-  VerdictCounts counts;
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const Graph g = randomLayeredDfg(24, 8, seed);
-    const int steps = minSteps(g, model) + 1;
-    std::mt19937_64 rng(seed * 53);
-    TimeFrameOracle source(g, steps);
-    for (int round = 0; round < 120; ++round)
-      checkAndCount(g, source, mixedSingleSourceBatch(g, rng), model, "source", counts);
-    TimeFrameOracle oracle(g, steps);
-    for (int round = 0; round < 20; ++round)
-      checkAndCount(g, oracle, mixedSingleSourceBatch(g, rng), model, "before restore", counts);
-    for (const bool initial : {false, true, false}) {
-      if (initial) oracle.restoreInitial();
-      else oracle.restore(source.snapshot());
-      for (int round = 0; round < 30; ++round) {
-        checkAndCount(g, oracle, mixedSingleSourceBatch(g, rng), model,
-                      std::string(initial ? "initial" : "restored") + " seed " +
-                          std::to_string(seed) + " round " + std::to_string(round),
-                      counts);
-        if (HasFailure()) return;
-      }
-    }
-  }
-  EXPECT_GT(counts.tableRejects, 100);
 }
 
 /// `chains` independent chains of `length` operations each, built one chain

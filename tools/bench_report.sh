@@ -5,9 +5,8 @@
 # Usage: tools/bench_report.sh <bench_perf-binary> [repo-root] [filter]
 #                              [pmsched-binary] [loadgen-binary]
 #
-# Some hot paths are parallel (shared gating's speculative
-# probing on a ProbeFarm, the exact search, activation analysis), so the
-# snapshot records TWO runs of the suite: one pinned to
+# The server benchmarks give every worker a pool of the configured lanes, so
+# the snapshot records TWO runs of the suite: one pinned to
 # PMSCHED_THREADS=1 (the sequential baseline) and one at BENCH_THREADS
 # (default: nproc) — the same filter, the same binary. The output is a
 # single JSON object {"threads": {"1": <run>, "<N>": <run>}} so the

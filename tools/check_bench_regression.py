@@ -15,7 +15,9 @@ Exits non-zero if any benchmark named in the baseline either
 Trailing NAME=MULT arguments override the threshold for individual
 benchmarks — used for cv/futex-bound benches whose legitimate run-to-run
 variance exceeds the shared threshold (they stay gated for crashes and
-lost orders of magnitude).
+lost orders of magnitude). An override naming a benchmark the baseline
+does not hold is a usage error (exit 2): it would otherwise outlive the
+benchmark it was written for without anyone noticing.
 
 Benchmarks present only in the result are ignored, so widening the gate
 filter does not require touching the baseline. Aggregate entries (BigO /
@@ -68,6 +70,12 @@ def main(argv):
 
     if not baseline:
         print("check_bench_regression: baseline contains no benchmarks", file=sys.stderr)
+        return 2
+    stale = sorted(name for name in overrides if name not in baseline)
+    if stale:
+        for name in stale:
+            print(f"check_bench_regression: override '{name}' names no baseline benchmark",
+                  file=sys.stderr)
         return 2
 
     failures = []

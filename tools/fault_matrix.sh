@@ -3,9 +3,8 @@
 # against an input that actually reaches it, and pin the contract: the CLI
 # exits 5 (internal error) with a structured error[internal] diagnostic
 # naming the fault — never a crash, signal death, hang, or silent success.
-# Lane-side sites (farm-*) run with 2 threads and forced speculation so the
-# error crosses the ProbeFarm handoff. Registered as the `fault_matrix`
-# ctest; the CI robustness job runs it against an ASan build.
+# Registered as the `fault_matrix` ctest; the CI robustness job runs it
+# against an ASan build.
 #
 # Usage: fault_matrix.sh PMSCHED_BINARY CORPUS_DIR
 
@@ -25,8 +24,7 @@ run_site() {
   shift
   local stderr_file
   stderr_file=$(mktemp)
-  PMSCHED_FAULT="$site:1" PMSCHED_THREADS=2 PMSCHED_SPECULATE=force \
-    "$pmsched" "$@" >/dev/null 2>"$stderr_file"
+  PMSCHED_FAULT="$site:1" "$pmsched" "$@" >/dev/null 2>"$stderr_file"
   local got=$?
   if [ "$got" -ne 5 ]; then
     echo "FAIL $site: exit $got, want 5 (internal)" >&2
@@ -53,8 +51,7 @@ run_site_clean() {
   shift
   local stderr_file
   stderr_file=$(mktemp)
-  PMSCHED_FAULT="$site:1" PMSCHED_THREADS=2 PMSCHED_SPECULATE=force \
-    PMSCHED_BDD_REORDER_WATERMARK=8 \
+  PMSCHED_FAULT="$site:1" PMSCHED_BDD_REORDER_WATERMARK=8 \
     "$pmsched" "$@" >/dev/null 2>"$stderr_file"
   local got=$?
   if [ "$got" -ne 0 ]; then
@@ -67,19 +64,14 @@ run_site_clean() {
   rm -f "$stderr_file"
 }
 
-# Consumer-side sites: a file input that exercises parse, per-mux gating,
-# shared gating, oracle commits, and the BDD/DNF engines.
+# A file input that exercises parse, per-mux gating, shared gating, oracle
+# commits, and the BDD/DNF engines.
 run_site parse-stmt "$corpus/shared.ok.cdfg" --steps 6
 run_site bdd-node "$corpus/shared.ok.cdfg" --steps 6
 run_site dnf-intern "$corpus/shared.ok.cdfg" --steps 6
 run_site oracle-commit "$corpus/shared.ok.cdfg" --steps 6
 run_site gating-commit "$corpus/shared.ok.cdfg" --steps 6
-# Lane-side sites: a graph big enough that forced speculation actually
-# stages probe waves; the injected error must be captured by the lane and
-# rethrown on the consumer in candidate order.
-run_site farm-stage --random-dfg 16x6:2
-run_site farm-run --random-dfg 16x6:2
-run_site_clean bdd-sift --random-dfg 16x6:2
+run_site_clean bdd-sift --random-dfg 16x8:3
 
 # explore-point: a fault at one sweep point must degrade cleanly — the point
 # is skipped with a typed {"kind":"fault"} entry, the REST of the front still
@@ -89,7 +81,7 @@ run_explore_point() {
   local out_file stderr_file
   out_file=$(mktemp)
   stderr_file=$(mktemp)
-  PMSCHED_FAULT="explore-point:1" PMSCHED_THREADS=2 PMSCHED_SPECULATE=force \
+  PMSCHED_FAULT="explore-point:1" \
     "$pmsched" --explore --explore-span 4 "$corpus/shared.ok.cdfg" \
     >"$out_file" 2>"$stderr_file"
   local got=$?
@@ -210,4 +202,4 @@ if [ "$failures" -ne 0 ]; then
   echo "$failures fault-matrix failure(s)" >&2
   exit 1
 fi
-echo "fault matrix clean: 7 sites produced a structured internal diagnostic, bdd-sift, explore-point and the 7 server-side sites degraded cleanly"
+echo "fault matrix clean: 5 sites produced a structured internal diagnostic, bdd-sift, explore-point and the 7 server-side sites degraded cleanly"

@@ -11,10 +11,9 @@
 //   --steps N           control-step budget (required for file inputs;
 //                       defaults to critical path + 2 for --random-dfg)
 //   --ordering MODE     output | input | savings   (default: output)
-//   --threads N         worker threads (shared gating, exact search,
-//                       activation analysis)
-//                       (default: PMSCHED_THREADS or hardware concurrency;
-//                       results are identical at every thread count)
+//   --threads N         compute-pool lanes (default: PMSCHED_THREADS or
+//                       hardware concurrency); every design job runs on
+//                       one lane, so results are identical at every count
 //   --optimal           exact maximum-savings mux subset (DFS) instead of
 //                       the paper's greedy order
 //   --strict            disable the shared (OR-composed) gating extension
@@ -29,10 +28,6 @@
 //   --power-sim N       gate-level power comparison over N random vectors
 //   --bdd-reorder MODE  off | auto — dynamic BDD variable reordering
 //                       (sifting); beats PMSCHED_BDD_REORDER when given
-//   --calibration       measure (or read) the speculation calibration and
-//                       print it as a PMSCHED_CALIBRATION=... line, then
-//                       exit — export that line to pin auto-mode decisions
-//                       across runs and machines
 //
 // Server mode (docs/SERVER.md):
 //
@@ -43,7 +38,9 @@
 //   --serve-max-frame N   per-request frame limit in bytes (default 1 MiB)
 //   --serve-cache N       canonical-form cache entries (default 256, 0 = off)
 //   --serve-threads N     pool lanes per worker (default: --threads /
-//                         PMSCHED_THREADS / hardware)
+//                         PMSCHED_THREADS / hardware); each design job
+//                         runs on one lane, concurrency comes from
+//                         --serve-workers
 //   --default-deadline-ms N  server-side RunBudget deadline wrapped around
 //                         every design request that sent no budget.ms of
 //                         its own (0 = off); a degraded-by-deadline result
@@ -101,7 +98,6 @@
 #include "rtl/power_harness.hpp"
 #include "sched/bdd.hpp"
 #include "sched/list_scheduler.hpp"
-#include "sched/probe_farm.hpp"
 #include "sched/shared_gating.hpp"
 #include "server/server.hpp"
 #include "server/service.hpp"
@@ -144,7 +140,6 @@ struct Options {
   bool bddReorderSet = false;  ///< only override the env default when given
   bool shared = true;
   bool optimal = false;
-  bool calibration = false;
   bool failDegraded = false;
   std::string reportPath;
   std::string vhdlPrefix;
@@ -202,7 +197,6 @@ void printUsage(std::ostream& os) {
         "       pmsched --circuit NAME --steps N [options]\n"
         "       pmsched INPUT --explore [--explore-span K] [--explore-min-steps N]\n"
         "               [--explore-max-steps N] [--explore-out FILE] [--explore-reference]\n"
-        "       pmsched --calibration [--threads N]\n"
         "       pmsched --serve [--serve-socket PATH] [--serve-workers N]\n"
         "               [--serve-queue N] [--serve-max-frame N] [--serve-cache N]\n"
         "               [--serve-threads N] [--default-deadline-ms N]\n"
@@ -282,7 +276,6 @@ Options parseArgs(int argc, char** argv) {
     else if (arg == "--save") opts.savePath = next("--save");
     else if (arg == "--power-sim")
       opts.powerSim = static_cast<int>(nextInt("--power-sim", 1, 1 << 24));
-    else if (arg == "--calibration") opts.calibration = true;
     else if (arg == "--explore") opts.explore = true;
     else if (arg == "--explore-reference") opts.exploreReference = true;
     else if (arg == "--explore-span")
@@ -319,11 +312,6 @@ Options parseArgs(int argc, char** argv) {
     else if (!arg.empty() && arg[0] == '-') throw UsageError("unknown option '" + arg + "'");
     else if (opts.inputPath.empty()) opts.inputPath = arg;
     else throw UsageError("multiple inputs given");
-  }
-  if (opts.calibration) {
-    if (!opts.inputPath.empty() || opts.steps != 0 || opts.randomDfg)
-      throw UsageError("--calibration takes no input");
-    return opts;
   }
   if (!opts.serve) {
     if (!opts.serveSocket.empty() || opts.serveWorkers != 2 || opts.serveQueue != 64 ||
@@ -364,20 +352,6 @@ Options parseArgs(int argc, char** argv) {
       throw UsageError("--steps is required and must be positive");
   }
   return opts;
-}
-
-/// --calibration: print the speculation calibration in the exact format the
-/// PMSCHED_CALIBRATION environment variable accepts, so runs can be pinned.
-int printCalibration(const Options& opts) {
-  if (opts.threads > 0) setThreadCount(static_cast<std::size_t>(opts.threads));
-  const SpeculationCalibration cal = speculationCalibration();
-  std::cout << "PMSCHED_CALIBRATION=" << cal.handoffNs << "," << cal.repairNsPerNode << "\n"
-            << "# source: " << (cal.measured ? "measured on this machine" : "environment")
-            << "\n"
-            << "# wave-amortized handoff: " << fixed(cal.handoffNs, 0) << " ns/probe\n"
-            << "# median repair: " << fixed(cal.repairNsPerNode, 2) << " ns/node\n"
-            << "# auto-mode speculation crossover: " << cal.crossoverNodes() << " nodes\n";
-  return kExitOk;
 }
 
 /// SIGTERM/SIGINT land here: one async-signal-safe atomic store; the
@@ -632,7 +606,6 @@ int main(int argc, char** argv) {
   // stderr and a category-specific exit code — never an uncaught throw.
   try {
     const Options opts = parseArgs(argc, argv);
-    if (opts.calibration) return printCalibration(opts);
     if (opts.serve) return runServe(opts);
     if (opts.explore) return runExplore(opts);
     return run(opts);
