@@ -108,20 +108,20 @@ ExploreResult runSweep(const ExploreRequest& req, const RunBudget* budget, bool 
   res.stats.relaxedBoundSteps =
       relaxedBoundSteps(req.graph, candidates.edges, res.minSteps, res.maxSteps);
 
+  // The sweep's one copy of the input graph: each point only sets steps.
+  DesignJob job;
+  job.graph = req.graph;
+  job.ordering = req.ordering;
+  job.optimal = req.optimal;
+  job.shared = req.shared;
+
   // The saturated base: the full outcome whose design every later point
   // copies. Its activation result is steps-independent, so basePower is the
   // EXACT power of every amortized point — which is what makes pruning on
-  // (basePower, candidate area) equivalent to full evaluation.
+  // (basePower, a lower bound on the point's area) equivalent to full
+  // evaluation.
   std::optional<DesignOutcome> base;
   double basePower = 0;
-  // Area floor of the amortized tail: minimized area is non-increasing in
-  // the step budget (a schedule feasible at s is feasible at s+1 with the
-  // same units), so ONE minimizeResources call at maxSteps bounds every
-  // remaining point from below. Once the front holds a point at or under
-  // that floor, every later point is provably dominated — the sweep stops
-  // paying for per-point resource minimization.
-  double floorArea = 0;
-  bool floorReached = false;
 
   for (int s = res.minSteps; s <= res.maxSteps; ++s) {
     if (budget != nullptr && budget->exhausted()) {
@@ -135,24 +135,23 @@ ExploreResult runSweep(const ExploreRequest& req, const RunBudget* budget, bool 
       res.skipped.push_back({s, "fault", e.what()});
       continue;
     }
-
-    DesignJob job;
-    job.graph = req.graph;
     job.steps = s;
-    job.ordering = req.ordering;
-    job.optimal = req.optimal;
-    job.shared = req.shared;
 
     try {
       DesignOutcome out;
       if (base.has_value()) {
-        if (floorReached) {
+        // Amortized point: only the steps-dependent tail can change, and
+        // power is exactly basePower, so the point enters the front iff its
+        // minimized area beats every front point at least as powerful.
+        // Prune before paying for it: first on the pigeonhole bound, which
+        // that area never undercuts (minimized area itself is NOT monotone
+        // in the budget — docs/EXPLORE.md), then on the area itself.
+        const double bound =
+            UnitCosts::defaults().costOf(unitLowerBound(base->design.graph, s));
+        if (dominatedByFront(res.front, basePower, bound)) {
           ++res.stats.pruned;
           continue;
         }
-        // Amortized point: only the steps-dependent tail can change. Prune
-        // before paying for it — power is constant past saturation, so the
-        // point enters the front iff its minimized area improves on it.
         const MinimizedSchedule minimized = minimizeSchedule(base->design.graph, s);
         const double area = UnitCosts::defaults().costOf(minimized.units);
         if (dominatedByFront(res.front, basePower, area)) {
@@ -205,15 +204,7 @@ ExploreResult runSweep(const ExploreRequest& req, const RunBudget* budget, bool 
         res.stats.saturationSteps = s;
         basePower = power;
         base.emplace(std::move(out));
-        if (s < res.maxSteps)
-          floorArea = UnitCosts::defaults().costOf(
-              minimizeResources(base->design.graph, res.maxSteps));
       }
-      // A hypothetical point at (basePower, floorArea) being dominated means
-      // every remaining point (whose area is >= the floor and whose power is
-      // exactly basePower) is dominated too.
-      if (base.has_value() && !floorReached)
-        floorReached = dominatedByFront(res.front, basePower, floorArea);
     } catch (const InfeasibleError& e) {
       res.skipped.push_back({s, "infeasible", e.what()});
     } catch (const SynthesisError& e) {

@@ -9,7 +9,10 @@
 // every looser budget — and from there on reuses the committed base design,
 // re-running only the steps-dependent tail (resource minimization, list
 // schedule, binding, controller) per point, with exact dominance pruning of
-// points that cannot enter the latency/power/area Pareto front.
+// points that cannot enter the latency/power/area Pareto front: a point is
+// skipped unminimized when the pigeonhole area bound unitLowerBound() at its
+// budget is already dominated, and after minimization when its area is.
+// Minimized area is not monotone in the budget, so no cutoff may assume it.
 //
 // The saturation certificate (docs/EXPLORE.md has the monotonicity
 // argument):
@@ -74,7 +77,8 @@ struct ExploreStats {
   int pointsSwept = 0;     ///< points entered (skips included, pruned included)
   int fullRuns = 0;        ///< full pipeline runs (pre-saturation)
   int amortizedRuns = 0;   ///< tail-only runs from the saturated base
-  int pruned = 0;          ///< saturated points dominance-pruned before the tail
+  int pruned = 0;          ///< saturated points skipped as dominated before the
+                           ///< tail: by the area bound, or by minimized area
   int dominated = 0;       ///< fully evaluated points kept off the front
   int candidates = 0;      ///< muxes with gated work (the certificate target)
   int saturationSteps = -1;   ///< first saturated budget (-1: never saturated)

@@ -6,6 +6,16 @@ namespace pmsched {
 
 namespace {
 
+/// Operations per unit class: the most units a class can ever use.
+ResourceVector opsPerClass(const Graph& g) {
+  ResourceVector ops;
+  for (NodeId n = 0; n < g.size(); ++n) {
+    const ResourceClass rc = resourceClassOf(g.kind(n));
+    if (rc != ResourceClass::None) ++ops.of(rc);
+  }
+  return ops;
+}
+
 ListScheduleResult scheduleWithFrames(const Graph& g, int steps, const ResourceVector& limits,
                                       int ii, const LatencyModel& model, const TimeFrames& tf) {
   ListScheduleResult result;
@@ -176,22 +186,20 @@ ListScheduleResult listSchedule(const Graph& g, int steps, const ResourceVector&
                             computeTimeFrames(g, steps, {}, model));
 }
 
+ResourceVector unitLowerBound(const Graph& g, int steps, int ii) {
+  const int window = ii > 0 ? std::min(ii, steps) : steps;
+  ResourceVector bound = opsPerClass(g);
+  for (int& c : bound.count) c = (c + window - 1) / window;
+  return bound;
+}
+
 MinimizedSchedule minimizeSchedule(const Graph& g, int steps, const UnitCosts& costs, int ii,
                                    const LatencyModel& model) {
   (void)costs;  // growth is demand-driven; costs kept in the API for callers
                 // that want to compare vectors (see analysis::areaIncrease).
 
-  // Lower bound: ceil(opsPerClass / effectiveSteps) — with pipelining the
-  // folded window has only `ii` slots.
-  const int window = ii > 0 ? std::min(ii, steps) : steps;
-  ResourceVector limits;
-  std::array<int, kNumUnitClasses> opCount{};
-  for (NodeId n = 0; n < g.size(); ++n) {
-    const ResourceClass rc = resourceClassOf(g.kind(n));
-    if (rc != ResourceClass::None) ++opCount[unitIndex(rc)];
-  }
-  for (std::size_t i = 0; i < kNumUnitClasses; ++i)
-    limits.count[i] = (opCount[i] + window - 1) / window;
+  const ResourceVector opCount = opsPerClass(g);
+  ResourceVector limits = unitLowerBound(g, steps, ii);
 
   // The frames depend only on the graph and the budget, not on the limits.
   const TimeFrames tf = computeTimeFrames(g, steps, {}, model);
@@ -217,13 +225,13 @@ MinimizedSchedule minimizeSchedule(const Graph& g, int steps, const UnitCosts& c
       throw InfeasibleError("minimizeResources: " + r.message);
 
     const std::size_t blocked = unitIndex(r.blockedOn);
-    if (limits.count[blocked] < opCount[blocked]) {
+    if (limits.count[blocked] < opCount.count[blocked]) {
       ++limits.count[blocked];
       continue;
     }
     bool grew = false;
     for (std::size_t i = 0; i < kNumUnitClasses; ++i) {
-      if (limits.count[i] < opCount[i]) {
+      if (limits.count[i] < opCount.count[i]) {
         ++limits.count[i];
         grew = true;
       }

@@ -49,9 +49,16 @@ struct MinimizedSchedule {
   Schedule schedule;
 };
 
+/// Pigeonhole lower bound on the units of ANY schedule of `g` into `steps`
+/// control steps: every operation holds a unit of its class for at least
+/// one of the `window` slots (`steps`, or min(ii, steps) when usage folds
+/// modulo `ii`), so class c needs at least ceil(ops_c / window) units. Never
+/// rises with `steps` — unlike minimizeSchedule()'s area, which can.
+[[nodiscard]] ResourceVector unitLowerBound(const Graph& g, int steps, int ii = 0);
+
 /// Smallest-cost resource vector for which list scheduling succeeds at the
-/// given step budget, found by demand-driven growth from the usage lower
-/// bound, together with its schedule. Throws InfeasibleError when even
+/// given step budget, found by demand-driven growth from unitLowerBound(),
+/// together with its schedule. Throws InfeasibleError when even
 /// unlimited units fail (i.e. the precedence constraints alone exceed the
 /// step budget).
 [[nodiscard]] MinimizedSchedule minimizeSchedule(const Graph& g, int steps,

@@ -4,17 +4,20 @@
 // docs/EXPLORE.md), budget exhaustion as a monotone clean prefix, the
 // explore-point fault contract, and the server "explore" op (which must
 // bypass both design-cache levels). The CMake registration runs this binary
-// at 1, 2 and 8 compute threads with forced speculation — every assertion
-// here is thread-count-invariant by construction.
+// at 1, 2 and 8 compute threads — every assertion here is
+// thread-count-invariant by construction.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cdfg/analysis.hpp"
 #include "cdfg/textio.hpp"
 #include "circuits/circuits.hpp"
 #include "explore/explore.hpp"
+#include "sched/list_scheduler.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "support/fault_injector.hpp"
@@ -90,21 +93,97 @@ TEST(Explore, FrontPointsBitIdenticalToOneShot) {
   }
 }
 
+/// Amortized and per-point sweeps agree byte for byte on the front and on
+/// the typed skips.
+void expectMatchesReference(const ExploreRequest& req) {
+  const ExploreResult amortized = exploreDesignSpace(req);
+  const ExploreResult reference = explorePerPointReference(req);
+  EXPECT_EQ(renderExploreFrontJson(amortized), renderExploreFrontJson(reference));
+  ASSERT_EQ(amortized.skipped.size(), reference.skipped.size());
+  for (std::size_t i = 0; i < amortized.skipped.size(); ++i) {
+    EXPECT_EQ(amortized.skipped[i].steps, reference.skipped[i].steps);
+    EXPECT_EQ(amortized.skipped[i].kind, reference.skipped[i].kind);
+  }
+}
+
 TEST(Explore, AmortizedMatchesPerPointReference) {
   for (ExploreRequest req : sweepInputs()) {
     for (const bool optimal : {false, true}) {
       req.optimal = optimal;
-      const ExploreResult amortized = exploreDesignSpace(req);
-      const ExploreResult reference = explorePerPointReference(req);
-      SCOPED_TRACE(amortized.circuit + (optimal ? " (optimal)" : ""));
-      EXPECT_EQ(renderExploreFrontJson(amortized), renderExploreFrontJson(reference));
-      ASSERT_EQ(amortized.skipped.size(), reference.skipped.size());
-      for (std::size_t i = 0; i < amortized.skipped.size(); ++i) {
-        EXPECT_EQ(amortized.skipped[i].steps, reference.skipped[i].steps);
-        EXPECT_EQ(amortized.skipped[i].kind, reference.skipped[i].kind);
-      }
+      SCOPED_TRACE(req.graph.name() + (optimal ? " (optimal)" : ""));
+      expectMatchesReference(req);
     }
   }
+}
+
+TEST(Explore, AmortizedMatchesPerPointReferenceOnRandomSweeps) {
+  // Sweeps whose minimized area rises again after falling somewhere in the
+  // saturated tail: a pruning cutoff that assumes area never rises with the
+  // budget drops the late point that beats the front. 64x8:1 at span 256
+  // covers the long tail the bound prunes.
+  struct Case {
+    int layers, perLayer, seed, span;
+    bool shared;
+  };
+  for (const Case& c : {Case{32, 5, 1, 8, false}, Case{24, 6, 20, 8, false},
+                        Case{32, 4, 17, 8, false}, Case{16, 6, 7, 8, true},
+                        Case{24, 5, 23, 8, true}, Case{32, 4, 23, 16, true},
+                        Case{64, 8, 1, 256, false}}) {
+    ExploreRequest req = requestFor(randomLayeredDfg(c.layers, c.perLayer, c.seed), c.span);
+    req.shared = c.shared;
+    SCOPED_TRACE(std::to_string(c.layers) + "x" + std::to_string(c.perLayer) + ":" +
+                 std::to_string(c.seed) + " span " + std::to_string(c.span) +
+                 (c.shared ? " shared" : " strict"));
+    expectMatchesReference(req);
+  }
+}
+
+/// The design every amortized point of `req`'s sweep reuses, and the
+/// budget it saturated at.
+std::pair<DesignOutcome, int> saturatedBase(const ExploreRequest& req) {
+  const int sat = exploreDesignSpace(req).stats.saturationSteps;
+  DesignJob job;
+  job.graph = req.graph;
+  job.steps = sat;
+  job.shared = req.shared;
+  return {runDesignJob(job), sat};
+}
+
+TEST(Explore, PigeonholeBoundHoldsOnSaturatedTails) {
+  std::vector<ExploreRequest> inputs;
+  for (const auto& named : circuits::paperCircuits())
+    inputs.push_back(requestFor(named.build(), 16));
+  inputs.push_back(requestFor(randomLayeredDfg(32, 5, 1), 8));
+  inputs.back().shared = false;
+  inputs.push_back(requestFor(randomLayeredDfg(64, 8, 1), 256));
+  inputs.back().shared = false;
+  for (const ExploreRequest& req : inputs) {
+    const auto [base, sat] = saturatedBase(req);
+    ASSERT_GE(sat, 0) << req.graph.name();
+    const Graph& g = base.design.graph;
+    const int maxSteps = criticalPathLength(req.graph) + req.span;
+    for (int s = sat; s <= maxSteps; ++s) {
+      const ResourceVector units = minimizeSchedule(g, s).units;
+      EXPECT_TRUE(unitLowerBound(g, s).fitsWithin(units))
+          << req.graph.name() << " at " << s << ": " << units.toString();
+    }
+  }
+}
+
+TEST(Explore, MinimizedAreaRisesWithTheBudgetOnASaturatedBase) {
+  // Minimized area is NOT non-increasing in the step budget: the
+  // demand-driven search is a heuristic, and one more step can steer it to
+  // a costlier vector. A pruning floor computed once at max_steps is
+  // therefore unsound (it dropped the 556-area point of this very sweep);
+  // only a true lower bound such as unitLowerBound() may prune.
+  ExploreRequest req = requestFor(randomLayeredDfg(32, 5, 1), 8);
+  req.shared = false;
+  const auto [base, sat] = saturatedBase(req);
+  ASSERT_GE(sat, 0);
+  ASSERT_LE(sat, 60);
+  const UnitCosts costs = UnitCosts::defaults();
+  EXPECT_EQ(costs.costOf(minimizeSchedule(base.design.graph, 60).units), 556);
+  EXPECT_EQ(costs.costOf(minimizeSchedule(base.design.graph, 61).units), 604);
 }
 
 TEST(Explore, AmortizationActuallyKicksIn) {
