@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 #include <optional>
+#include <string>
+#include <string_view>
 
 #include "cdfg/analysis.hpp"
 #include "sched/timeframe_oracle.hpp"
@@ -208,6 +210,13 @@ int PowerManagedDesign::sharedGatedCount() const {
 namespace {
 
 constexpr const char* kBudgetReason = "not attempted: run budget exhausted";
+/// A slack reject as the greedy loop records it; nameSlackRejects() names
+/// the node.
+constexpr std::string_view kSlackReason = "insufficient slack";
+
+std::string namedSlackReason(const Graph& g, NodeId bad) {
+  return std::string(kSlackReason) + ": node '" + g.node(bad).name + "' would need ASAP > ALAP";
+}
 
 /// Mark a transform design degraded (once) and mirror it into the budget's
 /// event log so the CLI can report which stage stopped early.
@@ -224,11 +233,11 @@ void markTransformDegraded(PowerManagedDesign& design, const RunBudget* budget) 
 
 /// The greedy loop: offer power management to `candidates` in order, keeping
 /// each mux whose control edges leave the frames feasible. With `useOracle`
-/// the per-mux test reads the TimeFrameOracle's committed frames: an accept
-/// pushes and commits the edges, a reject only walks the over-budget region
-/// to name the node in its reason. Otherwise frames are recomputed from
-/// scratch per mux (the retained reference path differential tests pin the
-/// oracle against).
+/// the per-mux test is the TimeFrameOracle's verdict on its committed
+/// frames: an accept pushes and commits the edges, a reject records the
+/// unnamed kSlackReason. Otherwise frames are recomputed from scratch per
+/// mux and a reject names the first infeasible node (the retained reference
+/// path differential tests pin the oracle against).
 PowerManagedDesign runTransformWithModel(const Graph& g, int steps,
                                          const std::vector<NodeId>& candidates,
                                          const LatencyModel& model, bool useOracle,
@@ -285,18 +294,18 @@ PowerManagedDesign runTransformWithModel(const Graph& g, int steps,
     // A select driven directly by an input or constant needs no control
     // step, so gating it is always feasible (lastControl stays invalid).
 
-    std::optional<NodeId> bad;
     if (budget != nullptr && !newEdges.empty()) budget->chargeProbes();
     if (oracle) {
-      bad = oracle->tryCommit(newEdges);  // a reject leaves the frames untouched
+      // A reject leaves the frames untouched.
+      if (oracle->tryCommit(newEdges) == TimeFrameOracle::CommitVerdict::Rejected)
+        info.reason = kSlackReason;
     } else {
       std::vector<std::pair<NodeId, NodeId>> tentative = committed;
       tentative.insert(tentative.end(), newEdges.begin(), newEdges.end());
-      bad = computeTimeFrames(work, steps, tentative, model).firstInfeasible(work);
+      if (const auto bad = computeTimeFrames(work, steps, tentative, model).firstInfeasible(work))
+        info.reason = namedSlackReason(work, *bad);
     }
-    if (bad) {
-      info.reason = "insufficient slack: node '" + work.node(*bad).name +
-                    "' would need ASAP > ALAP";
+    if (!info.reason.empty()) {
       design.muxes.push_back(std::move(info));
       continue;
     }
@@ -336,6 +345,34 @@ PowerManagedDesign applyPowerManagementReference(const Graph& g, int steps, MuxO
                                                  const LatencyModel& model) {
   g.validate();
   return runTransformWithModel(g, steps, orderMuxes(g, ordering), model, /*useOracle=*/false);
+}
+
+void nameSlackRejects(const Graph& input, PowerManagedDesign& design) {
+  // Replaying the managed muxes in order rebuilds the committed frames each
+  // reject was judged on; push + firstInfeasible + pop is the reference
+  // semantics of the name.
+  TimeFrameOracle oracle(input, design.steps, design.latency, "power-transform");
+  std::vector<TimeFrameOracle::Edge> edges;
+  for (MuxPmInfo& info : design.muxes) {
+    const bool slackReject = info.reason == kSlackReason;
+    if (!info.managed && !slackReject) continue;
+    edges.clear();
+    if (info.lastControl != kInvalidNode) {
+      for (const NodeId t : info.topTrue) edges.emplace_back(info.lastControl, t);
+      for (const NodeId t : info.topFalse) edges.emplace_back(info.lastControl, t);
+    }
+    oracle.push(edges);
+    if (!slackReject) {
+      oracle.commit();
+      continue;
+    }
+    const std::optional<NodeId> bad = oracle.firstInfeasible();
+    oracle.pop();
+    if (!bad)
+      throw SynthesisError("nameSlackRejects: mux '" + input.node(info.mux).name +
+                           "' fits the replayed frames");
+    info.reason = namedSlackReason(input, *bad);
+  }
 }
 
 namespace {
@@ -549,7 +586,8 @@ PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, b
     }
     if (budget != nullptr) budget->chargeProbes();
     // One-source batches at depth 0: the committed frames decide.
-    if (!oracle->tryCommit(muxEdges[i])) best[i] = true;
+    if (oracle->tryCommit(muxEdges[i]) == TimeFrameOracle::CommitVerdict::Committed)
+      best[i] = true;
   }
 
   std::vector<NodeId> chosen;

@@ -45,7 +45,9 @@ enum class MuxOrdering {
 struct MuxPmInfo {
   NodeId mux = kInvalidNode;
   bool managed = false;
-  std::string reason;  ///< why not managed (empty when managed)
+  /// Why not managed (empty when managed). A slack reject reads
+  /// "insufficient slack" until nameSlackRejects() names its node.
+  std::string reason;
 
   /// Select-signal producer (traced through wires); kInvalidNode when the
   /// select comes directly from an input/constant (control needs no step).
@@ -161,18 +163,29 @@ class GatedSetFinder {
 /// The paper's algorithm (Fig. 3, steps 1-10). Does not run the final
 /// scheduler; callers combine the result with listSchedule /
 /// forceDirectedSchedule on `result.graph` (step 11). The per-mux
-/// schedulability test reads a TimeFrameOracle's committed frames
-/// (TimeFrameOracle::tryCommit / explainReject), one candidate at a time.
+/// schedulability test is TimeFrameOracle::tryCommit's verdict on the
+/// committed frames, one candidate at a time; slack rejects carry the
+/// unnamed reason "insufficient slack" (see nameSlackRejects()).
 [[nodiscard]] PowerManagedDesign applyPowerManagement(
     const Graph& g, int steps, MuxOrdering ordering = MuxOrdering::OutputFirst,
     const LatencyModel& model = LatencyModel::unit(), const RunBudget* budget = nullptr);
 
 /// The retained from-scratch variant (frames recomputed per mux). The
 /// executable specification: differential tests assert applyPowerManagement
-/// produces bit-identical designs.
+/// produces bit-identical designs once nameSlackRejects() has run. Its
+/// slack rejects name their node: "insufficient slack: node 'X' would need
+/// ASAP > ALAP", X being the first infeasible node in id order.
 [[nodiscard]] PowerManagedDesign applyPowerManagementReference(
     const Graph& g, int steps, MuxOrdering ordering = MuxOrdering::OutputFirst,
     const LatencyModel& model = LatencyModel::unit());
+
+/// Name the node of every unnamed slack reject in `design`, as the
+/// reference transform would: replay the design's managed muxes in order on
+/// a fresh TimeFrameOracle over `input` (the graph the transform was given)
+/// and, at each slack-rejected mux, push its edges, read firstInfeasible()
+/// and pop. For reports only; nothing else reads the reasons. Costs one
+/// push per managed or slack-rejected mux plus a node scan per reject.
+void nameSlackRejects(const Graph& input, PowerManagedDesign& design);
 
 /// Extension (beyond the paper's greedy): exact maximum-savings subset of
 /// muxes, found by depth-first search with infeasibility pruning. Because a

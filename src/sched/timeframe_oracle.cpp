@@ -1,7 +1,6 @@
 #include "sched/timeframe_oracle.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "support/fault_injector.hpp"
 
@@ -44,7 +43,6 @@ TimeFrameOracle::TimeFrameOracle(const Graph& g, int steps, const LatencyModel& 
   changedFlag_.assign(n, 0);
   inQueue_.assign(n, 0);
   walkStamp_.assign(n, 0);
-  walkDist_.assign(n, 0);
 
   // Initial frames: the exact recurrences of computeTimeFrames() over the
   // cached topological order (no pins, no extra edges yet).
@@ -52,14 +50,6 @@ TimeFrameOracle::TimeFrameOracle(const Graph& g, int steps, const LatencyModel& 
   for (auto it = order.rbegin(); it != order.rend(); ++it) alap_[*it] = recomputeAlap(*it);
   for (NodeId v = 0; v < n; ++v)
     if (sched_[v] && asap_[v] > latestStart_[v]) ++overEnd_;
-
-  minControlTarget_ = minGraphControlTarget();
-}
-
-NodeId TimeFrameOracle::minGraphControlTarget() const {
-  for (NodeId v = 0; v < g_.size(); ++v)
-    if (!ctrlPredCsr_.row(v).empty()) return v;
-  return kInvalidNode;
 }
 
 int TimeFrameOracle::recomputeAsap(NodeId v) const {
@@ -274,12 +264,6 @@ void TimeFrameOracle::commit() {
   // (commits are rare — accepted candidates only).
   ensureAlap();
   depth_ = 0;  // the edges stay live in xSucc_/xPred_
-  for (const Edge& e : batchPool_[0].edges)
-    minControlTarget_ = std::min(minControlTarget_, e.second);
-  if (minInValid_) {  // the next reject repairs the table from these
-    for (const auto& [v, previous] : batchPool_[0].asapUndo) minInStale_.push_back(v);
-    for (const Edge& e : batchPool_[0].edges) minInStale_.push_back(e.second);
-  }
 }
 
 void TimeFrameOracle::pin(NodeId n, int step) {
@@ -287,8 +271,7 @@ void TimeFrameOracle::pin(NodeId n, int step) {
   if (!sched_[n]) throw SynthesisError(ctx_ + ": pin of a non-scheduled node");
   beginChangeEpoch();
   pin_[n] = step;
-  pinned_ = true;
-  dropMinIn();  // pins turn the slack verdicts' fast path off for good
+  pinned_ = true;  // pins turn the slack verdict's fast path off for good
   const NodeId seeds[1] = {n};
   (void)repairForward(std::span<const NodeId>(seeds), nullptr, false);  // pins cannot cycle
   repairBackward(std::span<const NodeId>(seeds), nullptr);
@@ -307,24 +290,29 @@ bool TimeFrameOracle::slackFastPath(std::span<const Edge> edges) const {
                      [&](const Edge& e) { return e.first == edges.front().first; });
 }
 
-std::optional<NodeId> TimeFrameOracle::tryCommit(std::span<const Edge> edges) {
+TimeFrameOracle::CommitVerdict TimeFrameOracle::tryCommit(std::span<const Edge> edges) {
   if (!slackFastPath(edges)) {
     push(edges);
-    if (feasible()) {
-      commit();
-      return std::nullopt;
+    if (!feasible()) {
+      pop();
+      return CommitVerdict::Rejected;
     }
-    const std::optional<NodeId> bad = firstInfeasible();
-    pop();
-    return bad;
+    commit();
+    return CommitVerdict::Committed;
   }
   const NodeId u = edges.front().first;
   if (std::any_of(edges.begin(), edges.end(),
-                  [&](const Edge& e) { return excess(u, e.second) > 0; }))
-    return explainReject(edges);
+                  [&](const Edge& e) { return excess(u, e.second) > 0; })) {
+    // push() would throw on a cycle before it could reject, and so does
+    // this: a cycle through u runs from some target back to u.
+    beginWalk();
+    for (const Edge& e : edges)
+      if (reaches(e.second, u)) throw SynthesisError(ctx_ + ": extra edges create a cycle");
+    return CommitVerdict::Rejected;
+  }
   push(edges);  // throws on a cycle
   commit();
-  return std::nullopt;
+  return CommitVerdict::Committed;
 }
 
 void TimeFrameOracle::beginWalk() {
@@ -363,169 +351,6 @@ bool TimeFrameOracle::reaches(NodeId from, NodeId to) {
       if (visit(s)) return true;
   }
   return false;
-}
-
-void TimeFrameOracle::walkRelax(NodeId x, int d) {
-  if (d >= static_cast<int>(buckets_.size()) ||
-      (walkStamp_[x] == walkEpoch_ && walkDist_[x] <= d))
-    return;
-  walkStamp_[x] = walkEpoch_;
-  walkDist_[x] = d;
-  buckets_[d].push_back(x);
-}
-
-NodeId TimeFrameOracle::slackWalk(bool forward, NodeId best, bool idBounded) {
-  const int limit = static_cast<int>(buckets_.size());
-  for (int d = 0; d < limit; ++d) {
-    // Relaxing only adds to buckets >= d (slacks are non-negative), so an
-    // index loop stays valid while this bucket grows.
-    std::vector<NodeId>& bucket = buckets_[d];
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      const NodeId v = bucket[i];
-      if (walkDist_[v] != d) continue;  // settled earlier at a smaller distance
-      if (!forward) ++backwardSettled_;
-      if (sched_[v] && v < best) best = v;
-      if (forward) {  // ALAP slack towards the successors
-        auto step = [&](NodeId s) {
-          if (!idBounded || s < best) walkRelax(s, d + alap_[s] - alap_[v] - weight(v, s));
-        };
-        for (const NodeId s : fanoutCsr_.row(v)) step(s);
-        for (const NodeId s : ctrlSuccCsr_.row(v)) step(s);
-        for (const NodeId s : xSucc_[v]) step(s);
-      } else {  // ASAP slack towards the predecessors
-        auto step = [&](NodeId p) { walkRelax(p, d + asap_[v] - asap_[p] - weight(p, v)); };
-        for (const NodeId p : g_.fanins(v)) step(p);
-        for (const NodeId p : ctrlPredCsr_.row(v)) step(p);
-        for (const NodeId p : xPred_[v]) step(p);
-      }
-    }
-    bucket.clear();
-  }
-  return best;
-}
-
-std::optional<NodeId> TimeFrameOracle::explainReject(std::span<const Edge> edges) {
-  if (!slackFastPath(edges)) {
-    push(edges);
-    const std::optional<NodeId> bad = firstInfeasible();
-    pop();
-    return bad;
-  }
-  const NodeId u = edges.front().first;
-  beginWalk();
-  for (const Edge& e : edges)
-    if (reaches(e.second, u)) throw SynthesisError(ctx_ + ": extra edges create a cycle");
-
-  int maxExcess = 0;
-  for (const Edge& e : edges) maxExcess = std::max(maxExcess, excess(u, e.second));
-  if (maxExcess <= 0) return std::nullopt;  // the batch fits
-
-  // Node x is infeasible after the push iff its slack distance to u is
-  // below the largest excess (the min-id table, or a backward walk above
-  // its levels), or its slack distance from some target t is below t's
-  // excess (forward walk; t starts at maxExcess minus its own excess, so
-  // every target shares the bound maxExcess).
-  buckets_.resize(static_cast<std::size_t>(maxExcess));
-  NodeId best = kInvalidNode;
-  // Building the table costs a pass over the graph, so the backward walk
-  // answers until the walks have settled as many nodes as the graph has.
-  if (maxExcess <= kSlackLevels && (minInValid_ || backwardSettled_ >= g_.size())) {
-    if (!minInValid_) buildMinIn();
-    else if (!minInStale_.empty()) repairMinIn();
-    best = minIn_[std::size_t{u} * kSlackLevels + static_cast<std::size_t>(maxExcess - 1)];
-  } else {
-    beginWalk();
-    walkRelax(u, 0);
-    best = slackWalk(/*forward=*/false, kInvalidNode);
-  }
-  // The id bound (see the header comment): with no control edge landing
-  // below `best`, nothing at or above it leads forward to a smaller id.
-  const bool idBounded = minControlTarget_ >= best;
-  beginWalk();
-  for (const Edge& e : edges)
-    if (!idBounded || e.second < best) walkRelax(e.second, maxExcess - excess(u, e.second));
-  best = slackWalk(/*forward=*/true, best, idBounded);
-  if (best == kInvalidNode) return std::nullopt;
-  return best;
-}
-
-bool TimeFrameOracle::updateMinInRow(NodeId v) {
-  std::array<NodeId, kSlackLevels> row;
-  row.fill(sched_[v] ? v : kInvalidNode);
-  auto relax = [&](NodeId p) {
-    const int s = asap_[v] - asap_[p] - weight(p, v);  // >= 0 at the fixed point
-    if (s >= kSlackLevels) return;
-    const NodeId* from = &minIn_[std::size_t{p} * kSlackLevels];
-    for (int k = s; k < kSlackLevels; ++k) row[k] = std::min(row[k], from[k - s]);
-  };
-  for (const NodeId p : g_.fanins(v)) relax(p);
-  for (const NodeId p : ctrlPredCsr_.row(v)) relax(p);
-  for (const NodeId p : xPred_[v]) relax(p);
-  NodeId* to = &minIn_[std::size_t{v} * kSlackLevels];
-  if (std::equal(row.begin(), row.end(), to)) return false;
-  std::copy(row.begin(), row.end(), to);
-  return true;
-}
-
-void TimeFrameOracle::buildMinIn() {
-  // Kahn's order over the live edges: committed extra edges may run against
-  // the cached topological order.
-  const std::size_t n = g_.size();
-  minIn_.resize(n * kSlackLevels);
-  std::vector<std::uint32_t> indegree(n, 0);
-  auto forEachSucc = [&](NodeId v, auto&& f) {
-    for (const NodeId s : fanoutCsr_.row(v)) f(s);
-    for (const NodeId s : ctrlSuccCsr_.row(v)) f(s);
-    for (const NodeId s : xSucc_[v]) f(s);
-  };
-  for (NodeId v = 0; v < n; ++v) forEachSucc(v, [&](NodeId s) { ++indegree[s]; });
-  walkStack_.clear();
-  for (NodeId v = 0; v < n; ++v)
-    if (indegree[v] == 0) walkStack_.push_back(v);
-  while (!walkStack_.empty()) {
-    const NodeId v = walkStack_.back();
-    walkStack_.pop_back();
-    (void)updateMinInRow(v);
-    forEachSucc(v, [&](NodeId s) {
-      if (--indegree[s] == 0) walkStack_.push_back(s);
-    });
-  }
-  minInValid_ = true;
-  minInStale_.clear();
-}
-
-void TimeFrameOracle::dropMinIn() {
-  minInValid_ = false;
-  minInStale_.clear();
-}
-
-void TimeFrameOracle::repairMinIn() {
-  // A row reads the node's ASAP, its predecessors' ASAPs and rows, and its
-  // predecessor edges. The commits since the last repair moved the ASAPs
-  // of, or added a predecessor edge to, exactly the stale nodes, so they
-  // and their successors are seeded; everything else changes only through
-  // a predecessor's row, so propagation stops at unchanged rows.
-  auto enqueueRow = [&](NodeId v) {
-    if (inQueue_[v]) return;
-    inQueue_[v] = 1;
-    rowQueue_.emplace((static_cast<std::uint64_t>(asap_[v]) << 32) | topoPos_[v], v);
-  };
-  auto enqueueSuccs = [&](NodeId v) {
-    for (const NodeId s : fanoutCsr_.row(v)) enqueueRow(s);
-    for (const NodeId s : ctrlSuccCsr_.row(v)) enqueueRow(s);
-    for (const NodeId s : xSucc_[v]) enqueueRow(s);
-  };
-  for (const NodeId v : minInStale_) {
-    enqueueRow(v);
-    enqueueSuccs(v);
-  }
-  minInStale_.clear();
-  while (!rowQueue_.empty()) {
-    const NodeId v = rowQueue_.top().second;
-    rowQueue_.pop();
-    inQueue_[v] = 0;
-    if (updateMinInRow(v)) enqueueSuccs(v);
-  }
 }
 
 TimeFrames TimeFrameOracle::frames() {

@@ -43,77 +43,43 @@
 //    shared gating); the default mode repairs to the fixed point so
 //    firstInfeasible() can name the same node the reference would.
 //
-// Slack verdicts. The transform's batches all leave one source u (the
-// select producer, towards the top nodes of a gated set). For such a batch
-// the committed frames already hold the answer, so two read-only queries
-// replace the push/test/pop round trip:
+// The slack verdict. The transform's batches all leave one source u (the
+// select producer, towards the top nodes of a gated set), and the greedy
+// loop needs only one answer per batch: commit it if the frames stay
+// feasible, else leave the oracle as it was. For such a batch the committed
+// frames already hold that answer:
 //
-//   explainReject(edges) the node push() + firstInfeasible() would name
-//   tryCommit(edges)     commit when asap[u] + w(u,t) <= alap[t] for every
-//                        edge (u,t), else explainReject(edges)
+//   tryCommit(edges)  commit when asap[u] + w(u,t) <= alap[t] for every
+//                     edge (u,t), else reject without touching a frame
 //
 // Here w(a,b) is the frame recurrence's edge weight, lat[a] between two
 // scheduled nodes. The lemma: the committed frames are the longest-path
 // fixed point of a DAG, and a path can use at most one new edge (using two
-// would return to u, a cycle). So after the push, node x has ASAP > ALAP
-// iff some new edge (u,t) with excess e = asap[u] + w(u,t) - alap[t] > 0
-// lies on a path through x whose total frame slack is below e: either the
-// ALAP slack sum(alap[b] - alap[a] - w(a,b)) from t forward to x, or the
-// ASAP slack sum(asap[b] - asap[a] - w(a,b)) from x forward to u. Both
-// slacks are non-negative at the fixed point, so explainReject() answers
-// the backward side from a table and walks the forward side with buckets
-// bounded by the excess (Dial's algorithm) from each t, and returns the
-// smallest scheduled id either side finds.
+// would return to u, a cycle). A new edge (u,t) with excess
+// e = asap[u] + w(u,t) - alap[t] > 0 therefore leaves t itself with
+// ASAP > ALAP after the push, which is infeasible (see lazy ALAP above).
+// With no positive excess, every path through a new edge keeps a
+// non-negative slack, so the push is feasible. The verdict names no node:
+// a report that wants the node push() + firstInfeasible() would name
+// replays the batch (nameSlackRejects() in power_transform.hpp).
 //
-// The min-id table. Let dist(x, v) be the smallest ASAP slack over the live
-// paths from x to v, and minIn[v][k] the smallest scheduled id x with
-// dist(x, v) <= k (x = v counts, at distance 0). Over the same predecessors
-// and weights the backward walk relaxes,
-//
-//   minIn[v][k] = min(v if scheduled,
-//                     min over preds p with s = asap[v] - asap[p] - w(p,v) <= k
-//                         of minIn[p][k - s]),
-//
-// a recurrence on a DAG with a unique solution, so the backward answer for
-// a batch with largest excess e is minIn[u][e - 1] — one read. The table
-// keeps kSlackLevels levels. Building it is one pass over the graph in a
-// topological order of the live edges, so it is built only once the
-// backward walks it replaces have settled as many nodes as the graph has;
-// a run with few or cheap rejects never pays for it. Once built, it is
-// repaired on the next reject from the nodes whose ASAP moved and the
-// targets of the batches committed since, and dropped by pin(). Before
-// that point, and for a batch with e > kSlackLevels, the Dial walk
-// backward from u answers.
-//
-// The id bound. Graph::addNode() makes every data operand's id smaller
-// than its consumer's, so a data edge always leads to a larger id. Let
-// `best` be the backward answer and minControlTarget_ the smallest
-// target of any graph control edge or committed extra edge. If
-// minControlTarget_ >= best, every edge leaving a node with id >= best
-// lands on an id >= best, so no forward path through such a node can
-// reach a smaller id. The forward walk then seeds and relaxes only ids
-// below the best so far; the nodes it skips could not have lowered the
-// answer, and the ones it keeps see the same distances. Otherwise it
-// walks unbounded. The constructor and commit() keep minControlTarget_
-// current.
-//
-// A batch whose target reaches u closes a cycle; explainReject()
-// then throws push()'s error. The check is O(1) per target when the frames
-// rule the path out, and a walk confined to the frame window otherwise.
+// A batch whose target reaches u closes a cycle; tryCommit() then throws
+// push()'s error before it rejects. The check is O(1) per target when the
+// frames rule the path out, and a walk confined to the frame window
+// otherwise.
 //
 // The lemma needs one weight per edge. A scheduled zero-cycle kind breaks
 // that (its edge into a transparent node weighs -1 for ASAP but 0 for
-// ALAP), so slackExact() is false for such a graph and model, and both
-// queries fall back to push() and a feasibility test: explainReject() pops
-// afterwards, tryCommit() commits or pops. They also fall back at
-// depth() > 0, with pins, on a committed state that is already infeasible,
-// and on multi-source batches: the answers are exact in every case, only
-// the cost differs.
+// ALAP), so slackExact() is false for such a graph and model, and
+// tryCommit() falls back to push() and a feasibility test, then commits or
+// pops. It also falls back at depth() > 0, with pins, on a committed state
+// that is already infeasible, and on multi-source batches: the verdict is
+// exact in every case, only the cost differs.
 //
 // Differential tests (tests/test_timeframe_oracle.cpp) assert frame
 // equality against computeTimeFrames under randomized batch sequences, and
-// explainReject()/tryCommit() against push/feasible/firstInfeasible/pop —
-// across repaired and rebuilt tables and excesses above kSlackLevels.
+// tryCommit() against push/feasible/pop — on random and transform batches,
+// long commit sequences, cycles and the zero-cycle fallback.
 //
 // The oracle snapshots the graph's CSR views at construction; the graph
 // must not be mutated while the oracle is alive. Batches and pins must not
@@ -196,24 +162,20 @@ class TimeFrameOracle {
   /// Materialize the current frames as a TimeFrames value (flushes ALAP).
   [[nodiscard]] TimeFrames frames();
 
-  // ---- slack verdicts (see header comment) ----------------------------------
+  // ---- slack verdict (see header comment) -----------------------------------
 
-  /// Levels of the min-id table (see header comment): a reject whose
-  /// largest excess is at most this reads its backward answer from it.
-  static constexpr int kSlackLevels = 8;
+  /// Outcome of tryCommit().
+  enum class CommitVerdict { Committed, Rejected };
 
   /// True when the ASAP and ALAP recurrences share one edge weight (no
   /// scheduled node has a zero-cycle latency), which the fast path needs.
   [[nodiscard]] bool slackExact() const { return slackExact_; }
-  /// Same answer as push(edges) + firstInfeasible() + pop(), including the
-  /// SynthesisError push() throws on a cycle; read-only when the batch has
-  /// one source.
-  [[nodiscard]] std::optional<NodeId> explainReject(std::span<const Edge> edges);
   /// Commit `edges` if they keep every frame feasible, else leave the
-  /// oracle unchanged and return explainReject(edges). Requires depth() == 0.
-  /// Throws push()'s SynthesisError on a cycle. A one-source batch that
-  /// fits costs O(edges) plus push(); any other batch costs one push().
-  [[nodiscard]] std::optional<NodeId> tryCommit(std::span<const Edge> edges);
+  /// oracle unchanged. Requires depth() == 0. Throws push()'s
+  /// SynthesisError on a cycle. A one-source batch costs O(edges) plus
+  /// push() when it fits and a frame-pruned cycle check when it does not;
+  /// any other batch costs one push().
+  [[nodiscard]] CommitVerdict tryCommit(std::span<const Edge> edges);
 
   /// Nodes whose asap or alap changed in the last push()/pop()/pin(),
   /// each listed once. Used by the force-directed force-cache invalidation.
@@ -250,31 +212,14 @@ class TimeFrameOracle {
   }
   /// How far a new edge u -> t would push t's ASAP past its ALAP.
   [[nodiscard]] int excess(NodeId u, NodeId t) const { return asap_[u] + weight(u, t) - alap_[t]; }
-  /// The committed frames answer slack queries on `edges` exactly.
+  /// The committed frames alone decide tryCommit(edges) exactly.
   [[nodiscard]] bool slackFastPath(std::span<const Edge> edges) const;
   /// Does `from` reach `to` over the live edges? Prunes nodes whose frames
-  /// leave no room for a path to `to`.
+  /// leave no room for a path to `to`. Nodes stamped in the current walk
+  /// epoch count as already searched.
   [[nodiscard]] bool reaches(NodeId from, NodeId to);
   /// Fresh walk epoch: every node reads as unvisited.
   void beginWalk();
-  /// Give `x` walk distance `d` if that is below the bucket count and its
-  /// current distance.
-  void walkRelax(NodeId x, int d);
-  /// Dial walk over frame slack, from the seeded buckets, keeping distances
-  /// below the bucket count. Returns the smallest scheduled id settled.
-  /// With `idBounded` a forward walk skips nodes with ids at or above the
-  /// best so far.
-  NodeId slackWalk(bool forward, NodeId best, bool idBounded = false);
-  /// Smallest target of a control edge of the graph itself.
-  [[nodiscard]] NodeId minGraphControlTarget() const;
-  /// Build the min-id table from the committed frames.
-  void buildMinIn();
-  /// Recompute v's table row from its predecessors' rows; true if it changed.
-  bool updateMinInRow(NodeId v);
-  /// Bring the table up to date with the commits since it was last current.
-  void repairMinIn();
-  /// Forget the table (the committed state was replaced or pinned).
-  void dropMinIn();
 
   template <typename Queue>
   void enqueue(Queue& q, NodeId v) {
@@ -310,9 +255,6 @@ class TimeFrameOracle {
   std::vector<Batch> batchPool_;
   std::size_t depth_ = 0;
 
-  /// Smallest target of a graph control edge or committed extra edge;
-  /// kInvalidNode when there is none.
-  NodeId minControlTarget_ = kInvalidNode;
   bool slackExact_ = true;               ///< one edge weight for both frames
   bool pinned_ = false;                  ///< pin() has been called
 
@@ -326,25 +268,10 @@ class TimeFrameOracle {
   std::priority_queue<MinItem> bwdQueue_;
   std::vector<NodeId> seedsF_;
   std::vector<NodeId> seedsB_;
-  // Slack-walk scratch: distances valid where walkStamp_ == walkEpoch_.
+  // Cycle-check scratch: visited where walkStamp_ == walkEpoch_.
   std::vector<std::uint32_t> walkStamp_;
-  std::vector<int> walkDist_;
   std::uint32_t walkEpoch_ = 0;
-  std::vector<std::vector<NodeId>> buckets_;
   std::vector<NodeId> walkStack_;
-  // Min-id table: row v is minIn_[v * kSlackLevels, (v + 1) * kSlackLevels).
-  std::vector<NodeId> minIn_;
-  bool minInValid_ = false;
-  /// Nodes the backward walks have settled; the table is built once this
-  /// reaches the graph's size.
-  std::size_t backwardSettled_ = 0;
-  /// Nodes whose ASAP moved, or that gained a predecessor edge, in commits
-  /// since the table was last current (duplicates allowed).
-  std::vector<NodeId> minInStale_;
-  /// Table repair worklist keyed (asap, topoPos): predecessors first along
-  /// graph edges; a node is re-enqueued when a predecessor's row changes.
-  using RowItem = std::pair<std::uint64_t, NodeId>;
-  std::priority_queue<RowItem, std::vector<RowItem>, std::greater<RowItem>> rowQueue_;
 };
 
 }  // namespace pmsched

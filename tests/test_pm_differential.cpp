@@ -1,11 +1,15 @@
 // Differential tests for the oracle-backed power-management paths: the
 // incremental transform, exact search, and shared gating must produce
 // bit-identical designs (managed sets, gated sets, control edges, frames,
-// resolved conditions) to the retained from-scratch reference paths.
+// resolved conditions) to the retained from-scratch reference paths. The
+// incremental transform's slack rejects name no node; once
+// nameSlackRejects() has replayed them, their reasons must match the
+// reference's too.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cdfg/analysis.hpp"
@@ -65,65 +69,129 @@ void expectDesignsEqual(const PowerManagedDesign& a, const PowerManagedDesign& b
   ASSERT_EQ(condA, condB) << what;
 }
 
-TEST(PowerTransformDifferential, GreedyMatchesReferenceOnCircuits) {
-  for (const Graph& g : allCircuits()) {
-    const int cp = criticalPathLength(g);
-    for (const int slack : {0, 1, 3}) {
-      const std::string what = g.name() + " @" + std::to_string(cp + slack);
-      expectDesignsEqual(applyPowerManagement(g, cp + slack),
-                         applyPowerManagementReference(g, cp + slack), what);
+/// Slack rejects the incremental transform left unnamed, and the orderings
+/// every transform is compared under.
+constexpr std::string_view kUnnamedSlackReason = "insufficient slack";
+constexpr MuxOrdering kOrderings[] = {MuxOrdering::OutputFirst, MuxOrdering::InputFirst,
+                                      MuxOrdering::BySavings};
+
+/// applyPowerManagement against the reference at one point: every slack
+/// reject the reference names is unnamed in the incremental design, every
+/// other reason matches as is, and after nameSlackRejects() the whole
+/// designs match. Adds the point's slack rejects to `rejects`.
+void expectGreedyMatchesReference(const Graph& g, int steps, MuxOrdering ordering,
+                                  const LatencyModel& model, const std::string& what,
+                                  int& rejects) {
+  PowerManagedDesign fast = applyPowerManagement(g, steps, ordering, model);
+  const PowerManagedDesign ref = applyPowerManagementReference(g, steps, ordering, model);
+  ASSERT_EQ(fast.muxes.size(), ref.muxes.size()) << what;
+  for (std::size_t i = 0; i < ref.muxes.size(); ++i) {
+    const std::string& want = ref.muxes[i].reason;
+    if (want.starts_with(std::string(kUnnamedSlackReason) + ": ")) {
+      ASSERT_EQ(fast.muxes[i].reason, kUnnamedSlackReason) << what << ": mux " << i;
+      ++rejects;
+    } else {
+      ASSERT_EQ(fast.muxes[i].reason, want) << what << ": mux " << i;
     }
   }
+  nameSlackRejects(g, fast);
+  expectDesignsEqual(fast, ref, what);
 }
 
-TEST(PowerTransformDifferential, AllOrderingsMatchReference) {
-  const Graph g = circuits::dealer();
-  const int steps = criticalPathLength(g) + 2;
-  for (const MuxOrdering ordering :
-       {MuxOrdering::OutputFirst, MuxOrdering::InputFirst, MuxOrdering::BySavings}) {
-    expectDesignsEqual(applyPowerManagement(g, steps, ordering),
-                       applyPowerManagementReference(g, steps, ordering),
-                       "dealer ordering " + std::to_string(static_cast<int>(ordering)));
+std::string orderingName(MuxOrdering ordering) {
+  switch (ordering) {
+    case MuxOrdering::OutputFirst: return "output";
+    case MuxOrdering::InputFirst: return "input";
+    case MuxOrdering::BySavings: return "savings";
   }
+  return "?";
+}
+
+TEST(PowerTransformDifferential, GreedyMatchesReferenceOnCircuits) {
+  // Every ordering, at the critical path and above it, plus the paper
+  // circuits' Table II budgets.
+  int rejects = 0;
+  for (const Graph& g : allCircuits()) {
+    const int cp = criticalPathLength(g);
+    std::vector<int> budgets{cp, cp + 1, cp + 3};
+    for (const auto& entry : circuits::paperCircuits())
+      if (g.name() == entry.name)
+        for (const int steps : circuits::tableIISteps(entry.name)) budgets.push_back(steps);
+    for (const MuxOrdering ordering : kOrderings)
+      for (const int steps : budgets) {
+        expectGreedyMatchesReference(
+            g, steps, ordering, LatencyModel::unit(),
+            g.name() + " @" + std::to_string(steps) + " " + orderingName(ordering), rejects);
+        if (HasFailure()) return;
+      }
+  }
+  EXPECT_GT(rejects, 10);
 }
 
 TEST(PowerTransformDifferential, GreedyMatchesReferenceOnRandomDfgs) {
+  int rejects = 0;
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
     const Graph g = randomLayeredDfg(3 + static_cast<int>(seed % 6), 4, seed);
     const int cp = criticalPathLength(g);
-    for (const int slack : {1, 4}) {
+    for (const int slack : {0, 1, 4}) {
       const std::string what = "seed " + std::to_string(seed) + " @" + std::to_string(cp + slack);
-      expectDesignsEqual(applyPowerManagement(g, cp + slack),
-                         applyPowerManagementReference(g, cp + slack), what);
+      expectGreedyMatchesReference(g, cp + slack, MuxOrdering::OutputFirst, LatencyModel::unit(),
+                                   what, rejects);
+      if (HasFailure()) return;
     }
   }
+  EXPECT_GT(rejects, 0);
 }
 
 TEST(PowerTransformDifferential, GreedyMatchesReferenceAtRealisticSizes) {
-  // The slack verdicts on the graph sizes the one-shot benchmark runs:
-  // every accept, every reject and every named reason node must match the
-  // from-scratch reference, from a tight budget to a loose one.
-  for (const int layers : {256, 512}) {
-    const Graph g = randomLayeredDfg(layers, 16, 1);
+  // The verdicts on the graph sizes the one-shot benchmark runs, under
+  // every ordering: every accept, every reject and every replayed reason
+  // node must match the from-scratch reference, from a tight budget to a
+  // loose one. The reference costs a frame computation per mux, so 512x16
+  // takes the other orderings at the benchmark's cp+2 only.
+  struct Size {
+    int layers;
+    int perLayer;
+  };
+  int rejects = 0;
+  for (const Size size : {Size{32, 6}, Size{64, 8}, Size{128, 8}, Size{256, 16}, Size{512, 16}}) {
+    const Graph g = randomLayeredDfg(size.layers, size.perLayer, 1);
     const int cp = criticalPathLength(g);
-    for (const int slack : {0, 2, 8}) {
-      const std::string what =
-          std::to_string(layers) + "x16 @cp+" + std::to_string(slack);
-      expectDesignsEqual(applyPowerManagement(g, cp + slack),
-                         applyPowerManagementReference(g, cp + slack), what);
-    }
+    for (const MuxOrdering ordering : kOrderings)
+      for (const int slack : {0, 2, 8}) {
+        if (size.layers == 512 && ordering != MuxOrdering::OutputFirst && slack != 2) continue;
+        const std::string what = std::to_string(size.layers) + "x" +
+                                 std::to_string(size.perLayer) + " @cp+" +
+                                 std::to_string(slack) + " " + orderingName(ordering);
+        expectGreedyMatchesReference(g, cp + slack, ordering, LatencyModel::unit(), what,
+                                     rejects);
+        if (HasFailure()) return;
+      }
   }
+  EXPECT_GT(rejects, 100);
+}
+
+/// Fewest steps at which `g` schedules under `model`.
+int fewestSteps(const Graph& g, const LatencyModel& model) {
+  int steps = criticalPathLength(g);
+  while (!computeTimeFrames(g, steps, {}, model).feasible(g)) ++steps;
+  return steps;
 }
 
 TEST(PowerTransformDifferential, MultiCycleModelMatchesReference) {
   const LatencyModel model = LatencyModel::multiCycleMultiplier(2);
+  int rejects = 0;
   for (std::uint64_t seed = 30; seed < 36; ++seed) {
     const Graph g = randomLayeredDfg(5, 4, seed);
-    const int steps = criticalPathLength(g) * 2 + 3;
-    expectDesignsEqual(applyPowerManagement(g, steps, MuxOrdering::OutputFirst, model),
-                       applyPowerManagementReference(g, steps, MuxOrdering::OutputFirst, model),
-                       "multi-cycle seed " + std::to_string(seed));
+    for (const int steps : {criticalPathLength(g) * 2 + 3, fewestSteps(g, model)}) {
+      expectGreedyMatchesReference(g, steps, MuxOrdering::OutputFirst, model,
+                                   "multi-cycle seed " + std::to_string(seed) + " @" +
+                                       std::to_string(steps),
+                                   rejects);
+      if (HasFailure()) return;
+    }
   }
+  EXPECT_GT(rejects, 0);
 }
 
 TEST(PowerTransformDifferential, OptimalMatchesReference) {
@@ -149,6 +217,7 @@ TEST(SharedGatingDifferential, MatchesReferenceOnCircuitsAndRandomDfgs) {
     const int gatedFast = applySharedGating(fast);
     const int gatedRef = applySharedGatingReference(ref);
     ASSERT_EQ(gatedFast, gatedRef) << what;
+    nameSlackRejects(g, fast);  // reads the input graph, not the gated one
     expectDesignsEqual(fast, ref, what + " (after shared gating)");
   };
   for (const Graph& g : allCircuits())

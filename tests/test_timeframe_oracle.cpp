@@ -2,9 +2,9 @@
 // be bit-identical to from-scratch computeTimeFrames() under randomized
 // tentative-edge batches — on the built-in circuits, on seeded random DFGs,
 // with unit and multi-cycle latency models, and across nesting depths. The
-// slack verdicts explainReject()/tryCommit() must answer exactly what
-// push/feasible/firstInfeasible/pop answer, with the reject walk's id bound
-// in force and with control edges that switch it off.
+// slack verdict tryCommit() must commit exactly the batches push/feasible
+// finds feasible, leave the frames alone on a reject, and throw push()'s
+// message on a cycle — fast path and fallback alike.
 
 #include <gtest/gtest.h>
 
@@ -304,61 +304,42 @@ int minSteps(const Graph& g, const LatencyModel& model) {
   return steps;
 }
 
-/// What push/feasible/firstInfeasible/pop say about `batch`; nullopt when
-/// push throws (the batch closes a cycle), with the message in `error`.
-struct PushAnswer {
-  bool feasible = false;
-  std::optional<NodeId> firstInfeasible;
-};
-std::optional<PushAnswer> answerByPush(TimeFrameOracle& oracle, const std::vector<Edge>& batch,
-                                       std::string& error) {
+/// Whether push/feasible/pop finds `batch` feasible; nullopt when push
+/// throws (the batch closes a cycle), with the message in `error`.
+std::optional<bool> feasibleByPush(TimeFrameOracle& oracle, const std::vector<Edge>& batch,
+                                   std::string& error) {
   try {
     oracle.push(batch);
   } catch (const SynthesisError& e) {
     error = e.what();
     return std::nullopt;
   }
-  PushAnswer a{oracle.feasible(), oracle.firstInfeasible()};
+  const bool feasible = oracle.feasible();
+  EXPECT_EQ(feasible, !oracle.firstInfeasible().has_value());
   oracle.pop();
-  return a;
+  return feasible;
 }
 
-/// Check explainReject() and then tryCommit() on `batch` against the push
-/// answer: explainReject() never moves a frame, tryCommit() commits exactly
-/// the feasible batches. Returns the push answer (nullopt on a cycle).
-std::optional<PushAnswer> expectSlackVerdictsMatch(const Graph& g, TimeFrameOracle& oracle,
-                              const std::vector<Edge>& batch, const std::string& what) {
-  const TimeFrames before = oracle.frames();
+/// Check tryCommit() on `batch` against push: it commits exactly the
+/// feasible batches, a reject leaves every frame as it was, and a cycle
+/// throws push()'s message. Returns the push answer (nullopt on a cycle).
+std::optional<bool> expectVerdictMatchesPush(TimeFrameOracle& oracle,
+                                             const std::vector<Edge>& batch,
+                                             const std::string& what) {
   std::string error;
-  const std::optional<PushAnswer> ref = answerByPush(oracle, batch, error);
-  if (!ref) {
-    try {
-      (void)oracle.explainReject(batch);
-      ADD_FAILURE() << what << ": explainReject accepted a cycle";
-    } catch (const SynthesisError& e) {
-      EXPECT_EQ(std::string(e.what()), error) << what;
-    }
-  } else {
-    EXPECT_EQ(ref->feasible, !ref->firstInfeasible.has_value()) << what;
-    const std::optional<NodeId> why = oracle.explainReject(batch);
-    EXPECT_EQ(why, ref->firstInfeasible)
-        << what << ": named " << (why ? g.node(*why).name : "nothing") << ", push names "
-        << (ref->firstInfeasible ? g.node(*ref->firstInfeasible).name : "nothing");
-  }
-  const TimeFrames after = oracle.frames();
-  EXPECT_EQ(before.asap, after.asap) << what;
-  EXPECT_EQ(before.alap, after.alap) << what;
-
+  const std::optional<bool> feasible = feasibleByPush(oracle, batch, error);
   TimeFrameOracle pushed = oracle;  // the committed state tryCommit must reach
-  if (ref && ref->feasible) {
+  if (feasible.value_or(false)) {
     pushed.push(batch);
     pushed.commit();
   }
   try {
-    EXPECT_EQ(oracle.tryCommit(batch), ref ? ref->firstInfeasible : std::nullopt) << what;
-    EXPECT_TRUE(ref.has_value()) << what << ": tryCommit accepted a cycle";
+    const TimeFrameOracle::CommitVerdict verdict = oracle.tryCommit(batch);
+    EXPECT_TRUE(feasible.has_value()) << what << ": tryCommit accepted a cycle";
+    EXPECT_EQ(verdict == TimeFrameOracle::CommitVerdict::Committed, feasible.value_or(false))
+        << what;
   } catch (const SynthesisError& e) {
-    EXPECT_FALSE(ref.has_value()) << what << ": " << e.what();
+    EXPECT_FALSE(feasible.has_value()) << what << ": " << e.what();
     EXPECT_EQ(std::string(e.what()), error) << what;
   }
   EXPECT_EQ(oracle.depth(), 0u) << what;
@@ -366,14 +347,30 @@ std::optional<PushAnswer> expectSlackVerdictsMatch(const Graph& g, TimeFrameOrac
   const TimeFrames expected = pushed.frames();
   EXPECT_EQ(committed.asap, expected.asap) << what;
   EXPECT_EQ(committed.alap, expected.alap) << what;
-  return ref;
+  return feasible;
+}
+
+/// Tallies of the verdicts a sequence of batches drew.
+struct VerdictCounts {
+  int accepts = 0;
+  int rejects = 0;
+  int cycles = 0;
+};
+
+/// Check one batch against push and tally it.
+void checkAndCount(TimeFrameOracle& oracle, const std::vector<Edge>& batch,
+                   const std::string& what, VerdictCounts& counts) {
+  if (batch.empty()) return;
+  const std::optional<bool> feasible = expectVerdictMatchesPush(oracle, batch, what);
+  if (!feasible) ++counts.cycles;
+  else if (*feasible) ++counts.accepts;
+  else ++counts.rejects;
 }
 
 TEST(TimeFrameOracle, SlackVerdictsMatchPushOnRandomSingleSourceBatches) {
   // Random committed states: tryCommit commits every feasible batch, so later
   // batches are judged against a growing set of extra edges.
-  int rejects = 0;
-  int cycles = 0;
+  VerdictCounts counts;
   for (const LatencyModel& model : {LatencyModel::unit(), LatencyModel::multiCycleMultiplier(2)}) {
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
       const Graph g = randomLayeredDfg(4 + static_cast<int>(seed % 5) * 3, 6, seed);
@@ -383,23 +380,19 @@ TEST(TimeFrameOracle, SlackVerdictsMatchPushOnRandomSingleSourceBatches) {
         ASSERT_TRUE(oracle.slackExact());
         std::mt19937_64 rng(seed * 977 + static_cast<std::uint64_t>(slack));
         for (int round = 0; round < 60; ++round) {
-          const std::vector<Edge> batch = randomSingleSourceBatch(g, rng);
-          const std::string what = "seed " + std::to_string(seed) + " +" +
-                                   std::to_string(slack) + " round " + std::to_string(round);
-          const std::optional<PushAnswer> ref = expectSlackVerdictsMatch(g, oracle, batch, what);
-          if (::testing::Test::HasFailure()) return;
-          if (!ref) {
-            ++cycles;
-          } else if (!ref->feasible) {
-            ++rejects;
-          }
+          checkAndCount(oracle, randomSingleSourceBatch(g, rng),
+                        "seed " + std::to_string(seed) + " +" + std::to_string(slack) +
+                            " round " + std::to_string(round),
+                        counts);
+          if (HasFailure()) return;
         }
       }
     }
   }
-  // The draw must exercise both the slack walk and the cycle check.
-  EXPECT_GT(rejects, 100);
-  EXPECT_GT(cycles, 10);
+  // The draw must exercise accepts, rejects and the cycle check.
+  EXPECT_GT(counts.accepts, 100);
+  EXPECT_GT(counts.rejects, 100);
+  EXPECT_GT(counts.cycles, 10);
 }
 
 TEST(TimeFrameOracle, SlackVerdictsMatchPushOnTransformBatches) {
@@ -410,7 +403,7 @@ TEST(TimeFrameOracle, SlackVerdictsMatchPushOnTransformBatches) {
   for (const int slack : {0, 2, 8}) {
     const int steps = criticalPathLength(g) + slack;
     TimeFrameOracle oracle(g, steps);
-    int accepted = 0;
+    VerdictCounts counts;
     for (const NodeId m : g.nodesOfKind(OpKind::Mux)) {
       const GatedSets sets = finder.find(m);
       const NodeId ctrl = traceSelectProducer(g, m);
@@ -418,19 +411,19 @@ TEST(TimeFrameOracle, SlackVerdictsMatchPushOnTransformBatches) {
       std::vector<Edge> batch;
       for (const NodeId t : sets.topTrue) batch.emplace_back(ctrl, t);
       for (const NodeId t : sets.topFalse) batch.emplace_back(ctrl, t);
-      if (batch.empty()) continue;
-      const std::optional<PushAnswer> ref =
-          expectSlackVerdictsMatch(g, oracle, batch, "mux " + g.node(m).name);
-      if (ref && ref->feasible) ++accepted;
-      if (::testing::Test::HasFailure()) return;
+      checkAndCount(oracle, batch, "mux " + g.node(m).name, counts);
+      if (HasFailure()) return;
     }
-    EXPECT_GT(accepted, 0) << slack;
+    EXPECT_GT(counts.accepts, 0) << slack;
+    if (slack == 0) {
+      EXPECT_GT(counts.rejects, 0);
+    }
   }
 }
 
-TEST(TimeFrameOracle, ExplainRejectThrowsPushsMessageOnACycle) {
+TEST(TimeFrameOracle, TryCommitThrowsPushsMessageOnACycle) {
   // a -> b -> c; the batch c -> {d, a} closes c -> a -> b -> c, and it is
-  // also over budget, so only the cycle check can stop the slack walk.
+  // also over budget, so only the cycle check can tell it from a reject.
   Graph g("cycle");
   const NodeId x = g.addInput("x");
   const NodeId y = g.addInput("y");
@@ -443,22 +436,23 @@ TEST(TimeFrameOracle, ExplainRejectThrowsPushsMessageOnACycle) {
 
   TimeFrameOracle oracle(g, 3, LatencyModel::unit(), "power-transform");
   std::string error;
-  EXPECT_FALSE(answerByPush(oracle, {{c, d}, {c, a}}, error).has_value());
+  EXPECT_FALSE(feasibleByPush(oracle, {{c, d}, {c, a}}, error).has_value());
   EXPECT_EQ(error, "power-transform: extra edges create a cycle");
-  EXPECT_FALSE(expectSlackVerdictsMatch(g, oracle, {{c, d}, {c, a}}, "cycle").has_value());
+  EXPECT_FALSE(expectVerdictMatchesPush(oracle, {{c, d}, {c, a}}, "cycle").has_value());
   // Without the cycle-closing edge the batch is a plain reject.
-  const std::optional<PushAnswer> plain = expectSlackVerdictsMatch(g, oracle, {{c, d}}, "c -> d");
-  ASSERT_TRUE(plain.has_value());
-  EXPECT_FALSE(plain->feasible);
+  EXPECT_EQ(expectVerdictMatchesPush(oracle, {{c, d}}, "c -> d"), std::optional<bool>(false));
+  // The same cycle on a state whose frames fit: push() itself throws.
+  TimeFrameOracle loose(g, 8, LatencyModel::unit(), "power-transform");
+  EXPECT_FALSE(expectVerdictMatchesPush(loose, {{c, a}}, "cycle at 8").has_value());
 }
 
 TEST(TimeFrameOracle, ZeroCycleModelTakesTheFallback) {
   // A zero-cycle scheduled kind weighs its edges differently in the two
-  // recurrences; the slack lemma does not hold, and the queries must fall
+  // recurrences; the slack lemma does not hold, and tryCommit() must fall
   // back to push/pop and still answer exactly.
   LatencyModel model = LatencyModel::unit();
   model.cycles[unitIndex(ResourceClass::Multiplier)] = 0;
-  int checked = 0;
+  VerdictCounts counts;
   for (std::uint64_t seed = 3; seed < 9; ++seed) {
     const Graph g = randomLayeredDfg(8, 6, seed);
     if (g.nodesOfKind(OpKind::Mul).empty()) continue;
@@ -468,19 +462,15 @@ TEST(TimeFrameOracle, ZeroCycleModelTakesTheFallback) {
     EXPECT_TRUE(TimeFrameOracle(g, steps).slackExact());
     std::mt19937_64 rng(seed);
     for (int round = 0; round < 30; ++round) {
-      const std::vector<Edge> batch = randomSingleSourceBatch(g, rng);
-      (void)expectSlackVerdictsMatch(g, oracle, batch, "zero-cycle round " + std::to_string(round));
-      ++checked;
+      checkAndCount(oracle, randomSingleSourceBatch(g, rng),
+                    "zero-cycle round " + std::to_string(round), counts);
+      if (HasFailure()) return;
     }
   }
-  EXPECT_GT(checked, 0);
+  EXPECT_GT(counts.accepts, 0);
+  EXPECT_GT(counts.rejects, 0);
+  EXPECT_GT(counts.cycles, 0);
 }
-
-// ---------------------------------------------------------------------------
-// The id bound: explainReject() walks forward only below the backward walk's
-// answer while no control edge lands below it. The cases below pin both
-// sides of that condition, for graph control edges and committed edges.
-// ---------------------------------------------------------------------------
 
 /// Does `from` reach `to` over data and control edges?
 bool reachesInGraph(const Graph& g, NodeId from, NodeId to) {
@@ -498,69 +488,10 @@ bool reachesInGraph(const Graph& g, NodeId from, NodeId to) {
   return false;
 }
 
-/// x (id 2) has a smaller id than the select producer u (id 3), and only
-/// an edge t -> x — t is the batch's target, id 4 — puts x downstream of
-/// the batch. With that edge the batch {u -> t} makes x infeasible, and x
-/// is the node push() names; the backward walk from u alone would name u.
-struct LowTargetCase {
-  Graph g{"low_target"};
-  NodeId x = kInvalidNode, u = kInvalidNode, t = kInvalidNode;
-  explicit LowTargetCase(bool graphEdge) {
-    const NodeId a = g.addInput("a");
-    const NodeId b = g.addInput("b");
-    x = g.addOp(OpKind::Add, {a, b}, "x");
-    u = g.addOp(OpKind::CmpGt, {a, b}, "u");
-    t = g.addOp(OpKind::Sub, {a, b}, "t");
-    g.addOutput(x, "x_out");
-    g.addOutput(u, "u_out");
-    g.addOutput(t, "t_out");
-    if (graphEdge) g.addControlEdge(t, x);
-  }
-};
-
-TEST(TimeFrameOracle, IdBoundAppliesWithoutControlEdges) {
-  // No graph control edges and nothing committed: every reject takes the
-  // bounded forward walk.
-  int rejects = 0;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const Graph g = randomLayeredDfg(10 + static_cast<int>(seed) * 2, 6, seed);
-    for (const int slack : {0, 2}) {
-      TimeFrameOracle oracle(g, minSteps(g, LatencyModel::unit()) + slack);
-      std::mt19937_64 rng(seed * 131 + static_cast<std::uint64_t>(slack));
-      for (int round = 0; round < 80; ++round) {
-        const std::vector<Edge> batch = randomSingleSourceBatch(g, rng);
-        std::string error;
-        const std::optional<PushAnswer> ref = answerByPush(oracle, batch, error);
-        if (!ref || ref->feasible) continue;
-        ++rejects;
-        ASSERT_EQ(oracle.explainReject(batch), ref->firstInfeasible)
-            << "seed " << seed << " +" << slack << " round " << round;
-      }
-    }
-  }
-  EXPECT_GT(rejects, 40);
-}
-
-TEST(TimeFrameOracle, IdBoundYieldsToALowControlTarget) {
-  {  // A graph control edge lands below the backward walk's answer.
-    const LowTargetCase c(/*graphEdge=*/true);
-    TimeFrameOracle oracle(c.g, 2);
-    const std::optional<PushAnswer> ref =
-        expectSlackVerdictsMatch(c.g, oracle, {{c.u, c.t}}, "graph edge");
-    ASSERT_TRUE(ref.has_value());
-    EXPECT_EQ(ref->firstInfeasible, c.x);
-  }
-  {  // The same edge, committed instead of built into the graph.
-    const LowTargetCase c(/*graphEdge=*/false);
-    TimeFrameOracle oracle(c.g, 2);
-    ASSERT_EQ(oracle.tryCommit(std::vector<Edge>{{c.t, c.x}}), std::nullopt);
-    const std::optional<PushAnswer> ref =
-        expectSlackVerdictsMatch(c.g, oracle, {{c.u, c.t}}, "committed edge");
-    ASSERT_TRUE(ref.has_value());
-    EXPECT_EQ(ref->firstInfeasible, c.x);
-  }
-  // Random DFGs with graph control edges from late nodes to early ones.
-  int rejects = 0;
+TEST(TimeFrameOracle, SlackVerdictsMatchPushWithBackwardControlEdges) {
+  // Graph control edges from late nodes to early ones run against id
+  // order, so paths (and cycles) leave the data edges' id structure.
+  VerdictCounts counts;
   int withEdges = 0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     Graph g = randomLayeredDfg(12, 6, seed);
@@ -579,40 +510,17 @@ TEST(TimeFrameOracle, IdBoundYieldsToALowControlTarget) {
     for (const int slack : {0, 2, 6}) {
       TimeFrameOracle oracle(g, minSteps(g, LatencyModel::unit()) + slack);
       for (int round = 0; round < 40; ++round) {
-        const std::optional<PushAnswer> ref = expectSlackVerdictsMatch(
-            g, oracle, randomSingleSourceBatch(g, rng),
-            "seed " + std::to_string(seed) + " +" + std::to_string(slack) + " round " +
-                std::to_string(round));
+        checkAndCount(oracle, randomSingleSourceBatch(g, rng),
+                      "seed " + std::to_string(seed) + " +" + std::to_string(slack) +
+                          " round " + std::to_string(round),
+                      counts);
         if (HasFailure()) return;
-        if (ref && !ref->feasible) ++rejects;
       }
     }
   }
   EXPECT_GT(withEdges, 5);
-  EXPECT_GT(rejects, 50);
-}
-
-// ---------------------------------------------------------------------------
-// The min-id table: explainReject() reads the backward answer of a reject
-// whose largest excess is at most kSlackLevels from a per-node table, built
-// once the backward walks have settled a graph's worth of nodes, repaired
-// from the commits since the last reject, and dropped by pin(); above that
-// excess it walks. The cases below take enough rejects per oracle to
-// reach each of those states and check the verdicts against push.
-// ---------------------------------------------------------------------------
-
-/// Largest excess asap[u] + w(u,t) - alap[t] over the batch, read off the
-/// committed frames (w is the frame recurrence's edge weight).
-int maxExcess(const Graph& g, TimeFrameOracle& oracle, const std::vector<Edge>& batch,
-              const LatencyModel& model) {
-  auto weight = [&](NodeId a, NodeId b) {
-    const int fromA = isScheduled(g.kind(a)) ? model.latencyOf(g.kind(a)) - 1 : 0;
-    return fromA + (isScheduled(g.kind(b)) ? 1 : 0);
-  };
-  int excess = 0;
-  for (const auto& [u, t] : batch)
-    excess = std::max(excess, oracle.asap(u) + weight(u, t) - oracle.alap(t));
-  return excess;
+  EXPECT_GT(counts.rejects, 50);
+  EXPECT_GT(counts.cycles, 0);
 }
 
 /// One source towards 1-4 of the next 16 scheduled nodes in the cached
@@ -633,33 +541,10 @@ std::vector<Edge> forwardSingleSourceBatch(const Graph& g, std::mt19937_64& rng)
   return batch;
 }
 
-/// Half forward batches, half drawn anywhere (some close a cycle).
-std::vector<Edge> mixedSingleSourceBatch(const Graph& g, std::mt19937_64& rng) {
-  return rng() % 2 == 0 ? forwardSingleSourceBatch(g, rng) : randomSingleSourceBatch(g, rng);
-}
-
-/// Tallies of which path the verdicts took.
-struct VerdictCounts {
-  int tableRejects = 0;  ///< largest excess within the table's levels
-  int walkRejects = 0;   ///< largest excess above them
-  int accepts = 0;
-};
-
-/// Check one batch against push and tally it.
-void checkAndCount(const Graph& g, TimeFrameOracle& oracle, const std::vector<Edge>& batch,
-                   const LatencyModel& model, const std::string& what, VerdictCounts& counts) {
-  if (batch.empty()) return;
-  const int excess = maxExcess(g, oracle, batch, model);
-  const std::optional<PushAnswer> ref = expectSlackVerdictsMatch(g, oracle, batch, what);
-  if (!ref) return;
-  if (ref->feasible) ++counts.accepts;
-  else if (excess <= TimeFrameOracle::kSlackLevels) ++counts.tableRejects;
-  else ++counts.walkRejects;
-}
-
-TEST(TimeFrameOracle, MinIdTableFollowsLongCommitSequences) {
-  // One oracle per graph takes hundreds of batches; the first reject builds
-  // the table and every later accept repairs it in place.
+TEST(TimeFrameOracle, SlackVerdictsMatchPushOverLongCommitSequences) {
+  // One oracle per graph takes hundreds of batches, half of them forward
+  // and half drawn anywhere: every verdict reads frames that many earlier
+  // commits moved.
   for (const LatencyModel& model : {LatencyModel::unit(), LatencyModel::multiCycleMultiplier(2)}) {
     VerdictCounts counts;
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -668,7 +553,9 @@ TEST(TimeFrameOracle, MinIdTableFollowsLongCommitSequences) {
         TimeFrameOracle oracle(g, minSteps(g, model) + slack, model);
         std::mt19937_64 rng(seed * 31 + static_cast<std::uint64_t>(slack));
         for (int round = 0; round < 250; ++round) {
-          checkAndCount(g, oracle, mixedSingleSourceBatch(g, rng), model,
+          checkAndCount(oracle,
+                        rng() % 2 == 0 ? forwardSingleSourceBatch(g, rng)
+                                       : randomSingleSourceBatch(g, rng),
                         "seed " + std::to_string(seed) + " +" + std::to_string(slack) +
                             " round " + std::to_string(round),
                         counts);
@@ -677,64 +564,8 @@ TEST(TimeFrameOracle, MinIdTableFollowsLongCommitSequences) {
       }
     }
     EXPECT_GT(counts.accepts, 300);
-    EXPECT_GT(counts.tableRejects, 300);
+    EXPECT_GT(counts.rejects, 300);
   }
-}
-
-/// `chains` independent chains of `length` operations each, built one chain
-/// after another, so ids grow chain by chain.
-Graph parallelChains(int chains, int length, std::uint64_t seed) {
-  Graph g("chains");
-  std::mt19937_64 rng(seed);
-  const OpKind kinds[] = {OpKind::Add, OpKind::Sub, OpKind::Mul};
-  for (int c = 0; c < chains; ++c) {
-    const NodeId in = g.addInput("in" + std::to_string(c));
-    NodeId v = in;
-    for (int i = 0; i < length; ++i) v = g.addOp(kinds[rng() % 3], {v, in});
-    g.addOutput(v, "out" + std::to_string(c));
-  }
-  return g;
-}
-
-/// One source in some chain towards 1-3 nodes of later chains: acyclic with
-/// every other such batch, and a late source into an early target
-/// overshoots by up to a chain's depth.
-std::vector<Edge> crossChainBatch(const Graph& g, int chains, std::mt19937_64& rng) {
-  const std::vector<NodeId> ops = g.scheduledNodes();
-  const std::size_t perChain = ops.size() / static_cast<std::size_t>(chains);
-  const std::size_t from = rng() % (static_cast<std::size_t>(chains) - 1);
-  const NodeId u = ops[from * perChain + rng() % perChain];
-  std::vector<Edge> batch;
-  for (int k = 1 + static_cast<int>(rng() % 3); k > 0; --k) {
-    const std::size_t to = from + 1 + rng() % (static_cast<std::size_t>(chains) - 1 - from);
-    batch.emplace_back(u, ops[to * perChain + rng() % perChain]);
-  }
-  return batch;
-}
-
-TEST(TimeFrameOracle, ExcessAboveTableLevelsTakesTheWalk) {
-  // Chains deeper than the table's levels at tight budgets: a late source
-  // into an early target overshoots by more than kSlackLevels.
-  VerdictCounts counts;
-  constexpr int kChains = 6;
-  for (const LatencyModel& model : {LatencyModel::unit(), LatencyModel::multiCycleMultiplier(2)}) {
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      const Graph g = parallelChains(kChains, 24, seed);
-      for (const int slack : {0, 3, 12}) {
-        TimeFrameOracle oracle(g, minSteps(g, model) + slack, model);
-        std::mt19937_64 rng(seed * 17 + static_cast<std::uint64_t>(slack));
-        for (int round = 0; round < 120; ++round) {
-          checkAndCount(g, oracle, crossChainBatch(g, kChains, rng), model,
-                        "seed " + std::to_string(seed) + " +" + std::to_string(slack) +
-                            " round " + std::to_string(round),
-                        counts);
-          if (HasFailure()) return;
-        }
-      }
-    }
-  }
-  EXPECT_GT(counts.walkRejects, 100);
-  EXPECT_GT(counts.tableRejects, 100);
 }
 
 /// A layered DFG whose operands pass through wires a third of the time, so
@@ -788,7 +619,7 @@ TEST(TimeFrameOracle, TransparentTopsWeighZero) {
           if (g.kind(t) == OpKind::Wire) ++wireTargets;
           batch.emplace_back(u, t);
         }
-        checkAndCount(g, oracle, batch, model,
+        checkAndCount(oracle, batch,
                       "seed " + std::to_string(seed) + " +" + std::to_string(slack) +
                           " round " + std::to_string(round),
                       counts);
@@ -797,7 +628,7 @@ TEST(TimeFrameOracle, TransparentTopsWeighZero) {
     }
   }
   EXPECT_GT(wireTargets, 500);
-  EXPECT_GT(counts.tableRejects, 100);
+  EXPECT_GT(counts.rejects, 100);
   EXPECT_GT(counts.accepts, 100);
 }
 

@@ -98,6 +98,7 @@
 #include "rtl/power_harness.hpp"
 #include "sched/bdd.hpp"
 #include "sched/list_scheduler.hpp"
+#include "sched/power_transform.hpp"
 #include "sched/shared_gating.hpp"
 #include "server/server.hpp"
 #include "server/service.hpp"
@@ -517,7 +518,7 @@ int run(const Options& opts) {
   job.ordering = opts.ordering;
   job.optimal = opts.optimal;
   job.shared = opts.shared;
-  const DesignOutcome outcome = runDesignJob(job, budget);
+  DesignOutcome outcome = runDesignJob(job, budget);
   const PowerManagedDesign& design = outcome.design;
   const Schedule& sched = outcome.schedule;
   const Binding& binding = outcome.binding;
@@ -546,6 +547,7 @@ int run(const Options& opts) {
   }
 
   if (!opts.reportPath.empty()) {
+    nameSlackRejects(g, outcome.design);  // only the report prints the named node
     writeFile(opts.reportPath, analysis::renderDesignReport(
                                    {design, sched, binding, activation, ctrl}));
   }
