@@ -1,8 +1,8 @@
 #include "alloc/binding.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
-#include <map>
 
 #include "sched/condition.hpp"
 
@@ -29,26 +29,41 @@ Binding bindDesign(const Graph& g, const Schedule& sched, const BindingOptions& 
 
   // ---- functional unit binding ---------------------------------------------
   // Greedy first-fit, step by step; a unit is reusable across steps freely,
-  // and within one step only via the mutual-exclusion extension.
+  // and within one step only via the mutual-exclusion extension. A unit is
+  // busy in `step` when lastStep == step; opsThisStep lists what it runs in
+  // lastStep, kept only when mutex sharing needs it.
   struct UnitState {
     FunctionalUnit unit;
     int lastStep = 0;
     std::vector<NodeId> opsThisStep;
   };
-  std::map<ResourceClass, std::vector<UnitState>> pool;
+  // Indexed by unitIndex(): the order units are numbered in below.
+  std::array<std::vector<UnitState>, kNumUnitClasses> pool;
 
-  const std::vector<std::vector<NodeId>> byStep = sched.nodesByStep(g);
-  for (int step = 1; step <= sched.steps(); ++step) {
-    for (auto& [cls, states] : pool)
-      for (UnitState& s : states) s.opsThisStep.clear();
+  // The scheduled nodes bucketed by step, ascending id within a step (one
+  // counting sort; sched.validate() put every one in [1, steps]).
+  const int steps = sched.steps();
+  std::vector<std::uint32_t> stepStart(static_cast<std::size_t>(steps) + 2, 0);
+  for (NodeId n = 0; n < g.size(); ++n)
+    if (isScheduled(g.kind(n))) ++stepStart[static_cast<std::size_t>(sched.stepOf(n)) + 1];
+  for (std::size_t s = 1; s < stepStart.size(); ++s) stepStart[s] += stepStart[s - 1];
+  std::vector<NodeId> byStep(stepStart.back());
+  {
+    std::vector<std::uint32_t> fill(stepStart.begin(), stepStart.end() - 1);
+    for (NodeId n = 0; n < g.size(); ++n)
+      if (isScheduled(g.kind(n))) byStep[fill[static_cast<std::size_t>(sched.stepOf(n))]++] = n;
+  }
 
-    for (const NodeId n : byStep[static_cast<std::size_t>(step)]) {
+  for (int step = 1; step <= steps; ++step) {
+    for (std::uint32_t i = stepStart[static_cast<std::size_t>(step)];
+         i < stepStart[static_cast<std::size_t>(step) + 1]; ++i) {
+      const NodeId n = byStep[i];
       const ResourceClass rc = resourceClassOf(g.kind(n));
-      std::vector<UnitState>& states = pool[rc];
+      std::vector<UnitState>& states = pool[unitIndex(rc)];
 
       UnitState* chosen = nullptr;
       for (UnitState& s : states) {
-        if (s.opsThisStep.empty()) {
+        if (s.lastStep != step) {
           chosen = &s;
           break;
         }
@@ -73,12 +88,15 @@ Binding bindDesign(const Graph& g, const Schedule& sched, const BindingOptions& 
       }
       chosen->unit.ops.push_back(n);
       chosen->unit.width = std::max(chosen->unit.width, g.node(n).width);
-      chosen->opsThisStep.push_back(n);
+      if (opts.allowMutexSharing) {
+        if (chosen->lastStep != step) chosen->opsThisStep.clear();
+        chosen->opsThisStep.push_back(n);
+      }
       chosen->lastStep = step;
     }
   }
 
-  for (auto& [cls, states] : pool) {
+  for (std::vector<UnitState>& states : pool) {
     for (UnitState& s : states) {
       const int unitIdx = static_cast<int>(binding.units.size());
       for (const NodeId n : s.unit.ops) binding.unitOf[n] = unitIdx;

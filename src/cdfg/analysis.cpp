@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <queue>
+#include <span>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -13,7 +14,7 @@ namespace pmsched {
 
 std::vector<int> nodeDepths(const Graph& g) {
   std::vector<int> depth(g.size(), 0);
-  for (const NodeId n : g.topoOrder()) {
+  for (const NodeId n : g.topoOrderView()) {
     int before = 0;  // step after which all inputs are available
     for (const NodeId p : g.fanins(n)) before = std::max(before, depth[p]);
     for (const NodeId p : g.controlPredecessors(n)) before = std::max(before, depth[p]);
@@ -30,7 +31,7 @@ int criticalPathLength(const Graph& g) {
 }
 
 std::vector<int> distanceToOutput(const Graph& g) {
-  const std::vector<NodeId> order = g.topoOrder();
+  const std::span<const NodeId> order = g.topoOrderView();
   std::vector<int> dist(g.size(), 0);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const NodeId n = *it;

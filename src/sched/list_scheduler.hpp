@@ -9,10 +9,17 @@
 // predecessors; placing a node (or a wire/output becoming available)
 // notifies its data and control successors, and a scheduled node whose
 // inputs are all available lands in the bucket of the step after its last
-// input. Each step sorts its arrivals by priority and merges them into a
-// ready list that stays sorted and keeps the nodes earlier steps deferred,
-// so a run costs O((V + E) log V + deferred ready-list visits) instead of a
-// scan of every unplaced node per step.
+// input (an intrusive per-step list). Each step sorts its arrivals by
+// priority and merges them into a ready list that stays sorted and keeps
+// the nodes earlier steps deferred, so a run costs
+// O((V + E) log V + deferred ready-list visits) instead of a scan of every
+// unplaced node per step.
+//
+// minimizeSchedule() runs the scheduler once per limits vector at fixed
+// frames. One scratch serves the whole search: the frames are checked once,
+// the seeded state (pending counts, the times the sources relay, the
+// arrivals that need no placement) is built once and copied into each run,
+// and the ready, merge, usage and relay buffers are reused.
 
 #include <optional>
 
@@ -47,6 +54,7 @@ struct MinimizedSchedule {
   /// only grows during a run, so the run that found `units` at looser
   /// limits made every decision the same way it would at `units`.
   Schedule schedule;
+  int runs = 0;  ///< list-scheduling runs the search made
 };
 
 /// Pigeonhole lower bound on the units of ANY schedule of `g` into `steps`

@@ -319,7 +319,10 @@ PowerManagedDesign runTransformWithModel(const Graph& g, int steps,
 
   // Final frames before materializing: the oracle's committed fixed point
   // equals computeTimeFrames over the augmented graph.
-  if (oracle) design.frames = oracle->frames();
+  if (oracle) {
+    design.frames = oracle->frames();
+    design.oracleFrameWrites = oracle->frameWrites();
+  }
 
   // Step 10: materialize the committed precedence as control edges.
   for (const auto& [before, after] : committed) work.addControlEdge(before, after);
@@ -598,6 +601,7 @@ PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, b
   // decisions must be materialized completely for the design to be
   // consistent.
   PowerManagedDesign design = runTransform(g, steps, chosen, useOracle);
+  design.oracleFrameWrites += oracle->frameWrites();
   if (stopped) {
     design.degraded = true;
     const BudgetKind kind = budget->exhaustedWhy().value_or(BudgetKind::Deadline);

@@ -89,6 +89,10 @@ struct PowerManagedDesign {
   bool degraded = false;
   std::string degradeReason;  ///< empty unless degraded
 
+  /// Work counter, not part of the design: time-frame oracle values the
+  /// transform and shared gating changed (TimeFrameOracle::frameWrites()).
+  std::uint64_t oracleFrameWrites = 0;
+
   /// Muxes that were selected AND gate at least one operation — the paper's
   /// Table II "P.Man. Muxs" column.
   [[nodiscard]] int managedCount() const;

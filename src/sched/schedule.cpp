@@ -52,7 +52,7 @@ void Schedule::validate(const Graph& g, const LatencyModel& model) const {
 
   // Availability time of a node's value given the placement.
   std::vector<int> avail(g.size(), 0);
-  for (const NodeId n : g.topoOrder()) {
+  for (const NodeId n : g.topoOrderView()) {
     int ready = 0;
     for (const NodeId p : g.fanins(n)) ready = std::max(ready, avail[p]);
     for (const NodeId p : g.controlPredecessors(n)) ready = std::max(ready, avail[p]);

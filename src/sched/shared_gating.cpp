@@ -65,6 +65,7 @@ class SharedGatingPass {
     // The oracle's committed fixed point equals the from-scratch frames of
     // the augmented graph; snapshot it before mutating.
     design_.frames = oracle_.frames();
+    design_.oracleFrameWrites += oracle_.frameWrites();
     for (const auto& [before, after] : committed_) g_.addControlEdge(before, after);
     return gated;
   }

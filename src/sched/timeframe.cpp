@@ -1,6 +1,7 @@
 #include "sched/timeframe.hpp"
 
 #include <algorithm>
+#include <span>
 
 namespace pmsched {
 
@@ -17,20 +18,23 @@ TimeFrames computeTimeFrames(const Graph& g, int steps,
                              const LatencyModel& model) {
   if (steps <= 0) throw InfeasibleError("computeTimeFrames: steps must be positive");
 
-  // Extra predecessor/successor adjacency, indexed by node.
-  std::vector<std::vector<NodeId>> xSucc(g.size());
-  std::vector<std::vector<NodeId>> xPred(g.size());
-  for (const auto& [before, after] : extraEdges) {
-    xSucc[before].push_back(after);
-    xPred[after].push_back(before);
-  }
+  // Extra predecessor/successor adjacency, indexed by node (built only when
+  // there are extra edges).
+  const bool extra = !extraEdges.empty();
+  std::vector<std::vector<NodeId>> xSucc;
+  std::vector<std::vector<NodeId>> xPred;
 
   // The propagation order must respect the extra edges too, otherwise a
   // tentative constraint from a later-ordered node would read a stale time.
-  std::vector<NodeId> order;
-  if (extraEdges.empty()) {
-    order = g.topoOrder();
-  } else {
+  std::vector<NodeId> extraOrder;
+  std::span<const NodeId> order = g.topoOrderView();
+  if (extra) {
+    xSucc.resize(g.size());
+    xPred.resize(g.size());
+    for (const auto& [before, after] : extraEdges) {
+      xSucc[before].push_back(after);
+      xPred[after].push_back(before);
+    }
     std::vector<int> indegree(g.size(), 0);
     for (NodeId i = 0; i < g.size(); ++i)
       indegree[i] = static_cast<int>(g.fanins(i).size() + g.controlPredecessors(i).size() +
@@ -38,11 +42,11 @@ TimeFrames computeTimeFrames(const Graph& g, int steps,
     std::vector<NodeId> ready;
     for (NodeId i = 0; i < g.size(); ++i)
       if (indegree[i] == 0) ready.push_back(i);
-    order.reserve(g.size());
+    extraOrder.reserve(g.size());
     while (!ready.empty()) {
       const NodeId n = ready.back();
       ready.pop_back();
-      order.push_back(n);
+      extraOrder.push_back(n);
       auto relax = [&](NodeId s) {
         if (--indegree[s] == 0) ready.push_back(s);
       };
@@ -50,8 +54,9 @@ TimeFrames computeTimeFrames(const Graph& g, int steps,
       for (const NodeId s : g.controlSuccessors(n)) relax(s);
       for (const NodeId s : xSucc[n]) relax(s);
     }
-    if (order.size() != g.size())
+    if (extraOrder.size() != g.size())
       throw SynthesisError("computeTimeFrames: extra edges create a cycle");
+    order = extraOrder;
   }
 
   TimeFrames tf;
@@ -72,7 +77,8 @@ TimeFrames computeTimeFrames(const Graph& g, int steps,
     };
     for (const NodeId p : g.fanins(n)) relax(p);
     for (const NodeId p : g.controlPredecessors(n)) relax(p);
-    for (const NodeId p : xPred[n]) relax(p);
+    if (extra)
+      for (const NodeId p : xPred[n]) relax(p);
     tf.asap[n] = isScheduled(g.kind(n)) ? avail + 1 : avail;
   }
 
@@ -98,7 +104,8 @@ TimeFrames computeTimeFrames(const Graph& g, int steps,
     };
     for (const NodeId s : g.fanouts(n)) relax(s);
     for (const NodeId s : g.controlSuccessors(n)) relax(s);
-    for (const NodeId s : xSucc[n]) relax(s);
+    if (extra)
+      for (const NodeId s : xSucc[n]) relax(s);
     tf.alap[n] = latest;
   }
 

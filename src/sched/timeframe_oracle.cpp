@@ -1,6 +1,7 @@
 #include "sched/timeframe_oracle.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "support/fault_injector.hpp"
 
@@ -30,10 +31,10 @@ TimeFrameOracle::TimeFrameOracle(const Graph& g, int steps, const LatencyModel& 
     if (sched_[v] && lat_[v] == 0) slackExact_ = false;
   }
 
+  order_ = g.topoOrderView();
   topoPos_.resize(n);
-  const std::span<const NodeId> order = g.topoOrderView();
-  for (std::size_t i = 0; i < order.size(); ++i)
-    topoPos_[order[i]] = static_cast<std::uint32_t>(i);
+  for (std::size_t i = 0; i < order_.size(); ++i)
+    topoPos_[order_[i]] = static_cast<std::uint32_t>(i);
 
   asap_.assign(n, 0);
   alap_.assign(n, steps);
@@ -41,58 +42,84 @@ TimeFrameOracle::TimeFrameOracle(const Graph& g, int steps, const LatencyModel& 
   xSucc_.resize(n);
   xPred_.resize(n);
   changedFlag_.assign(n, 0);
-  inQueue_.assign(n, 0);
+  queue_.resize(n);
   walkStamp_.assign(n, 0);
 
   // Initial frames: the exact recurrences of computeTimeFrames() over the
   // cached topological order (no pins, no extra edges yet).
-  for (const NodeId v : order) asap_[v] = recomputeAsap(v);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) alap_[*it] = recomputeAlap(*it);
+  for (const NodeId v : order_) asap_[v] = asapFromInputs(v);
+  for (auto it = order_.rbegin(); it != order_.rend(); ++it) alap_[*it] = alapFromOutputs(*it);
   for (NodeId v = 0; v < n; ++v)
     if (sched_[v] && asap_[v] > latestStart_[v]) ++overEnd_;
 }
 
-int TimeFrameOracle::recomputeAsap(NodeId v) const {
-  int avail = 0;
-  auto relax = [&](NodeId p) {
-    const int ready = sched_[p] ? asap_[p] + lat_[p] - 1 : asap_[p];
-    if (ready > avail) avail = ready;
-  };
-  for (const NodeId p : g_.fanins(v)) relax(p);
-  for (const NodeId p : ctrlPredCsr_.row(v)) relax(p);
-  for (const NodeId p : xPred_[v]) relax(p);
-  int value = sched_[v] ? avail + 1 : avail;
-  if (pin_[v] != 0) {
-    if (pin_[v] < value)
-      throw InfeasibleError(ctx_ + ": pin below ASAP for '" + g_.node(v).name + "'");
-    value = pin_[v];
-  }
-  return value;
+// ---- worklist ---------------------------------------------------------------
+
+void TimeFrameOracle::TopoWorklist::resize(std::size_t positions) {
+  words_.assign((positions + 63) / 64, 0);
+  summary_.assign((words_.size() + 63) / 64, 0);
+  size_ = 0;
 }
 
-int TimeFrameOracle::recomputeAlap(NodeId v) const {
-  const bool schedV = sched_[v] != 0;
-  const int latV = lat_[v];
-  int latest = latestStart_[v];
-  auto relax = [&](NodeId s) {
-    if (sched_[s]) {
-      // v must be ready before the scheduled consumer starts; a transparent
-      // v relays a "value ready by" deadline one step before the start.
-      latest = std::min(latest, schedV ? alap_[s] - latV : alap_[s] - 1);
-    } else {
-      latest = std::min(latest, alap_[s] - (latV > 0 ? latV - 1 : 0));
-    }
-  };
-  for (const NodeId s : fanoutCsr_.row(v)) relax(s);
-  for (const NodeId s : ctrlSuccCsr_.row(v)) relax(s);
-  for (const NodeId s : xSucc_[v]) relax(s);
-  int value = latest;
-  if (pin_[v] != 0) {
-    if (pin_[v] > value)
-      throw InfeasibleError(ctx_ + ": pin above ALAP for '" + g_.node(v).name + "'");
-    value = pin_[v];
+bool TimeFrameOracle::TopoWorklist::insert(std::uint32_t pos) {
+  std::uint64_t& word = words_[pos / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (pos % 64);
+  if (word & bit) return false;
+  if (word == 0) summary_[pos / 4096] |= std::uint64_t{1} << (pos / 64 % 64);
+  word |= bit;
+  ++size_;
+  return true;
+}
+
+void TimeFrameOracle::TopoWorklist::take(std::size_t word, std::uint32_t bit) {
+  words_[word] &= ~(std::uint64_t{1} << bit);
+  if (words_[word] == 0) summary_[word / 64] &= ~(std::uint64_t{1} << (word % 64));
+  --size_;
+}
+
+std::uint32_t TimeFrameOracle::TopoWorklist::popMin() {
+  std::size_t s = 0;
+  while (summary_[s] == 0) ++s;
+  const std::size_t word = s * 64 + static_cast<std::size_t>(std::countr_zero(summary_[s]));
+  const auto bit = static_cast<std::uint32_t>(std::countr_zero(words_[word]));
+  take(word, bit);
+  return static_cast<std::uint32_t>(word * 64 + bit);
+}
+
+std::uint32_t TimeFrameOracle::TopoWorklist::popMax() {
+  std::size_t s = summary_.size() - 1;
+  while (summary_[s] == 0) --s;
+  const std::size_t word = s * 64 + 63 - static_cast<std::size_t>(std::countl_zero(summary_[s]));
+  const auto bit = static_cast<std::uint32_t>(63 - std::countl_zero(words_[word]));
+  take(word, bit);
+  return static_cast<std::uint32_t>(word * 64 + bit);
+}
+
+void TimeFrameOracle::TopoWorklist::clear() {
+  for (std::size_t s = 0; s < summary_.size(); ++s) {
+    for (std::uint64_t bits = summary_[s]; bits != 0; bits &= bits - 1)
+      words_[s * 64 + static_cast<std::size_t>(std::countr_zero(bits))] = 0;
+    summary_[s] = 0;
   }
-  return value;
+  size_ = 0;
+}
+
+// ---- repairs ----------------------------------------------------------------
+
+int TimeFrameOracle::asapFromInputs(NodeId v) const {
+  int avail = 0;
+  for (const NodeId p : g_.fanins(v)) avail = std::max(avail, readyAfter(p));
+  for (const NodeId p : ctrlPredCsr_.row(v)) avail = std::max(avail, readyAfter(p));
+  for (const NodeId p : xPred_[v]) avail = std::max(avail, readyAfter(p));
+  return sched_[v] ? avail + 1 : avail;
+}
+
+int TimeFrameOracle::alapFromOutputs(NodeId v) const {
+  int latest = latestStart_[v];
+  for (const NodeId s : fanoutCsr_.row(v)) latest = std::min(latest, latestBefore(v, s));
+  for (const NodeId s : ctrlSuccCsr_.row(v)) latest = std::min(latest, latestBefore(v, s));
+  for (const NodeId s : xSucc_[v]) latest = std::min(latest, latestBefore(v, s));
+  return latest;
 }
 
 void TimeFrameOracle::setAsap(NodeId v, int value) {
@@ -103,8 +130,6 @@ void TimeFrameOracle::setAsap(NodeId v, int value) {
   }
   asap_[v] = value;
 }
-
-void TimeFrameOracle::setAlap(NodeId v, int value) { alap_[v] = value; }
 
 void TimeFrameOracle::beginChangeEpoch() {
   for (const NodeId v : changed_) changedFlag_[v] = 0;
@@ -118,62 +143,73 @@ void TimeFrameOracle::markChanged(NodeId v) {
   }
 }
 
-TimeFrameOracle::RepairResult TimeFrameOracle::repairForward(std::span<const NodeId> seeds,
-                                                             Batch* undo,
-                                                             bool abortOnInfeasible) {
-  // Adding precedence or pinning only raises ASAPs; a topo-ordered worklist
-  // recomputes each affected node from final predecessor values. Batch
-  // edges may run against the cached topo order (the source can sit later
-  // in it than the target); the monotone recompute-and-re-enqueue loop
-  // stays correct, it merely revisits such nodes.
-  for (const NodeId v : seeds) enqueue(fwdQueue_, v);
-  auto drain = [&] {
-    while (!fwdQueue_.empty()) {
-      inQueue_[fwdQueue_.top().second] = 0;
-      fwdQueue_.pop();
+TimeFrameOracle::RepairResult TimeFrameOracle::raiseAsap(NodeId s, int value, Batch* undo,
+                                                         bool abortOnInfeasible) {
+  if (value <= asap_[s]) return RepairResult::Ok;
+  // Values beyond the DAG bound mean the batch closed a cycle through a
+  // scheduled node (the only kind the transform consumers can create). A
+  // pinned node raised past its step fails when it is popped instead.
+  if (pin_[s] == 0 && value > bound_) return RepairResult::Cycle;
+  // A node raised again before it is popped keeps its first undo entry:
+  // replaying the log backwards restores the oldest value anyway.
+  if (queue_.insert(topoPos_[s])) {
+    if (undo) undo->asapUndo.emplace_back(s, asap_[s]);
+    ++frameWrites_;
+  }
+  setAsap(s, value);
+  markChanged(s);
+  return abortOnInfeasible && overEnd_ > 0 ? RepairResult::Infeasible : RepairResult::Ok;
+}
+
+void TimeFrameOracle::lowerAlap(NodeId p, int value, Batch* undo) {
+  if (value >= alap_[p]) return;
+  if (queue_.insert(topoPos_[p])) {
+    if (undo) undo->alapUndo.emplace_back(p, alap_[p]);
+    ++frameWrites_;
+  }
+  alap_[p] = value;
+  markChanged(p);
+}
+
+TimeFrameOracle::RepairResult TimeFrameOracle::repairForward(Batch* undo, bool abortOnInfeasible) {
+  // Each popped node offers its ready time to its successors; only a
+  // successor the offer raises is enqueued (tightening-only, see header).
+  while (!queue_.empty()) {
+    const NodeId v = order_[queue_.popMin()];
+    if (pin_[v] != 0 && asap_[v] > pin_[v]) {
+      queue_.clear();
+      throw InfeasibleError(ctx_ + ": pin below ASAP for '" + g_.node(v).name + "'");
     }
-  };
-  while (!fwdQueue_.empty()) {
-    const NodeId v = fwdQueue_.top().second;
-    fwdQueue_.pop();
-    inQueue_[v] = 0;
-    const int value = recomputeAsap(v);
-    if (value == asap_[v]) continue;
-    if (value > bound_) {
-      // Values beyond the DAG bound mean the batch closed a cycle through a
-      // scheduled node (the only kind the transform consumers can create).
-      drain();
-      return RepairResult::Cycle;
+    const int ready = readyAfter(v);
+    auto offerAll = [&](const auto& successors) {
+      for (const NodeId s : successors) {
+        const RepairResult r = raiseAsap(s, sched_[s] ? ready + 1 : ready, undo, abortOnInfeasible);
+        if (r != RepairResult::Ok) return r;
+      }
+      return RepairResult::Ok;
+    };
+    RepairResult r = offerAll(fanoutCsr_.row(v));
+    if (r == RepairResult::Ok) r = offerAll(ctrlSuccCsr_.row(v));
+    if (r == RepairResult::Ok) r = offerAll(xSucc_[v]);
+    if (r != RepairResult::Ok) {
+      queue_.clear();
+      return r;
     }
-    if (undo) undo->asapUndo.emplace_back(v, asap_[v]);
-    setAsap(v, value);
-    markChanged(v);
-    if (abortOnInfeasible && overEnd_ > 0) {
-      drain();
-      return RepairResult::Infeasible;
-    }
-    for (const NodeId s : fanoutCsr_.row(v)) enqueue(fwdQueue_, s);
-    for (const NodeId s : ctrlSuccCsr_.row(v)) enqueue(fwdQueue_, s);
-    for (const NodeId s : xSucc_[v]) enqueue(fwdQueue_, s);
   }
   return RepairResult::Ok;
 }
 
-void TimeFrameOracle::repairBackward(std::span<const NodeId> seeds, Batch* undo) {
+void TimeFrameOracle::repairBackward(Batch* undo) {
   // Only lowers ALAPs; reverse topological order.
-  for (const NodeId v : seeds) enqueue(bwdQueue_, v);
-  while (!bwdQueue_.empty()) {
-    const NodeId v = bwdQueue_.top().second;
-    bwdQueue_.pop();
-    inQueue_[v] = 0;
-    const int value = recomputeAlap(v);
-    if (value == alap_[v]) continue;
-    if (undo) undo->alapUndo.emplace_back(v, alap_[v]);
-    setAlap(v, value);
-    markChanged(v);
-    for (const NodeId p : g_.fanins(v)) enqueue(bwdQueue_, p);
-    for (const NodeId p : ctrlPredCsr_.row(v)) enqueue(bwdQueue_, p);
-    for (const NodeId p : xPred_[v]) enqueue(bwdQueue_, p);
+  while (!queue_.empty()) {
+    const NodeId v = order_[queue_.popMax()];
+    if (pin_[v] != 0 && alap_[v] < pin_[v]) {
+      queue_.clear();
+      throw InfeasibleError(ctx_ + ": pin above ALAP for '" + g_.node(v).name + "'");
+    }
+    for (const NodeId p : g_.fanins(v)) lowerAlap(p, latestBefore(p, v), undo);
+    for (const NodeId p : ctrlPredCsr_.row(v)) lowerAlap(p, latestBefore(p, v), undo);
+    for (const NodeId p : xPred_[v]) lowerAlap(p, latestBefore(p, v), undo);
   }
 }
 
@@ -192,10 +228,10 @@ void TimeFrameOracle::ensureAlap() {
   // the lower batches deliberately keep bwdDone == false: a later read
   // re-flushes their seeds against the then-current edge set (a cheap
   // no-op when nothing changed), which is always attribution-correct.
-  seedsB_.clear();
   for (std::size_t i = 0; i < depth_; ++i)
-    for (const Edge& e : batchPool_[i].edges) seedsB_.push_back(e.first);
-  repairBackward(seedsB_, &top);
+    for (const auto& [before, after] : batchPool_[i].edges)
+      lowerAlap(before, latestBefore(before, after), &top);
+  repairBackward(&top);
   top.bwdDone = true;
 }
 
@@ -207,7 +243,7 @@ void TimeFrameOracle::undoBatch(Batch& batch) {
     markChanged(it->first);
   }
   for (auto it = batch.alapUndo.rbegin(); it != batch.alapUndo.rend(); ++it) {
-    setAlap(it->first, it->second);
+    alap_[it->first] = it->second;
     markChanged(it->first);
   }
   for (auto it = batch.edges.rbegin(); it != batch.edges.rend(); ++it) {
@@ -227,13 +263,21 @@ void TimeFrameOracle::push(std::span<const Edge> edges, bool probe) {
   batch.alapUndo.clear();
   batch.bwdDone = false;
   batch.poisoned = false;
-  seedsF_.clear();
   for (const auto& [before, after] : batch.edges) {
     xSucc_[before].push_back(after);
     xPred_[after].push_back(before);
-    seedsF_.push_back(after);
   }
-  switch (repairForward(seedsF_, &batch, probe)) {
+  RepairResult result = RepairResult::Ok;
+  for (const auto& [before, after] : batch.edges) {
+    const int ready = readyAfter(before);
+    result = raiseAsap(after, sched_[after] ? ready + 1 : ready, &batch, probe);
+    if (result != RepairResult::Ok) break;
+  }
+  if (result == RepairResult::Ok)
+    result = repairForward(&batch, probe);
+  else
+    queue_.clear();
+  switch (result) {
     case RepairResult::Ok:
       break;
     case RepairResult::Infeasible:
@@ -269,12 +313,20 @@ void TimeFrameOracle::commit() {
 void TimeFrameOracle::pin(NodeId n, int step) {
   if (depth_ != 0) throw SynthesisError(ctx_ + ": pin with open tentative batches");
   if (!sched_[n]) throw SynthesisError(ctx_ + ": pin of a non-scheduled node");
+  if (pin_[n] != 0) throw SynthesisError(ctx_ + ": pin of an already pinned node");
   beginChangeEpoch();
   pin_[n] = step;
   pinned_ = true;  // pins turn the slack verdict's fast path off for good
-  const NodeId seeds[1] = {n};
-  (void)repairForward(std::span<const NodeId>(seeds), nullptr, false);  // pins cannot cycle
-  repairBackward(std::span<const NodeId>(seeds), nullptr);
+  // At depth 0 both frames are the unpinned fixed point, so n's own frame
+  // is what a recompute from its inputs and outputs gives.
+  if (step < asap_[n])
+    throw InfeasibleError(ctx_ + ": pin below ASAP for '" + g_.node(n).name + "'");
+  (void)raiseAsap(n, step, nullptr, false);
+  (void)repairForward(nullptr, false);  // pins cannot cycle
+  if (step > alap_[n])
+    throw InfeasibleError(ctx_ + ": pin above ALAP for '" + g_.node(n).name + "'");
+  lowerAlap(n, step, nullptr);
+  repairBackward(nullptr);
 }
 
 std::optional<NodeId> TimeFrameOracle::firstInfeasible() {

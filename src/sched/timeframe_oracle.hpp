@@ -4,11 +4,9 @@
 // The paper's transform (Fig. 3, steps 5-9) and its extensions all share the
 // same inner loop: tentatively add a batch of control-precedence edges, ask
 // "does every node still have ASAP <= ALAP within the step budget?", then
-// commit or revert. computeTimeFrames() answers that from scratch — a fresh
-// topological order plus two O(V+E) sweeps per query. The oracle instead
-// owns the frames and *repairs* them per batch with the same topo-ordered
-// worklist machinery the incremental force-directed scheduler introduced
-// (PR 1), generalized to edge batches with undo:
+// commit or revert. computeTimeFrames() answers that from scratch — two
+// O(V+E) sweeps per query. The oracle instead owns the frames and *repairs*
+// them per batch, with undo:
 //
 //   push(edges)  tentatively add a batch; frames repaired incrementally
 //   pop()        revert the innermost batch; frames restored exactly
@@ -23,6 +21,30 @@
 // nodes whose value actually changes reaches the same integers, and pop()
 // restores the previous fixed point from an undo log instead of
 // recomputing.
+//
+// Tightening only. Every repair starts from the fixed point of a subset of
+// the live constraints and only adds constraints: push() adds edges, pin()
+// narrows one node's frame to a step inside it (a node is pinned at most
+// once), and the lazy ALAP flush applies edges already pushed. ASAPs can
+// therefore only rise and ALAPs only fall, and the repair is push-style
+// label correcting: a popped node offers its value to each successor (for
+// ASAP; predecessor for ALAP) through one recurrence edge, and a neighbour
+// is enqueued only when the offer actually raises (lowers) it. The value a
+// neighbour already holds is the maximum over all of its other inputs, so
+// max(held, offer) is exactly what recomputing it from every input gives.
+// pop() never repairs: it replays the undo log.
+//
+// Worklist order. The pending nodes sit in a two-level bitset over cached
+// topological positions (one bit per node, one summary bit per 64-bit
+// word), so membership is a bit and popMin()/popMax() return the smallest
+// (largest) pending position — the order a min-heap (max-heap) of
+// (topo position, id) pairs pops, since positions are unique. Forward
+// repairs pop in topological order, so without edges against that order a
+// popped node's value is final; batch edges may run against it (the source
+// can sit later than the target), and the loop then merely revisits nodes.
+// A pin violation (an offer past a pinned node's step) is raised when that
+// node is popped, which names the node a topo-ordered recompute would.
+// Values beyond a loose DAG bound mean a batch closed a cycle.
 //
 // Two structural shortcuts keep probe batches cheap; neither changes any
 // observable value:
@@ -77,17 +99,19 @@
 // exact in every case, only the cost differs.
 //
 // Differential tests (tests/test_timeframe_oracle.cpp) assert frame
-// equality against computeTimeFrames under randomized batch sequences, and
-// tryCommit() against push/feasible/pop — on random and transform batches,
-// long commit sequences, cycles and the zero-cycle fallback.
+// equality against computeTimeFrames under randomized batch sequences (up
+// to 512x16 graphs, with batch edges against the topo order, pins and
+// multi-cycle models), changedNodes() against the nodes whose frame moved,
+// and tryCommit() against push/feasible/pop — on random and transform
+// batches, long commit sequences, cycles and the zero-cycle fallback.
 //
 // The oracle snapshots the graph's CSR views at construction; the graph
 // must not be mutated while the oracle is alive. Batches and pins must not
 // be mixed (pin() requires depth() == 0): the transform consumers only
 // push/pop/commit, the scheduler only pins.
 
+#include <cstdint>
 #include <optional>
-#include <queue>
 #include <span>
 #include <string>
 #include <utility>
@@ -131,7 +155,7 @@ class TimeFrameOracle {
   /// both directions eagerly. Throws InfeasibleError when a repaired value
   /// violates any pin, with the same "<context>: pin below ASAP/above ALAP
   /// for '<name>'" messages the reference scheduler produces. Requires
-  /// depth() == 0.
+  /// depth() == 0 and an unpinned `n` (SynthesisError otherwise).
   void pin(NodeId n, int step);
 
   // ---- queries -------------------------------------------------------------
@@ -181,6 +205,11 @@ class TimeFrameOracle {
   /// each listed once. Used by the force-directed force-cache invalidation.
   [[nodiscard]] std::span<const NodeId> changedNodes() const { return changed_; }
 
+  /// Node frames the repairs have moved so far, once per node per worklist
+  /// visit (undo restores not counted): the oracle's work counter for stage
+  /// tracing.
+  [[nodiscard]] std::uint64_t frameWrites() const { return frameWrites_; }
+
  private:
   struct Batch {
     std::vector<Edge> edges;
@@ -192,14 +221,50 @@ class TimeFrameOracle {
 
   enum class RepairResult { Ok, Cycle, Infeasible };
 
-  [[nodiscard]] int recomputeAsap(NodeId v) const;
-  [[nodiscard]] int recomputeAlap(NodeId v) const;
+  /// Pending repair work: a set of topo positions in a two-level bitset.
+  /// popMin()/popMax() return the smallest/largest pending position.
+  class TopoWorklist {
+   public:
+    void resize(std::size_t positions);
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    /// False when `pos` was already pending.
+    bool insert(std::uint32_t pos);
+    std::uint32_t popMin();
+    std::uint32_t popMax();
+    void clear();
+
+   private:
+    void take(std::size_t word, std::uint32_t bit);
+    std::vector<std::uint64_t> words_;
+    std::vector<std::uint64_t> summary_;  ///< bit w set iff words_[w] != 0
+    std::size_t size_ = 0;
+  };
+
+  /// ASAP / ALAP of `v` from its inputs / outputs alone (pins ignored).
+  [[nodiscard]] int asapFromInputs(NodeId v) const;
+  [[nodiscard]] int alapFromOutputs(NodeId v) const;
+  /// Step after which a scheduled `v` (or the value of a transparent `v`)
+  /// is ready, at its current ASAP.
+  [[nodiscard]] int readyAfter(NodeId v) const {
+    return sched_[v] ? asap_[v] + lat_[v] - 1 : asap_[v];
+  }
+  /// Latest ALAP of producer `v` that consumer `s` (at its current ALAP)
+  /// allows.
+  [[nodiscard]] int latestBefore(NodeId v, NodeId s) const {
+    if (sched_[s]) return sched_[v] ? alap_[s] - lat_[v] : alap_[s] - 1;
+    return alap_[s] - (lat_[v] > 0 ? lat_[v] - 1 : 0);
+  }
   void setAsap(NodeId v, int value);
-  void setAlap(NodeId v, int value);
   void beginChangeEpoch();
   void markChanged(NodeId v);
-  RepairResult repairForward(std::span<const NodeId> seeds, Batch* undo, bool abortOnInfeasible);
-  void repairBackward(std::span<const NodeId> seeds, Batch* undo);
+  /// Offer `value` as a lower bound on asap[s]; enqueue s if it rises.
+  RepairResult raiseAsap(NodeId s, int value, Batch* undo, bool abortOnInfeasible);
+  /// Offer `value` as an upper bound on alap[p]; enqueue p if it falls.
+  void lowerAlap(NodeId p, int value, Batch* undo);
+  /// Drain the worklist of raised nodes; the result of the first offer
+  /// that was not Ok ends it early.
+  RepairResult repairForward(Batch* undo, bool abortOnInfeasible);
+  void repairBackward(Batch* undo);
   /// Run the deferred backward repair of the innermost batch, if any.
   void ensureAlap();
   /// Restore frames from a batch's undo log and detach its edges.
@@ -221,13 +286,6 @@ class TimeFrameOracle {
   /// Fresh walk epoch: every node reads as unvisited.
   void beginWalk();
 
-  template <typename Queue>
-  void enqueue(Queue& q, NodeId v) {
-    if (inQueue_[v]) return;
-    inQueue_[v] = 1;
-    q.emplace(topoPos_[v], v);
-  }
-
   const Graph& g_;
   const int steps_;
   const LatencyModel model_;
@@ -239,13 +297,15 @@ class TimeFrameOracle {
   std::vector<char> sched_;
   std::vector<int> lat_;                 ///< latency (0 for transparent nodes)
   std::vector<int> latestStart_;         ///< steps - lat + 1 (scheduled), else steps
-  std::vector<std::uint32_t> topoPos_;   ///< position in the cached topo order
+  std::span<const NodeId> order_;        ///< the cached topo order
+  std::vector<std::uint32_t> topoPos_;   ///< position in order_
   int bound_ = 0;                        ///< asap values beyond this imply a cycle
 
   std::vector<int> asap_;
   std::vector<int> alap_;
   std::vector<int> pin_;                 ///< 0 = unpinned
   int overEnd_ = 0;                      ///< scheduled nodes with asap > latestStart
+  std::uint64_t frameWrites_ = 0;
 
   std::vector<std::vector<NodeId>> xSucc_;  ///< live extra edges (all batches)
   std::vector<std::vector<NodeId>> xPred_;
@@ -260,14 +320,8 @@ class TimeFrameOracle {
 
   std::vector<NodeId> changed_;
   std::vector<char> changedFlag_;
-  std::vector<char> inQueue_;
 
-  // Pooled repair scratch (drained after every repair; capacity persists).
-  using MinItem = std::pair<std::uint32_t, NodeId>;
-  std::priority_queue<MinItem, std::vector<MinItem>, std::greater<MinItem>> fwdQueue_;
-  std::priority_queue<MinItem> bwdQueue_;
-  std::vector<NodeId> seedsF_;
-  std::vector<NodeId> seedsB_;
+  TopoWorklist queue_;  ///< empty between repairs
   // Cycle-check scratch: visited where walkStamp_ == walkEpoch_.
   std::vector<std::uint32_t> walkStamp_;
   std::uint32_t walkEpoch_ = 0;

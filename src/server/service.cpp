@@ -10,26 +10,38 @@ namespace pmsched {
 
 DesignOutcome runDesignJob(const DesignJob& job, const RunBudget* budget) {
   DesignOutcome out;
+  out.trace.start();
   out.design = job.optimal
                    ? applyPowerManagementOptimal(job.graph, job.steps, 24, budget)
                    : applyPowerManagement(job.graph, job.steps, job.ordering,
                                           LatencyModel::unit(), budget);
-  if (job.shared)
+  const std::uint64_t transformWrites = out.design.oracleFrameWrites;
+  out.trace.close(Stage::Transform).frameWrites = transformWrites;
+  if (job.shared) {
     out.sharedGated = applySharedGating(out.design, budget, &out.sharedGatingSlackRejects);
+    out.trace.close(Stage::SharedGating).frameWrites =
+        out.design.oracleFrameWrites - transformWrites;
+  }
   finishDesignJob(out, job, budget);
   return out;
 }
 
 void finishDesignJob(DesignOutcome& out, const DesignJob& job, const RunBudget* budget,
                      const FinishOptions& fin) {
+  if (!out.trace.running()) out.trace.start();
   MinimizedSchedule minimized = fin.minimized != nullptr
                                     ? *fin.minimized
                                     : minimizeSchedule(out.design.graph, job.steps);
   out.units = minimized.units;
   out.schedule = std::move(minimized.schedule);
+  out.trace.close(Stage::Minimize).listRuns = static_cast<std::uint64_t>(minimized.runs);
   out.binding = bindDesign(out.design.graph, out.schedule);
+  out.trace.close(Stage::Bind);
   if (!fin.reuseActivation) out.activation = analyzeActivation(out.design, budget);
+  out.trace.close(Stage::Activation);
   out.controller = synthesizeController(out.design, out.schedule, out.binding, out.activation);
+  out.trace.close(Stage::Controller);
+  out.trace.stop();
 
   DesignSummary& s = out.summary;
   s.ops = countOps(job.graph).totalUnits();

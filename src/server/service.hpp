@@ -18,6 +18,7 @@
 #include "sched/power_transform.hpp"
 #include "sched/resources.hpp"
 #include "sched/schedule.hpp"
+#include "support/stage_trace.hpp"
 
 namespace pmsched {
 
@@ -63,6 +64,10 @@ struct DesignOutcome {
   /// Zero is half of the explore driver's saturation certificate (the
   /// transform half is managedCount == the graph's full candidate count).
   int sharedGatingSlackRejects = 0;
+  /// Per-stage wall time and work counters of the run that produced this
+  /// outcome. Not part of the result: no response, cache key or explore
+  /// document reads it.
+  StageTrace trace;
 };
 
 /// Run the full pipeline: power-management transform (greedy or optimal),
@@ -89,6 +94,8 @@ struct FinishOptions {
 /// scheduling, binding, activation analysis, controller synthesis and the
 /// summary verdict, over an out.design/out.sharedGated the caller already
 /// produced. runDesignJob() is exactly transform + shared gating + this.
+/// Fills the minimize..controller entries of out.trace, timing from the
+/// caller's last stage boundary when out.trace is running.
 void finishDesignJob(DesignOutcome& out, const DesignJob& job,
                      const RunBudget* budget = nullptr, const FinishOptions& fin = {});
 

@@ -114,6 +114,37 @@ TEST(Server, DesignResponseMatchesOneShotServiceRun) {
   EXPECT_EQ(field(result, "design").asString(), expectedText);
 }
 
+TEST(Server, DesignOutcomeTracesEveryStage) {
+  DesignJob job;
+  job.graph = randomLayeredDfg(32, 6, 3);
+  job.steps = criticalPathLength(job.graph) + 2;
+  for (const bool shared : {false, true}) {
+    job.shared = shared;
+    const DesignOutcome out = runDesignJob(job);
+    const StageTrace& trace = out.trace;
+    EXPECT_FALSE(trace.running());
+    for (std::size_t i = 0; i < kNumStages; ++i) {
+      const Stage stage = static_cast<Stage>(i);
+      if (stage != Stage::SharedGating || shared) {
+        EXPECT_GT(trace[stage].ns, 0) << stageName(stage);
+      }
+    }
+    ASSERT_GT(out.design.managedCount(), 0);
+    EXPECT_GT(trace[Stage::Transform].frameWrites, 0u);
+    EXPECT_EQ(trace[Stage::Transform].frameWrites + trace[Stage::SharedGating].frameWrites,
+              out.design.oracleFrameWrites);
+    if (!shared) {
+      EXPECT_EQ(trace[Stage::SharedGating].ns, 0);
+    }
+    // The minimum-resource search runs at least once, and the trace counts
+    // exactly the runs it made.
+    const MinimizedSchedule minimized = minimizeSchedule(out.design.graph, job.steps);
+    EXPECT_GE(minimized.runs, 1);
+    EXPECT_EQ(trace[Stage::Minimize].listRuns, static_cast<std::uint64_t>(minimized.runs));
+    EXPECT_EQ(trace[Stage::Bind].listRuns, 0u);
+  }
+}
+
 TEST(Server, CacheHitIsBitIdenticalAndSurvivesRenaming) {
   const Graph g = randomLayeredDfg(4, 3, 5);
   const int steps = 8;

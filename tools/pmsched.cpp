@@ -28,6 +28,8 @@
 //   --power-sim N       gate-level power comparison over N random vectors
 //   --bdd-reorder MODE  off | auto — dynamic BDD variable reordering
 //                       (sifting); beats PMSCHED_BDD_REORDER when given
+//   --profile           print one line per pipeline stage to stderr: wall
+//                       time, oracle frame writes, list-scheduling runs
 //
 // Server mode (docs/SERVER.md):
 //
@@ -142,6 +144,7 @@ struct Options {
   bool shared = true;
   bool optimal = false;
   bool failDegraded = false;
+  bool profile = false;
   std::string reportPath;
   std::string vhdlPrefix;
   std::string dotPath;
@@ -194,6 +197,7 @@ void printUsage(std::ostream& os) {
         "               [--dot FILE] [--save FILE] [--power-sim N]\n"
         "               [--budget-ms N] [--budget-probes N] [--budget-bdd-nodes N]\n"
         "               [--budget-dnf-terms N] [--fail-degraded] [--bdd-reorder off|auto]\n"
+        "               [--profile]\n"
         "       pmsched --random-dfg LxP[:SEED] [--steps N] [options]\n"
         "       pmsched --circuit NAME --steps N [options]\n"
         "       pmsched INPUT --explore [--explore-span K] [--explore-min-steps N]\n"
@@ -310,10 +314,13 @@ Options parseArgs(int argc, char** argv) {
     else if (arg == "--budget-dnf-terms")
       opts.budgetDnfTerms = nextInt("--budget-dnf-terms", 1, INT64_MAX);
     else if (arg == "--fail-degraded") opts.failDegraded = true;
+    else if (arg == "--profile") opts.profile = true;
     else if (!arg.empty() && arg[0] == '-') throw UsageError("unknown option '" + arg + "'");
     else if (opts.inputPath.empty()) opts.inputPath = arg;
     else throw UsageError("multiple inputs given");
   }
+  if (opts.profile && (opts.serve || opts.explore))
+    throw UsageError("--profile applies to a single design run");
   if (!opts.serve) {
     if (!opts.serveSocket.empty() || opts.serveWorkers != 2 || opts.serveQueue != 64 ||
         opts.serveMaxFrame != (1u << 20) || opts.serveCache != 256 || opts.serveThreads != 0 ||
@@ -497,6 +504,17 @@ int runExplore(const Options& opts) {
   return kExitOk;
 }
 
+/// --profile: one stderr line per pipeline stage.
+void printProfile(const StageTrace& trace) {
+  for (std::size_t i = 0; i < kNumStages; ++i) {
+    const Stage stage = static_cast<Stage>(i);
+    const StageCost& cost = trace[stage];
+    std::cerr << "profile: " << stageName(stage) << " " << fixed(cost.ns / 1e6, 3)
+              << " ms, frame_writes " << cost.frameWrites << ", list_runs " << cost.listRuns
+              << "\n";
+  }
+}
+
 int run(const Options& opts) {
   RunBudget budgetStorage;
   const RunBudget* budget = configureRun(opts, budgetStorage);
@@ -519,6 +537,7 @@ int run(const Options& opts) {
   job.optimal = opts.optimal;
   job.shared = opts.shared;
   DesignOutcome outcome = runDesignJob(job, budget);
+  if (opts.profile) printProfile(outcome.trace);
   const PowerManagedDesign& design = outcome.design;
   const Schedule& sched = outcome.schedule;
   const Binding& binding = outcome.binding;
