@@ -196,53 +196,28 @@ void BM_DnfProbabilityReference(benchmark::State& state) {
 BENCHMARK(BM_DnfProbabilityReference)->RangeMultiplier(2)->Range(4, 24)->Complexity();
 
 // ---------------------------------------------------------------------------
-// PR-7 condition-stack benchmarks: raw ite/unique-table throughput, the
-// cost of one sifting pass, and controller generation (whose condition
-// comparison rides the canonical activation BDD refs).
+// Condition-stack benchmarks: raw ite/unique-table throughput and
+// controller generation (whose condition comparison rides the canonical
+// activation BDD refs).
 // ---------------------------------------------------------------------------
 
 // A fresh AND of two staggered DNF BDDs per iteration: every makeNode /
-// unique-table probe / computed-cache hit on the hot path, with automatic
-// reordering disabled so the measurement is pure ite.
+// unique-table probe / computed-cache hit on the hot path.
 void BM_BddIte(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   const GateDnf a = benchDnf(k);
   GateDnf b = benchDnf(k);
   for (GateTerm& term : b)
     for (GateLiteral& lit : term) lit.select += 2;  // interleave the supports
-  setBddReorderMode(BddReorderMode::Off);
   for (auto _ : state) {
     BddManager mgr;
     const BddRef fa = mgr.fromDnf(a);
     const BddRef fb = mgr.fromDnf(b);
     benchmark::DoNotOptimize(mgr.bddAnd(fa, fb));
   }
-  setBddReorderMode(BddReorderMode::Auto);
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_BddIte)->RangeMultiplier(2)->Range(4, 48)->Complexity();
-
-// One full sifting pass over a deliberately mis-ordered build (variables
-// pre-registered in reverse first-use order), the shape the watermark
-// trigger fires on. Build time is excluded via pause/resume.
-void BM_BddSift(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const GateDnf dnf = benchDnf(k);
-  std::vector<NodeId> reversed;
-  for (int v = k; v >= 1; --v) reversed.push_back(static_cast<NodeId>(v));
-  setBddReorderMode(BddReorderMode::Off);  // sift manually, once per iteration
-  for (auto _ : state) {
-    state.PauseTiming();
-    BddManager mgr;
-    mgr.registerVariables(reversed);
-    benchmark::DoNotOptimize(mgr.fromDnf(dnf));
-    state.ResumeTiming();
-    mgr.sift();
-  }
-  setBddReorderMode(BddReorderMode::Auto);
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_BddSift)->RangeMultiplier(2)->Range(4, 48)->Complexity();
 
 // Controller synthesis on a fully prepared design: condition-class
 // resolution (canonical BDD ref equality), status capture planning, and

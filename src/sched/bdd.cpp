@@ -1,14 +1,9 @@
 #include "sched/bdd.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <limits>
-#include <numeric>
-#include <stdexcept>
 #include <string>
-#include <string_view>
 
 #include "support/diagnostics.hpp"
 #include "support/fault_injector.hpp"
@@ -35,57 +30,10 @@ inline std::uint64_t hashIte(BddRef f, BddRef g, BddRef h) {
   return x;
 }
 
-std::atomic<int> g_reorderModeOverride{-1};
-std::atomic<std::size_t> g_reorderWatermarkOverride{0};
-
-BddReorderMode envReorderMode() {
-  static const BddReorderMode v = [] {
-    if (const char* env = std::getenv("PMSCHED_BDD_REORDER")) {
-      if (std::string_view(env) == "off") return BddReorderMode::Off;
-    }
-    return BddReorderMode::Auto;
-  }();
-  return v;
-}
-
-std::size_t envReorderWatermark() {
-  static const std::size_t v = [] {
-    if (const char* env = std::getenv("PMSCHED_BDD_REORDER_WATERMARK")) {
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(env, &end, 10);
-      if (end != nullptr && *end == '\0' && n > 0) return static_cast<std::size_t>(n);
-    }
-    return std::size_t{4096};
-  }();
-  return v;
-}
-
 constexpr std::size_t kComputedInitial = std::size_t{1} << 12;
 constexpr std::size_t kComputedMax = std::size_t{1} << 20;
 
-/// Sifting aborts a direction once the table has grown past this factor of
-/// its size when the variable started moving (Rudell's max-growth guard).
-constexpr double kSiftMaxGrowth = 1.2;
-
 }  // namespace
-
-BddReorderMode bddReorderMode() {
-  const int o = g_reorderModeOverride.load(std::memory_order_relaxed);
-  return o < 0 ? envReorderMode() : static_cast<BddReorderMode>(o);
-}
-
-void setBddReorderMode(BddReorderMode mode) {
-  g_reorderModeOverride.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-std::size_t bddReorderWatermark() {
-  const std::size_t o = g_reorderWatermarkOverride.load(std::memory_order_relaxed);
-  return o == 0 ? envReorderWatermark() : o;
-}
-
-void setBddReorderWatermark(std::size_t nodes) {
-  g_reorderWatermarkOverride.store(nodes, std::memory_order_relaxed);
-}
 
 BddManager::BddManager() {
   nodes_.push_back(Node{kTermVar, kBddFalse, kBddFalse});  // 0 = FALSE
@@ -101,22 +49,12 @@ void BddManager::clear() {
   approxCache_.clear();
   varOf_.clear();
   order_.clear();
-  roots_.clear();
-  isRoot_.clear();
   visitStamp_.clear();
   visitTick_ = 0;
-  watermark_ = 0;
   ++epoch_;
 }
 
-std::size_t BddManager::tableSize() const {
-  std::size_t n = 0;
-  for (const Level& lv : levels_) n += lv.count;
-  return n;
-}
-
-void BddManager::growLevel(Level& lv, std::uint32_t var) {
-  (void)var;
+void BddManager::growLevel(Level& lv) {
   const std::size_t cap = lv.slots.empty() ? 16 : lv.slots.size() * 2;
   std::vector<BddRef> old;
   old.swap(lv.slots);
@@ -130,21 +68,10 @@ void BddManager::growLevel(Level& lv, std::uint32_t var) {
   }
 }
 
-void BddManager::insertUnique(BddRef r) {
-  const Node& n = nodes_[r];
-  Level& lv = levels_[n.var];
-  if ((lv.count + 1) * 10 >= lv.slots.size() * 7) growLevel(lv, n.var);
-  const std::size_t mask = lv.slots.size() - 1;
-  std::size_t slot = hashPair(n.lo, n.hi) & mask;
-  while (lv.slots[slot] != kBddInvalid) slot = (slot + 1) & mask;
-  lv.slots[slot] = r;
-  ++lv.count;
-}
-
 BddRef BddManager::makeNode(std::uint32_t var, BddRef lo, BddRef hi) {
   if (lo == hi) return lo;  // redundant test: both branches agree
   Level& lv = levels_[var];
-  if ((lv.count + 1) * 10 >= lv.slots.size() * 7) growLevel(lv, var);
+  if ((lv.count + 1) * 10 >= lv.slots.size() * 7) growLevel(lv);
   const std::size_t mask = lv.slots.size() - 1;
   std::size_t slot = hashPair(lo, hi) & mask;
   while (lv.slots[slot] != kBddInvalid) {
@@ -165,35 +92,6 @@ BddRef BddManager::makeNode(std::uint32_t var, BddRef lo, BddRef hi) {
   return r;
 }
 
-BddRef BddManager::makeNodeRaw(std::uint32_t var, BddRef lo, BddRef hi) {
-  // Swap-internal twin of makeNode: the cap was pre-checked for the whole
-  // level swap and the fault point sits at the swap boundary, so this
-  // never throws and swaps stay atomic.
-  if (lo == hi) return lo;
-  Level& lv = levels_[var];
-  if ((lv.count + 1) * 10 >= lv.slots.size() * 7) growLevel(lv, var);
-  const std::size_t mask = lv.slots.size() - 1;
-  std::size_t slot = hashPair(lo, hi) & mask;
-  while (lv.slots[slot] != kBddInvalid) {
-    const Node& n = nodes_[lv.slots[slot]];
-    if (n.lo == lo && n.hi == hi) return lv.slots[slot];
-    slot = (slot + 1) & mask;
-  }
-  const BddRef r = static_cast<BddRef>(nodes_.size());
-  nodes_.push_back(Node{var, lo, hi});
-  lv.slots[slot] = r;
-  ++lv.count;
-  return r;
-}
-
-void BddManager::noteRoot(BddRef r) {
-  if (r <= kBddTrue) return;
-  if (isRoot_.size() < nodes_.size()) isRoot_.resize(nodes_.size(), 0);
-  if (isRoot_[r] != 0) return;
-  isRoot_[r] = 1;
-  roots_.push_back(r);
-}
-
 std::uint32_t BddManager::varIndex(NodeId select) {
   const auto [it, inserted] = varOf_.try_emplace(select, static_cast<std::uint32_t>(order_.size()));
   if (inserted) {
@@ -205,9 +103,7 @@ std::uint32_t BddManager::varIndex(NodeId select) {
 
 BddRef BddManager::literal(NodeId select, bool value) {
   const std::uint32_t v = varIndex(select);
-  const BddRef r = value ? makeNode(v, kBddFalse, kBddTrue) : makeNode(v, kBddTrue, kBddFalse);
-  noteRoot(r);
-  return r;
+  return value ? makeNode(v, kBddFalse, kBddTrue) : makeNode(v, kBddTrue, kBddFalse);
 }
 
 BddRef BddManager::iteRec(BddRef f, BddRef g, BddRef h) {
@@ -240,20 +136,18 @@ BddRef BddManager::iteRec(BddRef f, BddRef g, BddRef h) {
   return r;
 }
 
-BddRef BddManager::ite(BddRef f, BddRef g, BddRef h) {
-  // Scale the direct-mapped computed table with the arena (dropping the old
-  // entries is fine: recomputation only re-finds existing nodes).
+void BddManager::scaleComputed() {
   if (computed_.size() < kComputedMax && nodes_.size() > computed_.size())
     computed_.assign(std::max(kComputedInitial, std::bit_ceil(nodes_.size())), IteEntry{});
-  const BddRef r = iteRec(f, g, h);
-  noteRoot(r);
-  return r;
+}
+
+BddRef BddManager::ite(BddRef f, BddRef g, BddRef h) {
+  scaleComputed();
+  return iteRec(f, g, h);
 }
 
 BddRef BddManager::fromDnf(const GateDnf& dnf) {
-  maybeReorder();
-  if (computed_.size() < kComputedMax && nodes_.size() > computed_.size())
-    computed_.assign(std::max(kComputedInitial, std::bit_ceil(nodes_.size())), IteEntry{});
+  scaleComputed();
 
   // Register the support ascending so the variable order (and therefore
   // the node ids a given formula produces) is deterministic.
@@ -288,12 +182,11 @@ BddRef BddManager::fromDnf(const GateDnf& dnf) {
     acc = iteRec(acc, kBddTrue, t);  // acc OR t
     if (acc == kBddTrue) break;      // tautology: no later term can change it
   }
-  noteRoot(acc);
   return acc;
 }
 
 template <class Done>
-void BddManager::collectBottomUp(std::span<const BddRef> roots, Done done, std::vector<BddRef>& out) {
+void BddManager::collectBottomUp(BddRef root, Done done, std::vector<BddRef>& out) {
   if (visitStamp_.size() < nodes_.size()) visitStamp_.resize(nodes_.size(), 0);
   if (visitTick_ > std::numeric_limits<std::uint32_t>::max() - 4) {
     std::fill(visitStamp_.begin(), visitStamp_.end(), 0);
@@ -304,8 +197,7 @@ void BddManager::collectBottomUp(std::span<const BddRef> roots, Done done, std::
   visitTick_ += 2;
 
   std::vector<BddRef> stack;
-  for (const BddRef root : roots)
-    if (root > kBddTrue && visitStamp_[root] < tExpand && !done(root)) stack.push_back(root);
+  if (root > kBddTrue && !done(root)) stack.push_back(root);
   while (!stack.empty()) {
     const BddRef r = stack.back();
     if (visitStamp_[r] == tEmit) {  // duplicate stack entry, already emitted
@@ -332,9 +224,7 @@ BddManager::Dyadic BddManager::probabilityWide(BddRef f) {
   if (probCache_[f].exp != kDyadicUnset) return probCache_[f];
 
   std::vector<BddRef> topo;
-  const BddRef roots[1] = {f};
-  collectBottomUp(std::span<const BddRef>(roots),
-                  [&](BddRef r) { return probCache_[r].exp != kDyadicUnset; }, topo);
+  collectBottomUp(f, [&](BddRef r) { return probCache_[r].exp != kDyadicUnset; }, topo);
   const auto value = [&](BddRef r) -> Dyadic {
     if (r == kBddFalse) return Dyadic{0, 0};
     if (r == kBddTrue) return Dyadic{1, 0};
@@ -398,9 +288,7 @@ BddManager::ApproxProbability BddManager::probabilityApprox(BddRef f) {
   if (approxCache_[f].error > 0) return approxCache_[f];
 
   std::vector<BddRef> topo;
-  const BddRef roots[1] = {f};
-  collectBottomUp(std::span<const BddRef>(roots),
-                  [&](BddRef r) { return approxCache_[r].error > 0; }, topo);
+  collectBottomUp(f, [&](BddRef r) { return approxCache_[r].error > 0; }, topo);
   const auto value = [&](BddRef r) -> ApproxProbability {
     if (r == kBddFalse) return {0.0, 0.0};
     if (r == kBddTrue) return {1.0, 0.0};
@@ -421,10 +309,6 @@ BddManager::ApproxProbability BddManager::probabilityApprox(BddRef f) {
   return approxCache_[f];
 }
 
-void BddManager::registerVariables(std::span<const NodeId> selects) {
-  for (const NodeId s : selects) (void)varIndex(s);
-}
-
 std::vector<NodeId> BddManager::support(BddRef f) const {
   std::vector<NodeId> out;
   std::vector<BddRef> stack{f};
@@ -441,187 +325,6 @@ std::vector<NodeId> BddManager::support(BddRef f) const {
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
-}
-
-void BddManager::swapLevels(std::uint32_t i) {
-  Level& up = levels_[i];
-  Level& dn = levels_[i + 1];
-
-  // Snapshot both levels (sorted for a deterministic rebuild) and plan the
-  // rewrites BEFORE touching anything, so a cap trip or injected fault
-  // leaves the manager untouched (swaps are atomic).
-  std::vector<BddRef> uList;
-  uList.reserve(up.count);
-  for (const BddRef r : up.slots)
-    if (r != kBddInvalid) uList.push_back(r);
-  std::sort(uList.begin(), uList.end());
-  std::vector<BddRef> vList;
-  vList.reserve(dn.count);
-  for (const BddRef r : dn.slots)
-    if (r != kBddInvalid) vList.push_back(r);
-  std::sort(vList.begin(), vList.end());
-
-  const std::uint32_t vi = i + 1;
-  struct Rewrite {
-    BddRef u, f00, f01, f10, f11;
-  };
-  std::vector<Rewrite> rewrites;
-  std::vector<BddRef> keep;
-  for (const BddRef u : uList) {
-    const Node n = nodes_[u];
-    if (nodes_[n.lo].var != vi && nodes_[n.hi].var != vi) {
-      keep.push_back(u);
-      continue;
-    }
-    rewrites.push_back(Rewrite{u, cofactor(n.lo, vi, false), cofactor(n.lo, vi, true),
-                               cofactor(n.hi, vi, false), cofactor(n.hi, vi, true)});
-  }
-
-  fault::point("bdd-sift");
-  if (nodeLimit_ != 0 && nodes_.size() + 2 * rewrites.size() > nodeLimit_)
-    throw BudgetExceededError(BudgetKind::BddNodes,
-                              "BDD sift: swapping levels " + std::to_string(i) + "/" +
-                                  std::to_string(i + 1) + " could exceed the node cap (" +
-                                  std::to_string(nodes_.size()) + " nodes)",
-                              nodes_.size());
-
-  std::swap(order_[i], order_[i + 1]);
-  varOf_[order_[i]] = i;
-  varOf_[order_[i + 1]] = i + 1;
-  std::fill(up.slots.begin(), up.slots.end(), kBddInvalid);
-  up.count = 0;
-  std::fill(dn.slots.begin(), dn.slots.end(), kBddInvalid);
-  dn.count = 0;
-
-  // Former level-i+1 nodes keep their function; only the position label
-  // moves. Former level-i nodes that never touch level i+1 likewise.
-  for (const BddRef v : vList) {
-    nodes_[v].var = i;
-    insertUnique(v);
-  }
-  for (const BddRef u : keep) {
-    nodes_[u].var = i + 1;
-    insertUnique(u);
-  }
-  // Nodes that do touch the swapped variable are rewritten IN PLACE around
-  // the new top variable, so their refs keep denoting the same function:
-  //   f = A ? f1 : f0  becomes  f = B ? (A ? f11 : f01) : (A ? f10 : f00).
-  // The rewritten triple cannot collide with any relabeled node (distinct
-  // functions had distinct nodes before the swap, and the swap preserves
-  // both), so insertion is always fresh.
-  for (const Rewrite& w : rewrites) {
-    const BddRef newLo = makeNodeRaw(i + 1, w.f00, w.f10);
-    const BddRef newHi = makeNodeRaw(i + 1, w.f01, w.f11);
-    nodes_[w.u] = Node{i, newLo, newHi};
-    insertUnique(w.u);
-  }
-}
-
-void BddManager::sift() {
-  if (order_.size() < 2) return;
-  ++reorders_;
-
-  // The approx cache is node-structure dependent (its error bars track the
-  // DAG shape); the computed table may hold entries whose operands or
-  // result are garbage about to be dropped from the unique tables. Flush
-  // both. The exact probability cache survives: a live ref keeps its
-  // function, so its dyadic stays correct under any order.
-  std::fill(computed_.begin(), computed_.end(), IteEntry{});
-  approxCache_.clear();
-
-  // Liveness = reachable from any ref a public call returned. Everything
-  // else (intermediate ite results nobody can hold, and the rewrite helpers
-  // swapLevels mints) is dropped from the unique tables so the size metric
-  // the sift optimizes reflects reality; the arena itself keeps the slots,
-  // refs are never reused. Re-marking is repeated after every variable's
-  // journey — each journey strands helper nodes, and letting them compound
-  // across variables inflates every later journey's baseline (and its
-  // growth cap with it). Safe mid-pass because computed_ is already flushed
-  // and no ite runs during the sift, so a dropped ref can never resurface.
-  std::vector<std::vector<BddRef>> byLevel(order_.size());
-  const auto remark = [&] {
-    std::vector<BddRef> live;
-    collectBottomUp(std::span<const BddRef>(roots_), [](BddRef) { return false; }, live);
-    for (auto& lvNodes : byLevel) lvNodes.clear();
-    for (const BddRef r : live) byLevel[nodes_[r].var].push_back(r);
-    for (auto& lvNodes : byLevel) std::sort(lvNodes.begin(), lvNodes.end());
-    for (std::uint32_t v = 0; v < levels_.size(); ++v) {
-      Level& lv = levels_[v];
-      std::fill(lv.slots.begin(), lv.slots.end(), kBddInvalid);
-      lv.count = 0;
-      for (const BddRef r : byLevel[v]) insertUnique(r);
-    }
-  };
-  remark();
-
-  // Sift the most populated levels first: that is where reordering pays.
-  std::vector<std::uint32_t> positions(order_.size());
-  std::iota(positions.begin(), positions.end(), 0u);
-  std::stable_sort(positions.begin(), positions.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return byLevel[a].size() > byLevel[b].size();
-  });
-  std::vector<NodeId> bySelect;
-  bySelect.reserve(positions.size());
-  for (const std::uint32_t p : positions) bySelect.push_back(order_[p]);
-
-  const std::uint32_t top = 0;
-  const std::uint32_t bottom = static_cast<std::uint32_t>(order_.size()) - 1;
-  // Swaps never shrink the arena (dead slots are kept so refs stay stable),
-  // so a pass that keeps exploring bad orders grows it monotonically. Budget
-  // the whole pass at ~3x the starting arena and stop early rather than let
-  // a single reorder balloon memory.
-  const std::size_t arenaBudget = nodes_.size() * 3 + 4096;
-  try {
-    for (const NodeId sel : bySelect) {
-      if (nodes_.size() > arenaBudget) break;
-      const std::size_t startSize = tableSize();
-      const std::size_t growthCap =
-          static_cast<std::size_t>(static_cast<double>(startSize) * kSiftMaxGrowth) + 2;
-      std::size_t best = startSize;
-      std::uint32_t bestPos = varOf_.at(sel);
-      // Down to the bottom...
-      for (std::uint32_t p = varOf_.at(sel); p < bottom; ++p) {
-        swapLevels(p);
-        const std::size_t s = tableSize();
-        if (s < best) {
-          best = s;
-          bestPos = p + 1;
-        }
-        if (s > growthCap) break;
-      }
-      // ...back up to the top...
-      for (std::uint32_t p = varOf_.at(sel); p > top; --p) {
-        swapLevels(p - 1);
-        const std::size_t s = tableSize();
-        if (s < best) {
-          best = s;
-          bestPos = p - 1;
-        }
-        if (s > growthCap) break;
-      }
-      // ...and park at the best position seen.
-      while (varOf_.at(sel) < bestPos) swapLevels(varOf_.at(sel));
-      while (varOf_.at(sel) > bestPos) swapLevels(varOf_.at(sel) - 1);
-      remark();
-    }
-  } catch (const BudgetExceededError&) {
-    // A cap trip between (atomic) swaps: stop where we are. The manager is
-    // canonical for whatever order it reached; callers lose nothing but
-    // the rest of the optimization.
-    ++reorderAborts_;
-  } catch (const FaultInjectedError&) {
-    ++reorderAborts_;
-  }
-}
-
-void BddManager::maybeReorder() {
-  if (bddReorderMode() == BddReorderMode::Off) return;
-  if (watermark_ == 0) watermark_ = bddReorderWatermark();
-  if (nodes_.size() < watermark_) return;
-  sift();
-  // Rearm: the arena only grows (sifting drags garbage), so the next
-  // trigger fires at twice whatever we ended at.
-  watermark_ = std::max(bddReorderWatermark(), nodes_.size() * 2);
 }
 
 }  // namespace pmsched

@@ -19,24 +19,19 @@
 //  * nodes live in one contiguous arena (std::vector) addressed by 32-bit
 //    index refs, hash-consed through per-level open-addressing unique
 //    subtables (power-of-two, linear probing) — no pointer-chasing buckets
-//    on the makeNode/ite hot path, and the per-level split is exactly what
-//    sifting needs to swap adjacent levels in place;
+//    on the makeNode/ite hot path. makeNode always knows the level, so a
+//    per-level table needs no var in its key and stays small;
 //  * `ite` is the single connective; AND/OR/NOT are one-line wrappers. A
 //    direct-mapped lossy computed table memoizes (f, g, h) triples; losing
 //    an entry only costs a recomputation that re-finds existing nodes, so
 //    node numbering stays deterministic;
-//  * the variable order is first-registration order until sifting moves it.
-//    fromDnf() registers a DNF's support in ascending select-id order
-//    before building, which makes conversion deterministic;
-//  * dynamic reordering (Rudell-style sifting) swaps adjacent levels IN
-//    PLACE: every live ref keeps denoting the same function, so refs and
-//    probability caches held by callers stay valid across a sift.
-//    Liveness is "reachable from any ref a public call ever returned";
-//    everything else is garbage the sift may drop from the unique tables
-//    (the arena itself never shrinks, so refs are never reused).
+//  * the variable order is fixed: first-registration order. fromDnf()
+//    registers a DNF's support in ascending select-id order before
+//    building, which makes conversion deterministic. There is no dynamic
+//    reordering: exact probabilities do not depend on the order, and the
+//    activation BDDs stay far below the size where sifting would pay.
 
 #include <cstdint>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -53,24 +48,6 @@ inline constexpr BddRef kBddFalse = 0;
 inline constexpr BddRef kBddTrue = 1;
 /// Sentinel for "no ref" (empty unique-table slots, refused handles).
 inline constexpr BddRef kBddInvalid = static_cast<BddRef>(-1);
-
-/// Dynamic-reordering policy for every BddManager in the process.
-enum class BddReorderMode {
-  Auto,  ///< sift when a manager's arena crosses its growth watermark
-  Off,   ///< never reorder (variable order = first-registration order)
-};
-
-/// Effective mode: programmatic override if set, else PMSCHED_BDD_REORDER
-/// (off|auto), else Auto.
-[[nodiscard]] BddReorderMode bddReorderMode();
-/// Override the mode for this process (tests, --bdd-reorder).
-void setBddReorderMode(BddReorderMode mode);
-
-/// Initial node-count watermark that arms the Auto trigger: programmatic
-/// override if set, else PMSCHED_BDD_REORDER_WATERMARK, else 4096.
-[[nodiscard]] std::size_t bddReorderWatermark();
-/// Override the initial watermark (0 = back to env/default).
-void setBddReorderWatermark(std::size_t nodes);
 
 class BddManager {
  public:
@@ -91,15 +68,8 @@ class BddManager {
 
   /// Convert a DNF (terms need not be normalized: duplicate literals are
   /// collapsed, contradictory terms contribute FALSE). Hash-consing makes
-  /// the conversion canonical: equivalent DNFs yield the same ref — and
-  /// in-place sifting preserves that, so the guarantee survives reordering.
-  /// Under BddReorderMode::Auto this is the one entry point that may
-  /// trigger a sift (never mid-build, never inside ite).
+  /// the conversion canonical: equivalent DNFs yield the same ref.
   [[nodiscard]] BddRef fromDnf(const GateDnf& dnf);
-
-  /// Register selects as variables in the given order (no-op for already
-  /// known ones), fixing the initial variable order ahead of any build.
-  void registerVariables(std::span<const NodeId> selects);
 
   /// Exact P(f) under independent fair selects. Memoized per node for the
   /// manager's lifetime, so repeated queries over a family of conditions
@@ -109,7 +79,7 @@ class BddManager {
   /// only a FINAL value whose reduced denominator exceeds 2^62 throws —
   /// BudgetExceededError(RationalWidth) carrying the support width, so the
   /// activation analysis can degrade to probabilityApprox() instead of
-  /// letting the run die. Order-independent: a sift never changes it.
+  /// letting the run die.
   [[nodiscard]] Rational probability(BddRef f);
 
   /// Bounded-error double estimate of P(f): one bottom-up pass in IEEE
@@ -117,8 +87,8 @@ class BddManager {
   /// half-ulp rounding; halving is exact), so it grows with the node count,
   /// not the support width — the degradation target for conditions past
   /// probability()'s exact range. Never throws. The value/error pair
-  /// depends on the node structure, so it is deterministic for a fixed
-  /// variable order but may differ across orders (the exact path doesn't).
+  /// depends only on the node structure, which the fixed variable order
+  /// makes deterministic.
   struct ApproxProbability {
     double value = 0;
     double error = 0;
@@ -128,27 +98,9 @@ class BddManager {
   /// Distinct selects the function actually depends on, ascending id.
   [[nodiscard]] std::vector<NodeId> support(BddRef f) const;
 
-  /// One full Rudell sifting pass: each variable (most populated level
-  /// first) is moved through the order by in-place adjacent-level swaps and
-  /// parked at its best position. Refs keep their functions, so handles
-  /// and probability caches stay valid. A node-cap trip or an
-  /// injected fault ("bdd-sift") between swaps aborts cleanly: the manager
-  /// stays canonical for whatever order it reached. No-op under pressure of
-  /// fewer than two variables.
-  void sift();
-
-  /// Auto-trigger used by fromDnf: sift when the arena has crossed the
-  /// watermark, then rearm the watermark at 2x the post-sift size.
-  void maybeReorder();
-
-  /// Sifting passes completed (including aborted ones) / aborted mid-pass.
-  [[nodiscard]] std::size_t reorderCount() const { return reorders_; }
-  [[nodiscard]] std::size_t reorderAborts() const { return reorderAborts_; }
-
   /// Pin/unpin: while pinned() the owner promises there are outstanding
   /// refs, and maintenance that would invalidate them (the thread-local
-  /// dnfProbability manager's periodic clear) must be skipped. sift() needs
-  /// no pin — it preserves refs.
+  /// dnfProbability manager's periodic clear) must be skipped.
   void pin() { ++pins_; }
   void unpin() { --pins_; }
   [[nodiscard]] bool pinned() const { return pins_ > 0; }
@@ -156,15 +108,13 @@ class BddManager {
   /// Bumped by every clear(); lets holders assert their refs' generation.
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
-  /// Live node count including the two terminals (diagnostics/tests).
-  /// Counts every arena slot; sifting may leave unreferenced slots behind.
+  /// Node count including the two terminals (diagnostics/tests).
   [[nodiscard]] std::size_t nodeCount() const { return nodes_.size(); }
 
   /// Cap the node arena (0 = unlimited, the default). Once nodeCount()
   /// would exceed the cap, makeNode throws BudgetExceededError(BddNodes);
   /// consumers catch it at the per-condition boundary and degrade (the
-  /// manager stays valid — only the new node is refused). sift() checks the
-  /// cap BEFORE mutating a level pair, so a trip aborts the pass cleanly.
+  /// manager stays valid — only the new node is refused).
   void setNodeLimit(std::size_t maxNodes) { nodeLimit_ = maxNodes; }
 
   /// Drop every node and cache, keeping only the terminals. Invalidates
@@ -185,8 +135,8 @@ class BddManager {
   /// Open-addressing unique subtable for one level (variable position).
   /// Slots hold refs (kBddInvalid = empty), keyed by the node's (lo, hi) —
   /// the var is implied by the level. Power-of-two capacity, linear
-  /// probing, grown at ~70% load. Entries are only removed wholesale
-  /// (clear / sift rebuild), so no tombstones are needed.
+  /// probing, grown at ~70% load. Entries are only removed wholesale by
+  /// clear(), so no tombstones are needed.
   struct Level {
     std::vector<BddRef> slots;
     std::size_t count = 0;
@@ -218,35 +168,22 @@ class BddManager {
   /// Hash-consed node constructor; maintains the ROBDD invariants
   /// (lo != hi, child vars strictly below — i.e. numerically above — var).
   [[nodiscard]] BddRef makeNode(std::uint32_t var, BddRef lo, BddRef hi);
-  /// Hash-cons lookup/insert without the fault point or cap check — used
-  /// inside a level swap after the cap was pre-checked (swaps are atomic).
-  [[nodiscard]] BddRef makeNodeRaw(std::uint32_t var, BddRef lo, BddRef hi);
-  /// Insert r (known absent) into its level's subtable.
-  void insertUnique(BddRef r);
-  void growLevel(Level& lv, std::uint32_t var);
+  void growLevel(Level& lv);
 
-  /// Internal ite recursion; public ite() additionally registers the
-  /// result as a root for sift()'s liveness marking.
+  /// Grow the direct-mapped computed table with the arena before a public
+  /// build (dropping the old entries is fine: recomputation only re-finds
+  /// existing nodes).
+  void scaleComputed();
+  /// The ite recursion behind ite() and fromDnf().
   [[nodiscard]] BddRef iteRec(BddRef f, BddRef g, BddRef h);
 
-  /// Remember r as externally held: every ref a public call returns is a
-  /// liveness root for sift(). Deduped via a stamp vector.
-  void noteRoot(BddRef r);
-
-  /// The one shared bottom-up traversal (satellite of PR 7): append to
-  /// `out` every node reachable from `roots` (nonterminals only), children
-  /// strictly before parents, skipping subgraphs rooted at nodes for which
-  /// `done(r)` is true (their value is already cached). Used by
-  /// probabilityWide, probabilityApprox and sift()'s live marking.
+  /// The one bottom-up traversal behind probabilityWide and
+  /// probabilityApprox: append to `out` every nonterminal reachable from
+  /// `root`, children strictly before parents, skipping subgraphs rooted at
+  /// nodes for which `done(r)` is true (their value is already cached).
   /// Stamp-based visited marks, so no per-call O(arena) reset.
   template <class Done>
-  void collectBottomUp(std::span<const BddRef> roots, Done done, std::vector<BddRef>& out);
-
-  /// Swap order positions i and i+1 in place. All refs keep their
-  /// functions; only nodes in the two levels' subtables are touched. May
-  /// create nodes at level i+1. Throws (before any mutation) on a node-cap
-  /// trip or an armed "bdd-sift" fault.
-  void swapLevels(std::uint32_t i);
+  void collectBottomUp(BddRef root, Done done, std::vector<BddRef>& out);
 
   /// Variable index of a select, registering it at the end of the order on
   /// first sight.
@@ -260,29 +197,20 @@ class BddManager {
     return value ? n.hi : n.lo;
   }
 
-  /// Sum of live subtable entries (excludes terminals and dropped garbage).
-  [[nodiscard]] std::size_t tableSize() const;
-
-  std::vector<Node> nodes_;               // the arena; never shrinks except clear()
+  std::vector<Node> nodes_;               // the arena; only clear() shrinks it
   std::vector<Level> levels_;             // one unique subtable per order position
   std::vector<IteEntry> computed_;        // direct-mapped, lossy
   std::vector<Dyadic> probCache_;         // flat, ref-indexed
-  std::vector<ApproxProbability> approxCache_;  // flat, ref-indexed; error < 0 = empty
+  std::vector<ApproxProbability> approxCache_;  // flat, ref-indexed; error == 0 = empty
   std::unordered_map<NodeId, std::uint32_t> varOf_;
   std::vector<NodeId> order_;             // var index -> select id
-
-  std::vector<BddRef> roots_;             // refs returned by public calls (deduped)
-  std::vector<std::uint8_t> isRoot_;      // ref-indexed dedup mask for roots_
 
   std::vector<std::uint32_t> visitStamp_;  // collectBottomUp marks (stamped)
   std::uint32_t visitTick_ = 0;
 
   std::size_t computedMisses_ = 0;  // since the last computed_ resize
 
-  std::size_t nodeLimit_ = 0;   // 0 = unlimited
-  std::size_t watermark_ = 0;   // 0 = not yet armed from bddReorderWatermark()
-  std::size_t reorders_ = 0;
-  std::size_t reorderAborts_ = 0;
+  std::size_t nodeLimit_ = 0;  // 0 = unlimited
   int pins_ = 0;
   std::uint64_t epoch_ = 0;
 };

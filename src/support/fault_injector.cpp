@@ -15,10 +15,9 @@ namespace {
 // The registry of every point() call compiled into the library. Kept here
 // (not distributed) so the CI fault matrix and docs/ROBUSTNESS.md have one
 // authoritative list to iterate.
-constexpr std::array<std::string_view, 14> kSites = {
+constexpr std::array<std::string_view, 13> kSites = {
     "parse-stmt",      // textio: per accepted statement (input path)
     "bdd-node",        // BddManager::makeNode (allocation)
-    "bdd-sift",        // BddManager::swapLevels (pre-mutation, reordering)
     "dnf-intern",      // DnfEngine term interning (allocation)
     "oracle-commit",   // TimeFrameOracle::commit (commit)
     "gating-commit",   // shared-gating acceptance (commit)

@@ -3,23 +3,12 @@
 
 #include <gtest/gtest.h>
 
-#include "cdfg/analysis.hpp"
 #include "circuits/circuits.hpp"
 #include "power/activation.hpp"
-#include "sched/bdd.hpp"
 #include "sched/shared_gating.hpp"
-#include "support/random_dfg.hpp"
 
 namespace pmsched {
 namespace {
-
-/// Restore the global reorder knobs on scope exit (they are process-wide).
-struct ReorderKnobsGuard {
-  ~ReorderKnobsGuard() {
-    setBddReorderMode(BddReorderMode::Auto);
-    setBddReorderWatermark(0);
-  }
-};
 
 TEST(Activation, UngatedNodesExecuteAlways) {
   const Graph g = circuits::absdiff();
@@ -129,46 +118,6 @@ TEST(Activation, ProbabilitiesAreProbabilities) {
       }
     }
   }
-}
-
-// Sifting triggered DURING activation analysis must not change a single
-// probability, condition, or error bar relative to the reorder-off build:
-// exact dyadic probabilities are variable-order independent, so the two
-// runs must agree bit for bit.
-TEST(Activation, ReorderDuringAnalysisIsBitIdenticalToReorderOff) {
-  ReorderKnobsGuard guard;
-  std::vector<Graph> graphs;
-  for (const auto& circuit : circuits::paperCircuits()) graphs.push_back(circuit.build());
-  graphs.push_back(randomLayeredDfg(6, 10, 42));
-
-  bool anyReorder = false;
-  for (const Graph& g : graphs) {
-    PowerManagedDesign design = applyPowerManagement(g, criticalPathLength(g) + 2);
-    applySharedGating(design);
-
-    setBddReorderMode(BddReorderMode::Off);
-    const ActivationResult off = analyzeActivation(design);
-
-    setBddReorderMode(BddReorderMode::Auto);
-    setBddReorderWatermark(8);  // trip the sift mid-build, repeatedly
-    const ActivationResult on = analyzeActivation(design);
-
-    ASSERT_EQ(off.probability.size(), on.probability.size());
-    for (NodeId n = 0; n < g.size(); ++n) {
-      EXPECT_EQ(off.probability[n], on.probability[n]) << g.name() << " node " << n;
-      EXPECT_EQ(off.condition[n], on.condition[n]) << g.name() << " node " << n;
-      EXPECT_EQ(off.errorBar[n], on.errorBar[n]) << g.name() << " node " << n;
-    }
-    EXPECT_EQ(off.degraded, on.degraded) << g.name();
-    for (std::size_t i = 0; i < kNumUnitClasses; ++i)
-      EXPECT_EQ(off.averageExecuted[i], on.averageExecuted[i]) << g.name();
-
-    anyReorder = anyReorder || on.bdds->reorderCount() > 0;
-  }
-  // Every build goes through the shared manager's fromDnf, so with a
-  // watermark this low at least one of the workloads must actually have
-  // sifted — otherwise the comparison above proved nothing.
-  EXPECT_TRUE(anyReorder);
 }
 
 }  // namespace

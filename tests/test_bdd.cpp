@@ -11,7 +11,6 @@
 
 #include "sched/bdd.hpp"
 #include "sched/condition.hpp"
-#include "support/fault_injector.hpp"
 
 namespace pmsched {
 namespace {
@@ -233,120 +232,8 @@ TEST(Bdd, ProbabilityBeyond62VariablesViaWideAccumulation) {
   EXPECT_EQ(mgr.probability(mgr.fromDnf(chain)), Rational::dyadic(62));
 }
 
-TEST(BddSift, PreservesRefsCanonicityAndExactProbability) {
-  // In-place sifting must keep every handed-out ref denoting the same
-  // function: exact probabilities are bit-identical, supports unchanged,
-  // and re-converting a DNF reaches the SAME ref (canonicity survives the
-  // new order).
-  std::mt19937_64 rng(777);
-  BddManager mgr;
-  std::vector<GateDnf> dnfs;
-  std::vector<BddRef> refs;
-  std::vector<Rational> probs;
-  for (int round = 0; round < 120; ++round) {
-    dnfs.push_back(randomDnf(rng, 10, 1 + round % 12, 1 + round % 6));
-    refs.push_back(mgr.fromDnf(dnfs.back()));
-    probs.push_back(mgr.probability(refs.back()));
-  }
-  std::vector<std::vector<NodeId>> supports;
-  for (const BddRef r : refs) supports.push_back(mgr.support(r));
-
-  mgr.sift();
-  EXPECT_GE(mgr.reorderCount(), 1u);
-  for (std::size_t i = 0; i < dnfs.size(); ++i) {
-    EXPECT_EQ(mgr.probability(refs[i]), probs[i]) << "dnf " << i;
-    EXPECT_EQ(mgr.support(refs[i]), supports[i]) << "dnf " << i;
-    EXPECT_EQ(mgr.fromDnf(dnfs[i]), refs[i]) << "dnf " << i;
-  }
-
-  // A second pass (now from the sifted order) is equally harmless.
-  mgr.sift();
-  for (std::size_t i = 0; i < dnfs.size(); ++i)
-    EXPECT_EQ(mgr.probability(refs[i]), probs[i]) << "dnf " << i;
-}
-
-namespace {
-/// Restore the process-wide reorder knobs whatever a test does.
-struct ReorderKnobsGuard {
-  ~ReorderKnobsGuard() {
-    setBddReorderMode(BddReorderMode::Auto);
-    setBddReorderWatermark(0);
-  }
-};
-}  // namespace
-
-TEST(BddSift, WatermarkTriggersAutoReorderAndOffDisablesIt) {
-  ReorderKnobsGuard guard;
-  std::mt19937_64 rng(31337);
-
-  setBddReorderWatermark(64);
-  {
-    BddManager mgr;
-    for (int round = 0; round < 40; ++round) (void)mgr.fromDnf(randomDnf(rng, 10, 6, 4));
-    EXPECT_GE(mgr.reorderCount(), 1u) << "watermark of 64 nodes never tripped";
-  }
-
-  setBddReorderMode(BddReorderMode::Off);
-  {
-    BddManager mgr;
-    for (int round = 0; round < 40; ++round) (void)mgr.fromDnf(randomDnf(rng, 10, 6, 4));
-    EXPECT_EQ(mgr.reorderCount(), 0u) << "Off must suppress the auto trigger";
-  }
-}
-
-TEST(BddSift, MidSiftFaultDegradesCleanly) {
-  // An armed "bdd-sift" fault fires at a swap boundary BEFORE any
-  // mutation: the pass aborts, the manager stays canonical, and every
-  // outstanding ref still answers exactly.
-  std::mt19937_64 rng(555);
-  BddManager mgr;
-  std::vector<GateDnf> dnfs;
-  std::vector<BddRef> refs;
-  std::vector<Rational> probs;
-  for (int round = 0; round < 60; ++round) {
-    dnfs.push_back(randomDnf(rng, 10, 1 + round % 10, 1 + round % 5));
-    refs.push_back(mgr.fromDnf(dnfs.back()));
-    probs.push_back(mgr.probability(refs.back()));
-  }
-
-  fault::arm("bdd-sift:3");
-  EXPECT_NO_THROW(mgr.sift());
-  fault::arm("");
-  EXPECT_EQ(mgr.reorderAborts(), 1u);
-
-  for (std::size_t i = 0; i < dnfs.size(); ++i) {
-    EXPECT_EQ(mgr.probability(refs[i]), probs[i]) << "dnf " << i;
-    EXPECT_EQ(mgr.fromDnf(dnfs[i]), refs[i]) << "dnf " << i;
-  }
-}
-
-TEST(BddSift, NodeCapTripAbortsBeforeMutation) {
-  // With the arena capped at its current size, the first swap that would
-  // create nodes throws BEFORE mutating; sift() swallows it and leaves a
-  // consistent manager behind.
-  std::mt19937_64 rng(8888);
-  BddManager mgr;
-  std::vector<GateDnf> dnfs;
-  std::vector<BddRef> refs;
-  std::vector<Rational> probs;
-  for (int round = 0; round < 60; ++round) {
-    dnfs.push_back(randomDnf(rng, 10, 1 + round % 10, 1 + round % 5));
-    refs.push_back(mgr.fromDnf(dnfs.back()));
-    probs.push_back(mgr.probability(refs.back()));
-  }
-  mgr.setNodeLimit(mgr.nodeCount());
-  EXPECT_NO_THROW(mgr.sift());
-  EXPECT_EQ(mgr.reorderAborts(), 1u);
-  mgr.setNodeLimit(0);
-  for (std::size_t i = 0; i < dnfs.size(); ++i) {
-    EXPECT_EQ(mgr.probability(refs[i]), probs[i]) << "dnf " << i;
-    EXPECT_EQ(mgr.fromDnf(dnfs[i]), refs[i]) << "dnf " << i;
-  }
-}
-
 TEST(Bdd, SharedTraversalApproxMatchesExactAndIsQueryOrderInvariant) {
-  // probability, probabilityApprox and sift()'s live marking share one
-  // bottom-up traversal. The approx result must be independent of query
+  // probability and probabilityApprox share one bottom-up traversal. The approx result must be independent of query
   // order / cache warmth (same structure => same arithmetic), and its
   // error bar must truly bound the distance to the exact value.
   std::mt19937_64 rng(90210);

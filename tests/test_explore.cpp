@@ -107,11 +107,14 @@ void expectMatchesReference(const ExploreRequest& req) {
 }
 
 TEST(Explore, AmortizedMatchesPerPointReference) {
-  for (ExploreRequest req : sweepInputs()) {
-    for (const bool optimal : {false, true}) {
-      req.optimal = optimal;
-      SCOPED_TRACE(req.graph.name() + (optimal ? " (optimal)" : ""));
-      expectMatchesReference(req);
+  for (const int span : {8, 16}) {
+    for (ExploreRequest req : sweepInputs(span)) {
+      for (const bool optimal : {false, true}) {
+        req.optimal = optimal;
+        SCOPED_TRACE(req.graph.name() + " span " + std::to_string(span) +
+                     (optimal ? " (optimal)" : ""));
+        expectMatchesReference(req);
+      }
     }
   }
 }

@@ -233,10 +233,10 @@ TEST(FaultInjector, SiteListIsStable) {
   // registry order.
   KnobGuard guard;
   const std::vector<std::string_view> expected = {
-      "parse-stmt",   "bdd-node",     "bdd-sift",     "dnf-intern",
-      "oracle-commit", "gating-commit", "serve-accept", "serve-frame",
-      "cache-insert", "worker-crash", "cache-journal-write",
-      "cache-snapshot-load", "drain-deadline", "explore-point"};
+      "parse-stmt",   "bdd-node",     "dnf-intern",    "oracle-commit",
+      "gating-commit", "serve-accept", "serve-frame",   "cache-insert",
+      "worker-crash", "cache-journal-write", "cache-snapshot-load",
+      "drain-deadline", "explore-point"};
   const auto sites = fault::sites();
   EXPECT_EQ(std::vector<std::string_view>(sites.begin(), sites.end()), expected);
 }

@@ -40,30 +40,6 @@ run_site() {
   rm -f "$stderr_file"
 }
 
-# bdd-sift is the one site with a DIFFERENT contract: a fault between the
-# atomic level swaps of a reordering pass must degrade cleanly — the sift
-# aborts at a canonical intermediate order, the run keeps going, and the
-# CLI exits 0 with its normal output. (BddSift.MidSiftFaultDegradesCleanly
-# pins the abort semantics; this entry pins "no crash, no exit 5" at the
-# CLI level.) The tiny watermark makes the reorder trigger on this input.
-run_site_clean() {
-  local site=$1
-  shift
-  local stderr_file
-  stderr_file=$(mktemp)
-  PMSCHED_FAULT="$site:1" PMSCHED_BDD_REORDER_WATERMARK=8 \
-    "$pmsched" "$@" >/dev/null 2>"$stderr_file"
-  local got=$?
-  if [ "$got" -ne 0 ]; then
-    echo "FAIL $site: exit $got, want 0 (clean degradation)" >&2
-    sed 's/^/  stderr: /' "$stderr_file" >&2
-    failures=$((failures + 1))
-  else
-    echo "ok   $site (clean degradation)"
-  fi
-  rm -f "$stderr_file"
-}
-
 # A file input that exercises parse, per-mux gating, shared gating, oracle
 # commits, and the BDD/DNF engines.
 run_site parse-stmt "$corpus/shared.ok.cdfg" --steps 6
@@ -71,7 +47,6 @@ run_site bdd-node "$corpus/shared.ok.cdfg" --steps 6
 run_site dnf-intern "$corpus/shared.ok.cdfg" --steps 6
 run_site oracle-commit "$corpus/shared.ok.cdfg" --steps 6
 run_site gating-commit "$corpus/shared.ok.cdfg" --steps 6
-run_site_clean bdd-sift --random-dfg 16x8:3
 
 # explore-point: a fault at one sweep point must degrade cleanly — the point
 # is skipped with a typed {"kind":"fault"} entry, the REST of the front still
@@ -202,4 +177,4 @@ if [ "$failures" -ne 0 ]; then
   echo "$failures fault-matrix failure(s)" >&2
   exit 1
 fi
-echo "fault matrix clean: 5 sites produced a structured internal diagnostic, bdd-sift, explore-point and the 7 server-side sites degraded cleanly"
+echo "fault matrix clean (13 sites): 5 produced a structured internal diagnostic, explore-point and the 7 server-side sites degraded cleanly"

@@ -26,8 +26,6 @@
 //   --dot FILE          Graphviz rendering of the transformed CDFG
 //   --save FILE         serialized CDFG (with control edges)
 //   --power-sim N       gate-level power comparison over N random vectors
-//   --bdd-reorder MODE  off | auto — dynamic BDD variable reordering
-//                       (sifting); beats PMSCHED_BDD_REORDER when given
 //   --profile           print one line per pipeline stage to stderr: wall
 //                       time, oracle frame writes, list-scheduling runs
 //
@@ -64,7 +62,6 @@
 //   --explore-min-steps N first step budget (default: critical path)
 //   --explore-max-steps N last step budget (default: min + span)
 //   --explore-out FILE    also write the JSON document to FILE
-//   --explore-reference   retained per-point loop (differential baseline)
 //
 // Run budget (see docs/ROBUSTNESS.md for the per-stage contract):
 //
@@ -98,7 +95,6 @@
 #include "explore/explore.hpp"
 #include "lang/elaborate.hpp"
 #include "rtl/power_harness.hpp"
-#include "sched/bdd.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/power_transform.hpp"
 #include "sched/shared_gating.hpp"
@@ -139,8 +135,6 @@ struct Options {
   int steps = 0;
   int threads = 0;  ///< 0 = automatic (PMSCHED_THREADS / hardware)
   MuxOrdering ordering = MuxOrdering::OutputFirst;
-  BddReorderMode bddReorder = BddReorderMode::Auto;
-  bool bddReorderSet = false;  ///< only override the env default when given
   bool shared = true;
   bool optimal = false;
   bool failDegraded = false;
@@ -153,7 +147,6 @@ struct Options {
 
   // --explore mode.
   bool explore = false;
-  bool exploreReference = false;
   int exploreSpan = 8;
   int exploreMinSteps = 0;  ///< 0 = critical path
   int exploreMaxSteps = 0;  ///< 0 = min + span
@@ -196,12 +189,11 @@ void printUsage(std::ostream& os) {
         "               [--optimal] [--threads N] [--report FILE] [--vhdl PREFIX]\n"
         "               [--dot FILE] [--save FILE] [--power-sim N]\n"
         "               [--budget-ms N] [--budget-probes N] [--budget-bdd-nodes N]\n"
-        "               [--budget-dnf-terms N] [--fail-degraded] [--bdd-reorder off|auto]\n"
-        "               [--profile]\n"
+        "               [--budget-dnf-terms N] [--fail-degraded] [--profile]\n"
         "       pmsched --random-dfg LxP[:SEED] [--steps N] [options]\n"
         "       pmsched --circuit NAME --steps N [options]\n"
         "       pmsched INPUT --explore [--explore-span K] [--explore-min-steps N]\n"
-        "               [--explore-max-steps N] [--explore-out FILE] [--explore-reference]\n"
+        "               [--explore-max-steps N] [--explore-out FILE]\n"
         "       pmsched --serve [--serve-socket PATH] [--serve-workers N]\n"
         "               [--serve-queue N] [--serve-max-frame N] [--serve-cache N]\n"
         "               [--serve-threads N] [--default-deadline-ms N]\n"
@@ -265,12 +257,6 @@ Options parseArgs(int argc, char** argv) {
       else if (mode == "input") opts.ordering = MuxOrdering::InputFirst;
       else if (mode == "savings") opts.ordering = MuxOrdering::BySavings;
       else throw UsageError("unknown ordering '" + mode + "'");
-    } else if (arg == "--bdd-reorder") {
-      const std::string mode = next("--bdd-reorder");
-      if (mode == "off") opts.bddReorder = BddReorderMode::Off;
-      else if (mode == "auto") opts.bddReorder = BddReorderMode::Auto;
-      else throw UsageError("unknown --bdd-reorder mode '" + mode + "' (off|auto)");
-      opts.bddReorderSet = true;
     } else if (arg == "--strict") opts.shared = false;
     else if (arg == "--optimal") opts.optimal = true;
     else if (arg == "--random-dfg") parseRandomDfg(next("--random-dfg"), opts);
@@ -282,7 +268,6 @@ Options parseArgs(int argc, char** argv) {
     else if (arg == "--power-sim")
       opts.powerSim = static_cast<int>(nextInt("--power-sim", 1, 1 << 24));
     else if (arg == "--explore") opts.explore = true;
-    else if (arg == "--explore-reference") opts.exploreReference = true;
     else if (arg == "--explore-span")
       opts.exploreSpan = static_cast<int>(nextInt("--explore-span", 0, 1 << 16));
     else if (arg == "--explore-min-steps")
@@ -333,7 +318,7 @@ Options parseArgs(int argc, char** argv) {
     return opts;
   }
   if (!opts.explore) {
-    if (opts.exploreReference || opts.exploreSpan != 8 || opts.exploreMinSteps != 0 ||
+    if (opts.exploreSpan != 8 || opts.exploreMinSteps != 0 ||
         opts.exploreMaxSteps != 0 || !opts.exploreOut.empty())
       throw UsageError("--explore-* options require --explore");
   } else {
@@ -382,7 +367,6 @@ void installDrainSignalHandlers() {
 /// --serve: hand the process over to the multi-tenant server core.
 int runServe(const Options& opts) {
   if (opts.threads > 0) setThreadCount(static_cast<std::size_t>(opts.threads));
-  if (opts.bddReorderSet) setBddReorderMode(opts.bddReorder);
 
   ServerOptions serverOpts;
   serverOpts.workers = opts.serveWorkers;
@@ -421,15 +405,13 @@ void writeFile(const std::string& path, const std::string& text) {
   std::cout << "wrote " << path << " (" << text.size() << " bytes)\n";
 }
 
-/// Shared front-end setup for run()/runExplore(): thread count, BDD
-/// reorder mode, and the optional CLI run budget.
+/// Shared front-end setup for run()/runExplore(): thread count and the
+/// optional CLI run budget.
 const RunBudget* configureRun(const Options& opts, RunBudget& budgetStorage) {
   // Configure the thread pool before the first pool use; every parallel
   // pass (shared gating, exact search, activation analysis) picks it up
   // from here.
   if (opts.threads > 0) setThreadCount(static_cast<std::size_t>(opts.threads));
-  // --bdd-reorder beats PMSCHED_BDD_REORDER; unset keeps the env default.
-  if (opts.bddReorderSet) setBddReorderMode(opts.bddReorder);
 
   if (!opts.hasBudget()) return nullptr;
   if (opts.budgetMs > 0)
@@ -480,8 +462,7 @@ int runExplore(const Options& opts) {
   req.optimal = opts.optimal;
   req.shared = opts.shared;
 
-  const ExploreResult res = opts.exploreReference ? explorePerPointReference(req, budget)
-                                                  : exploreDesignSpace(req, budget);
+  const ExploreResult res = exploreDesignSpace(req, budget);
   const std::string json = renderExploreJson(res);
   if (!opts.exploreOut.empty()) {
     std::ofstream out(opts.exploreOut);
