@@ -354,6 +354,23 @@ void BM_LoadGraphText(benchmark::State& state) {
 }
 BENCHMARK(BM_LoadGraphText)->RangeMultiplier(2)->Range(4, 256)->Complexity();
 
+// Copy and destroy one transformed design graph (control edges and every
+// cached view present), as a design job or explore sweep copies its input.
+void BM_GraphCopy(benchmark::State& state) {
+  const Graph input = randomLayeredDfg(static_cast<int>(state.range(0)), 16, 42);
+  const Graph g = applyPowerManagement(input, criticalPathLength(input) + 2).graph;
+  (void)g.fanoutCsr();
+  (void)g.controlSuccCsr();
+  (void)g.topoOrderView();
+  for (auto _ : state) {
+    Graph copy = g;
+    benchmark::DoNotOptimize(copy);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(g.size()));
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_GraphCopy)->RangeMultiplier(2)->Range(4, 256)->Complexity();
+
 void BM_CanonicalizeGraph(benchmark::State& state) {
   const Graph g = randomLayeredDfg(static_cast<int>(state.range(0)), 16, 42);
   for (auto _ : state) benchmark::DoNotOptimize(canonicalizeGraph(g));

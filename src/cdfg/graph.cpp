@@ -2,28 +2,36 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
 #include "cdfg/name_table.hpp"
 
 namespace pmsched {
 
-CsrAdjacency CsrAdjacency::fromRagged(const std::vector<std::vector<NodeId>>& rows) {
-  CsrAdjacency csr;
-  csr.offsets_.resize(rows.size() + 1);
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    csr.offsets_[i] = static_cast<std::uint32_t>(total);
-    total += rows[i].size();
-  }
-  csr.offsets_[rows.size()] = static_cast<std::uint32_t>(total);
-  csr.targets_.reserve(total);
-  for (const auto& row : rows) csr.targets_.insert(csr.targets_.end(), row.begin(), row.end());
-  return csr;
+OperandList::OperandList(std::span<const NodeId> ids) {
+  if (ids.size() > kCapacity)
+    throw SynthesisError("a node takes at most " + std::to_string(kCapacity) +
+                         " operands, got " + std::to_string(ids.size()));
+  std::copy(ids.begin(), ids.end(), ids_.begin());
+  size_ = static_cast<std::uint8_t>(ids.size());
 }
 
-void Graph::invalidateCaches() {
-  csrValid_ = false;
-  topoValid_ = false;
+NodeId OperandList::at(std::size_t i) const {
+  if (i >= size_) throw std::out_of_range("OperandList::at");
+  return ids_[i];
+}
+
+template <typename ForEachPair>
+void CsrAdjacency::build(std::size_t rows, ForEachPair forEachPair) {
+  // offsets_[r + 2] first counts row r; after the prefix sum offsets_[r + 1]
+  // is row r's start, and placing a target advances it, so it ends at row
+  // r's end, which is row r + 1's start.
+  offsets_.assign(rows + 2, 0);
+  forEachPair([&](NodeId row, NodeId) { ++offsets_[row + 2]; });
+  for (std::size_t r = 2; r < offsets_.size(); ++r) offsets_[r] += offsets_[r - 1];
+  targets_.resize(offsets_.back());
+  forEachPair([&](NodeId row, NodeId target) { targets_[offsets_[row + 1]++] = target; });
+  offsets_.pop_back();
 }
 
 NodeId Graph::addNode(Node node) {
@@ -34,11 +42,7 @@ NodeId Graph::addNode(Node node) {
                                        node.name + "' does not exist yet");
   }
   nodes_.push_back(std::move(node));
-  fanouts_.emplace_back();
-  ctrlSucc_.emplace_back();
-  ctrlPred_.emplace_back();
-  for (const NodeId op : nodes_.back().operands) fanouts_[op].push_back(id);
-  invalidateCaches();
+  fanoutValid_ = ctrlValid_ = topoValid_ = false;
   return id;
 }
 
@@ -72,7 +76,8 @@ NodeId Graph::addOutput(NodeId source, std::string name) {
   return addNode(std::move(n));
 }
 
-NodeId Graph::addOp(OpKind kind, std::vector<NodeId> operands, std::string name, int width) {
+NodeId Graph::addOp(OpKind kind, std::span<const NodeId> operands, std::string name,
+                    int width) {
   if (static_cast<int>(operands.size()) != operandCount(kind))
     throw SynthesisError(std::string("addOp(") + std::string(opName(kind)) + "): expected " +
                          std::to_string(operandCount(kind)) + " operands, got " +
@@ -84,7 +89,7 @@ NodeId Graph::addOp(OpKind kind, std::vector<NodeId> operands, std::string name,
   Node n;
   n.kind = kind;
   n.name = std::move(name);
-  n.operands = std::move(operands);
+  n.operands = OperandList(operands);
   if (width >= 0) {
     n.width = width;
   } else if (isComparison(kind)) {
@@ -119,45 +124,46 @@ void Graph::addControlEdge(NodeId before, NodeId after) {
     throw SynthesisError("addControlEdge: node id out of range");
   if (before == after) throw SynthesisError("addControlEdge: self edge");
   // Ignore duplicates so transforms can be idempotent.
-  const auto& succ = ctrlSucc_[before];
-  if (std::find(succ.begin(), succ.end(), after) != succ.end()) return;
-  ctrlSucc_[before].push_back(after);
-  ctrlPred_[after].push_back(before);
-  ++ctrlEdgeCount_;
-  invalidateCaches();
-}
-
-void Graph::reserve(std::size_t nodes) {
-  nodes_.reserve(nodes);
-  fanouts_.reserve(nodes);
-  ctrlSucc_.reserve(nodes);
-  ctrlPred_.reserve(nodes);
+  if (newestFrom_.size() < size()) newestFrom_.resize(size(), kNoEdge);
+  for (std::uint32_t e = newestFrom_[before]; e != kNoEdge; e = ctrlEdges_[e].prevFromSame)
+    if (ctrlEdges_[e].to == after) return;
+  ctrlEdges_.push_back(ControlEdge{before, after, newestFrom_[before]});
+  newestFrom_[before] = static_cast<std::uint32_t>(ctrlEdges_.size() - 1);
+  ctrlValid_ = topoValid_ = false;
 }
 
 void Graph::clearControlEdges() {
-  for (auto& v : ctrlSucc_) v.clear();
-  for (auto& v : ctrlPred_) v.clear();
-  ctrlEdgeCount_ = 0;
-  invalidateCaches();
+  ctrlEdges_.clear();
+  newestFrom_.clear();
+  ctrlValid_ = topoValid_ = false;
 }
 
 const CsrAdjacency& Graph::fanoutCsr() const {
-  if (!csrValid_) {
-    fanoutCsr_ = CsrAdjacency::fromRagged(fanouts_);
-    ctrlSuccCsr_ = CsrAdjacency::fromRagged(ctrlSucc_);
-    ctrlPredCsr_ = CsrAdjacency::fromRagged(ctrlPred_);
-    csrValid_ = true;
+  if (!fanoutValid_) {
+    fanoutCsr_.build(size(), [&](auto emit) {
+      for (NodeId n = 0; n < size(); ++n)
+        for (const NodeId op : nodes_[n].operands) emit(op, n);
+    });
+    fanoutValid_ = true;
   }
   return fanoutCsr_;
 }
 
 const CsrAdjacency& Graph::controlSuccCsr() const {
-  (void)fanoutCsr();  // builds all three snapshots together
+  if (!ctrlValid_) {
+    ctrlSuccCsr_.build(size(), [&](auto emit) {
+      for (const ControlEdge& e : ctrlEdges_) emit(e.from, e.to);
+    });
+    ctrlPredCsr_.build(size(), [&](auto emit) {
+      for (const ControlEdge& e : ctrlEdges_) emit(e.to, e.from);
+    });
+    ctrlValid_ = true;
+  }
   return ctrlSuccCsr_;
 }
 
 const CsrAdjacency& Graph::controlPredCsr() const {
-  (void)fanoutCsr();
+  (void)controlSuccCsr();  // builds both control views together
   return ctrlPredCsr_;
 }
 
@@ -193,9 +199,8 @@ std::span<const NodeId> Graph::topoOrderView() const {
   // Data edges always run from a lower id to a higher one (addNode only
   // accepts existing operands). When every control edge does too, the
   // smallest-id-first Kahn order below is exactly 0, 1, ..., n-1.
-  bool forward = true;
-  for (NodeId i = 0; i < size() && forward; ++i)
-    for (const NodeId succ : ctrlSucc_[i]) forward = forward && succ > i;
+  const bool forward = std::all_of(ctrlEdges_.begin(), ctrlEdges_.end(),
+                                  [](const ControlEdge& e) { return e.to > e.from; });
   if (forward) {
     topoCache_.resize(size());
     std::iota(topoCache_.begin(), topoCache_.end(), NodeId{0});
@@ -203,11 +208,11 @@ std::span<const NodeId> Graph::topoOrderView() const {
     return topoCache_;
   }
 
+  const CsrAdjacency& fanouts = fanoutCsr();
+  const CsrAdjacency& ctrlSucc = controlSuccCsr();
   std::vector<int> indegree(size(), 0);
-  for (NodeId i = 0; i < size(); ++i) {
-    indegree[i] += static_cast<int>(nodes_[i].operands.size());
-    indegree[i] += static_cast<int>(ctrlPred_[i].size());
-  }
+  for (NodeId i = 0; i < size(); ++i) indegree[i] = static_cast<int>(nodes_[i].operands.size());
+  for (const ControlEdge& e : ctrlEdges_) ++indegree[e.to];
   std::vector<NodeId> ready;
   for (NodeId i = 0; i < size(); ++i)
     if (indegree[i] == 0) ready.push_back(i);
@@ -227,8 +232,8 @@ std::span<const NodeId> Graph::topoOrderView() const {
         std::push_heap(ready.begin(), ready.end(), std::greater<>{});
       }
     };
-    for (const NodeId succ : fanouts_[n]) relax(succ);
-    for (const NodeId succ : ctrlSucc_[n]) relax(succ);
+    for (const NodeId succ : fanouts.row(n)) relax(succ);
+    for (const NodeId succ : ctrlSucc.row(n)) relax(succ);
   }
   if (order.size() != size())
     throw SynthesisError("graph '" + name_ + "' contains a cycle (data+control edges)");
@@ -281,7 +286,7 @@ void Graph::validate() const {
       throw SynthesisError("node '" + n.name + "': comparison width must be 1");
     if (n.kind == OpKind::Mux && nodes_[n.operands[0]].width != 1)
       throw SynthesisError("node '" + n.name + "': mux select must be 1 bit wide");
-    if (n.kind == OpKind::Output && !fanouts_[i].empty())
+    if (n.kind == OpKind::Output && !fanouts(i).empty())
       throw SynthesisError("node '" + n.name + "': output has consumers");
   }
   (void)topoOrderView();  // throws on cycles

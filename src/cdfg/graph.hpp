@@ -10,16 +10,33 @@
 //   operand 1 = value when select is true  (the paper's "1 input"),
 //   operand 2 = value when select is false (the paper's "0 input").
 //
-// Hot-path views: the schedulers and the power transform traverse the graph
-// many times per run, so the Graph keeps lazily-built, mutation-invalidated
-// caches — CSR (compressed sparse row) copies of the fanout/control
-// adjacency and a topological order. The caches are rebuilt at most once per
-// mutation epoch; any mutation (addNode/addControlEdge/clearControlEdges)
-// invalidates all previously returned CSR references and topo spans. Lazy
-// rebuilding mutates `mutable` members, so concurrent const access from
-// multiple threads is not safe without external synchronization.
+// Storage: every per-node array is flat. A node keeps its (at most three)
+// operands inline, and the control edges are one list in insertion order,
+// so copying or destroying a Graph costs a handful of vector copies and no
+// per-node allocation.
+//
+// Adjacency views: data fanouts, control successors and control
+// predecessors exist only as CSR (compressed sparse row) views, together
+// with a cached topological order. Each view is built by the first const
+// call that needs it and kept until a mutation invalidates it:
+//   * addNode (any add* of a node) invalidates every view;
+//   * addControlEdge and clearControlEdges invalidate the two control
+//     views and the topological order, never the data-fanout view.
+// Spans and CsrAdjacency contents handed out by a view are valid until the
+// next mutation that invalidates it; a `const CsrAdjacency&` keeps naming
+// the Graph's member, whose contents are rebuilt by the next call. Row
+// order is fixed: a fanout row lists consumers in ascending id, once per
+// operand use; a control row lists its edges in insertion order.
+//
+// Because the first const call mutates `mutable` members, a Graph must not
+// be read from two threads at once without external synchronization. No
+// code path shares one: each design job, server request and explore sweep
+// owns its graphs.
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <span>
 #include <string>
@@ -43,11 +60,42 @@ enum class MuxSide : std::uint8_t { False = 0, True = 1 };
   return s == MuxSide::True ? MuxSide::False : MuxSide::True;
 }
 
+/// The ordered data inputs of one node, stored inline: no operation takes
+/// more than three (a mux's select, true and false inputs).
+class OperandList {
+ public:
+  static constexpr std::size_t kCapacity = 3;
+
+  OperandList() = default;
+  OperandList(std::initializer_list<NodeId> ids)
+      : OperandList(std::span<const NodeId>(ids.begin(), ids.size())) {}
+  /// Throws SynthesisError when `ids` holds more than kCapacity operands.
+  explicit OperandList(std::span<const NodeId> ids);
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] const NodeId* begin() const { return ids_.data(); }
+  [[nodiscard]] const NodeId* end() const { return ids_.data() + size_; }
+  [[nodiscard]] NodeId operator[](std::size_t i) const { return ids_[i]; }
+  NodeId& operator[](std::size_t i) { return ids_[i]; }
+  /// Bounds-checked access; throws std::out_of_range past size().
+  [[nodiscard]] NodeId at(std::size_t i) const;
+  operator std::span<const NodeId>() const { return {ids_.data(), size_}; }
+
+  friend bool operator==(const OperandList& a, const OperandList& b) {
+    return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
+  }
+
+ private:
+  std::array<NodeId, kCapacity> ids_{};
+  std::uint8_t size_ = 0;
+};
+
 /// One CDFG operation.
 struct Node {
   OpKind kind = OpKind::Input;
   std::string name;                ///< user-visible name; unique per graph
-  std::vector<NodeId> operands;    ///< data inputs, ordered
+  OperandList operands;            ///< data inputs, ordered
   int width = 8;                   ///< result width in bits (cmp results are 1)
   std::int64_t constValue = 0;     ///< for OpKind::Const
   int shift = 0;                   ///< for OpKind::Wire: >0 right, <0 left
@@ -55,7 +103,7 @@ struct Node {
 
 /// One adjacency relation in compressed-sparse-row form: all rows share two
 /// flat arrays, so iterating a row is a pointer walk with no per-node heap
-/// indirection. Snapshots are owned by the Graph and rebuilt lazily.
+/// indirection. Views are owned by the Graph and rebuilt lazily.
 class CsrAdjacency {
  public:
   [[nodiscard]] std::span<const NodeId> row(NodeId n) const {
@@ -65,10 +113,16 @@ class CsrAdjacency {
   [[nodiscard]] std::size_t rowCount() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
   [[nodiscard]] std::size_t edgeCount() const { return targets_.size(); }
 
-  /// Build from ragged per-node adjacency.
-  static CsrAdjacency fromRagged(const std::vector<std::vector<NodeId>>& rows);
-
  private:
+  friend class Graph;
+
+  /// Stable counting sort of (row, target) pairs into `rows` rows:
+  /// `forEachPair(emit)` calls emit(row, target) once per pair, the same
+  /// way both times it is called, and each row keeps its targets in
+  /// emission order.
+  template <typename ForEachPair>
+  void build(std::size_t rows, ForEachPair forEachPair);
+
   std::vector<std::uint32_t> offsets_;  ///< size N+1; row n is [offsets_[n], offsets_[n+1])
   std::vector<NodeId> targets_;
 };
@@ -84,18 +138,25 @@ class Graph {
   NodeId addConst(std::int64_t value, int width = 8, std::string name = {});
   NodeId addOutput(NodeId source, std::string name);
   /// Generic operation; checks operand count for `kind`.
-  NodeId addOp(OpKind kind, std::vector<NodeId> operands, std::string name = {}, int width = -1);
+  NodeId addOp(OpKind kind, std::span<const NodeId> operands, std::string name = {},
+               int width = -1);
+  NodeId addOp(OpKind kind, std::initializer_list<NodeId> operands, std::string name = {},
+               int width = -1) {
+    return addOp(kind, std::span<const NodeId>(operands.begin(), operands.size()),
+                 std::move(name), width);
+  }
   /// Mux with the (sel, whenTrue, whenFalse) convention above.
   NodeId addMux(NodeId sel, NodeId whenTrue, NodeId whenFalse, std::string name = {});
   /// Free pass-through (realized as wiring); `shift` > 0 shifts right.
   NodeId addWire(NodeId source, int shift = 0, std::string name = {});
 
   /// Pure precedence edge: `after` must be scheduled strictly after `before`.
+  /// A repeated edge is ignored.
   void addControlEdge(NodeId before, NodeId after);
 
   /// Capacity for `nodes` nodes, so a builder that knows its size up front
-  /// (the text reader) adds them without regrowing the per-node arrays.
-  void reserve(std::size_t nodes);
+  /// (the text reader) adds them without regrowing the node array.
+  void reserve(std::size_t nodes) { nodes_.reserve(nodes); }
 
   // ---- queries -------------------------------------------------------------
 
@@ -110,26 +171,27 @@ class Graph {
   [[nodiscard]] std::span<const NodeId> fanins(NodeId id) const {
     return nodes_.at(id).operands;
   }
-  /// Data consumers of `id` (each consumer listed once per operand use).
-  [[nodiscard]] const std::vector<NodeId>& fanouts(NodeId id) const {
-    return fanouts_.at(id);
+  /// Data consumers of `id` in ascending id, each listed once per operand use.
+  [[nodiscard]] std::span<const NodeId> fanouts(NodeId id) const {
+    return fanoutCsr().row(id);
   }
-  [[nodiscard]] const std::vector<NodeId>& controlSuccessors(NodeId id) const {
-    return ctrlSucc_.at(id);
+  /// Control successors / predecessors of `id`, in edge insertion order.
+  [[nodiscard]] std::span<const NodeId> controlSuccessors(NodeId id) const {
+    return controlSuccCsr().row(id);
   }
-  [[nodiscard]] const std::vector<NodeId>& controlPredecessors(NodeId id) const {
-    return ctrlPred_.at(id);
+  [[nodiscard]] std::span<const NodeId> controlPredecessors(NodeId id) const {
+    return controlPredCsr().row(id);
   }
-  [[nodiscard]] std::size_t controlEdgeCount() const { return ctrlEdgeCount_; }
+  [[nodiscard]] std::size_t controlEdgeCount() const { return ctrlEdges_.size(); }
 
   // ---- flat views (hot paths) ---------------------------------------------
-  // References stay valid until the next mutation. Built on first use.
+  // Built on first use; see the header comment for when they are rebuilt.
 
-  /// CSR snapshot of data fanouts.
+  /// CSR view of data fanouts.
   [[nodiscard]] const CsrAdjacency& fanoutCsr() const;
-  /// CSR snapshot of control-edge successors.
+  /// CSR view of control-edge successors.
   [[nodiscard]] const CsrAdjacency& controlSuccCsr() const;
-  /// CSR snapshot of control-edge predecessors.
+  /// CSR view of control-edge predecessors.
   [[nodiscard]] const CsrAdjacency& controlPredCsr() const;
 
   /// Cached topological order over data + control edges; same order as
@@ -169,25 +231,33 @@ class Graph {
   [[nodiscard]] Graph clone() const { return *this; }
 
  private:
+  /// One control edge. `prevFromSame` links the edges that share a source,
+  /// newest first (kNoEdge ends the chain), so the duplicate check in
+  /// addControlEdge walks one source's edges instead of the whole list.
+  struct ControlEdge {
+    NodeId from;
+    NodeId to;
+    std::uint32_t prevFromSame;
+  };
+  static constexpr std::uint32_t kNoEdge = static_cast<std::uint32_t>(-1);
+
   NodeId addNode(Node node);
   [[nodiscard]] std::string freshName(std::string_view stem);
-  void invalidateCaches();
   [[nodiscard]] NodeMask backwardReach(std::span<const NodeId> roots) const;
 
   std::string name_;
   std::vector<Node> nodes_;
-  std::vector<std::vector<NodeId>> fanouts_;
-  std::vector<std::vector<NodeId>> ctrlSucc_;
-  std::vector<std::vector<NodeId>> ctrlPred_;
-  std::size_t ctrlEdgeCount_ = 0;
+  std::vector<ControlEdge> ctrlEdges_;     ///< insertion order
+  std::vector<std::uint32_t> newestFrom_;  ///< per source: newest edge; sized on demand
   std::size_t nameCounter_ = 0;
 
-  // Lazily-built caches (see the header comment for the invalidation rules).
+  // Lazily-built views (see the header comment for the invalidation rules).
   mutable CsrAdjacency fanoutCsr_;
   mutable CsrAdjacency ctrlSuccCsr_;
   mutable CsrAdjacency ctrlPredCsr_;
-  mutable bool csrValid_ = false;
   mutable std::vector<NodeId> topoCache_;
+  mutable bool fanoutValid_ = false;
+  mutable bool ctrlValid_ = false;
   mutable bool topoValid_ = false;
 };
 

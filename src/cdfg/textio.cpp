@@ -202,7 +202,7 @@ Graph loadGraphText(std::string_view text) {
            operand = fields.token())
         operands.push_back(resolve(operand, loc));
       define(nodeName,
-             g.addOp(kind, std::vector<NodeId>(operands), std::string(nodeName), width),
+             g.addOp(kind, operands, std::string(nodeName), width),
              loc);
     } else if (keyword == "ctrl") {
       const std::string_view from = name("source node");

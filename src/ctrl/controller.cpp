@@ -88,7 +88,8 @@ ControllerSpec synthesizeController(const PowerManagedDesign& design, const Sche
     return classOf.emplace(key, static_cast<int>(classOf.size())).first->second;
   };
 
-  // Load actions: one per registered value.
+  // Load actions: one per registered value, made in ascending value order.
+  std::vector<LoadAction> loads;
   for (NodeId n = 0; n < g.size(); ++n) {
     if (!isScheduled(g.kind(n)) || binding.registerOf[n] < 0) continue;
     LoadAction load;
@@ -110,15 +111,19 @@ ControllerSpec synthesizeController(const PowerManagedDesign& design, const Sche
                                "' (step " + std::to_string(load.step) + ")");
       }
     }
-    spec.loads.push_back(std::move(load));
+    loads.push_back(std::move(load));
   }
 
   spec.conditionClasses = static_cast<int>(classOf.size());
 
-  std::sort(spec.loads.begin(), spec.loads.end(), [](const LoadAction& a, const LoadAction& b) {
-    if (a.step != b.step) return a.step < b.step;
-    return a.value < b.value;
-  });
+  // Emit in (step, value) order: a stable bucketing by step keeps each
+  // step's loads in the ascending value order they were made in.
+  std::vector<std::size_t> stepStart(static_cast<std::size_t>(spec.steps) + 2, 0);
+  for (const LoadAction& load : loads) ++stepStart[static_cast<std::size_t>(load.step) + 1];
+  for (std::size_t i = 1; i < stepStart.size(); ++i) stepStart[i] += stepStart[i - 1];
+  spec.loads.resize(loads.size());
+  for (LoadAction& load : loads)
+    spec.loads[stepStart[static_cast<std::size_t>(load.step)]++] = std::move(load);
   return spec;
 }
 

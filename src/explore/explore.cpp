@@ -94,8 +94,14 @@ ExploreResult runSweep(const ExploreRequest& req, const RunBudget* budget, bool 
   req.graph.validate();
   ExploreResult res;
   res.circuit = req.graph.name();
-  res.ops = countOps(req.graph).totalUnits();
-  res.criticalPath = criticalPathLength(req.graph);
+  // Per-sweep constants: every point's summary repeats the input graph's
+  // op count and critical path, and every pruning bound its per-class op
+  // counts (the design graph adds control edges, never nodes).
+  const GraphConstants constants = GraphConstants::of(req.graph);
+  const ResourceVector opsPerClass{countByClass(req.graph)};
+  const UnitCosts costs = UnitCosts::defaults();
+  res.ops = constants.ops;
+  res.criticalPath = constants.criticalPath;
   res.minSteps = req.minSteps > 0 ? req.minSteps : res.criticalPath;
   res.maxSteps = req.maxSteps > 0 ? req.maxSteps : res.minSteps + std::max(req.span, 0);
   res.mode = amortize ? "amortized" : "per-point";
@@ -115,11 +121,11 @@ ExploreResult runSweep(const ExploreRequest& req, const RunBudget* budget, bool 
   job.optimal = req.optimal;
   job.shared = req.shared;
 
-  // The saturated base: the full outcome whose design every later point
-  // copies. Its activation result is steps-independent, so basePower is the
-  // EXACT power of every amortized point — which is what makes pruning on
-  // (basePower, a lower bound on the point's area) equivalent to full
-  // evaluation.
+  // The saturated base: the full outcome whose design and activation every
+  // later point finishes against in place. Its activation result is
+  // steps-independent, so basePower is the EXACT power of every amortized
+  // point — which is what makes pruning on (basePower, a lower bound on the
+  // point's area) equivalent to full evaluation.
   std::optional<DesignOutcome> base;
   double basePower = 0;
 
@@ -139,6 +145,7 @@ ExploreResult runSweep(const ExploreRequest& req, const RunBudget* budget, bool 
 
     try {
       DesignOutcome out;
+      double power = basePower;  // exact for every amortized point
       if (base.has_value()) {
         // Amortized point: only the steps-dependent tail can change, and
         // power is exactly basePower, so the point enters the front iff its
@@ -146,35 +153,28 @@ ExploreResult runSweep(const ExploreRequest& req, const RunBudget* budget, bool 
         // Prune before paying for it: first on the pigeonhole bound, which
         // that area never undercuts (minimized area itself is NOT monotone
         // in the budget — docs/EXPLORE.md), then on the area itself.
-        const double bound =
-            UnitCosts::defaults().costOf(unitLowerBound(base->design.graph, s));
+        const double bound = costs.costOf(unitLowerBound(opsPerClass, s));
         if (dominatedByFront(res.front, basePower, bound)) {
           ++res.stats.pruned;
           continue;
         }
-        const MinimizedSchedule minimized = minimizeSchedule(base->design.graph, s);
-        const double area = UnitCosts::defaults().costOf(minimized.units);
+        MinimizedSchedule minimized = minimizeSchedule(base->design.graph, s);
+        const double area = costs.costOf(minimized.units);
         if (dominatedByFront(res.front, basePower, area)) {
           ++res.stats.pruned;
           continue;
         }
         ++res.stats.amortizedRuns;
-        out.design = base->design;
-        out.design.steps = s;
-        // The committed fixed point equals the from-scratch frames of the
-        // already-augmented graph (the oracle invariant both passes pin).
-        out.design.frames =
-            computeTimeFrames(out.design.graph, s, {}, out.design.latency);
         out.sharedGated = base->sharedGated;
         out.sharedGatingSlackRejects = base->sharedGatingSlackRejects;
-        out.activation = base->activation;
         FinishOptions fin;
         fin.minimized = &minimized;
-        fin.reuseActivation = true;
-        finishDesignJob(out, job, budget, fin);
+        fin.constants = &constants;
+        finishDesignJob(out, base->design, base->activation, job, budget, fin);
       } else {
         ++res.stats.fullRuns;
         out = runDesignJob(job, budget);
+        power = out.activation.reductionPercent(OpPowerModel::paperWeights());
       }
 
       if (budget != nullptr && budget->exhausted()) {
@@ -182,8 +182,7 @@ ExploreResult runSweep(const ExploreRequest& req, const RunBudget* budget, bool 
         // the unbudgeted run's); a half-budgeted result never enters the
         // front — that is what keeps the partial front a monotone prefix.
         if (!out.summary.degraded) {
-          const double power = out.activation.reductionPercent(OpPowerModel::paperWeights());
-          const double area = UnitCosts::defaults().costOf(out.units);
+          const double area = costs.costOf(out.units);
           if (!dominatedByFront(res.front, power, area))
             res.front.push_back(ExplorePoint{s, out.summary, power, area});
           else
@@ -193,8 +192,7 @@ ExploreResult runSweep(const ExploreRequest& req, const RunBudget* budget, bool 
         break;
       }
 
-      const double power = out.activation.reductionPercent(OpPowerModel::paperWeights());
-      const double area = UnitCosts::defaults().costOf(out.units);
+      const double area = costs.costOf(out.units);
       if (!dominatedByFront(res.front, power, area))
         res.front.push_back(ExplorePoint{s, out.summary, power, area});
       else

@@ -6,7 +6,8 @@
 // O(points × full-run). This driver amortizes the sweep: it runs the full
 // pipeline only until the step budget SATURATES — the point past which the
 // transform and the shared-gating pass provably make identical decisions at
-// every looser budget — and from there on reuses the committed base design,
+// every looser budget — and from there on reuses the committed base design
+// in place (read by const reference, never copied),
 // re-running only the steps-dependent tail (resource minimization, list
 // schedule, binding, controller) per point, with exact dominance pruning of
 // points that cannot enter the latency/power/area Pareto front: a point is

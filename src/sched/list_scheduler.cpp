@@ -2,21 +2,14 @@
 
 #include <algorithm>
 #include <optional>
+#include <stdexcept>
 #include <string>
+
+#include "cdfg/analysis.hpp"
 
 namespace pmsched {
 
 namespace {
-
-/// Operations per unit class: the most units a class can ever use.
-ResourceVector opsPerClass(const Graph& g) {
-  ResourceVector ops;
-  for (NodeId n = 0; n < g.size(); ++n) {
-    const ResourceClass rc = resourceClassOf(g.kind(n));
-    if (rc != ResourceClass::None) ++ops.of(rc);
-  }
-  return ops;
-}
 
 /// "no schedule" message when some frame is empty, else nothing.
 std::optional<std::string> emptyFrameMessage(const Graph& g, int steps, const TimeFrames& tf) {
@@ -236,8 +229,12 @@ ListScheduleResult listSchedule(const Graph& g, int steps, const ResourceVector&
 }
 
 ResourceVector unitLowerBound(const Graph& g, int steps, int ii) {
+  return unitLowerBound(ResourceVector{countByClass(g)}, steps, ii);
+}
+
+ResourceVector unitLowerBound(const ResourceVector& opsPerClass, int steps, int ii) {
   const int window = ii > 0 ? std::min(ii, steps) : steps;
-  ResourceVector bound = opsPerClass(g);
+  ResourceVector bound = opsPerClass;
   for (int& c : bound.count) c = (c + window - 1) / window;
   return bound;
 }
@@ -246,13 +243,21 @@ MinimizedSchedule minimizeSchedule(const Graph& g, int steps, const UnitCosts& c
                                    const LatencyModel& model) {
   (void)costs;  // growth is demand-driven; costs kept in the API for callers
                 // that want to compare vectors (see analysis::areaIncrease).
+  // The frames depend only on the graph and the budget, not on the limits.
+  return minimizeSchedule(g, steps, computeTimeFrames(g, steps, {}, model), ii, model);
+}
 
-  const ResourceVector opCount = opsPerClass(g);
-  ResourceVector limits = unitLowerBound(g, steps, ii);
+MinimizedSchedule minimizeSchedule(const Graph& g, int steps, const TimeFrames& tf, int ii,
+                                   const LatencyModel& model) {
+  if (tf.steps != steps)
+    throw std::invalid_argument("minimizeSchedule: frames computed for " +
+                                std::to_string(tf.steps) + " steps, not " +
+                                std::to_string(steps));
+  const ResourceVector opCount{countByClass(g)};
+  ResourceVector limits = unitLowerBound(opCount, steps, ii);
 
-  // The frames depend only on the graph and the budget, not on the limits,
-  // and so does the scheduler's seeded state.
-  const TimeFrames tf = computeTimeFrames(g, steps, {}, model);
+  // The frames and the scheduler's seeded state do not depend on the
+  // limits, so the whole search shares them.
   if (auto message = emptyFrameMessage(g, steps, tf))
     throw InfeasibleError("minimizeResources: " + *message);
   FrameListScheduler scheduler(g, steps, ii, model, tf);

@@ -63,6 +63,10 @@ struct MinimizedSchedule {
 /// modulo `ii`), so class c needs at least ceil(ops_c / window) units. Never
 /// rises with `steps` — unlike minimizeSchedule()'s area, which can.
 [[nodiscard]] ResourceVector unitLowerBound(const Graph& g, int steps, int ii = 0);
+/// The same bound from `g`'s per-class operation counts (countByClass()),
+/// for a caller that bounds one graph at many budgets.
+[[nodiscard]] ResourceVector unitLowerBound(const ResourceVector& opsPerClass, int steps,
+                                            int ii = 0);
 
 /// Smallest-cost resource vector for which list scheduling succeeds at the
 /// given step budget, found by demand-driven growth from unitLowerBound(),
@@ -71,6 +75,14 @@ struct MinimizedSchedule {
 /// step budget).
 [[nodiscard]] MinimizedSchedule minimizeSchedule(const Graph& g, int steps,
                                                  const UnitCosts& costs = UnitCosts::defaults(),
+                                                 int ii = 0,
+                                                 const LatencyModel& model = LatencyModel::unit());
+
+/// minimizeSchedule() over frames the caller already holds, such as a
+/// design's committed frames after the transform and shared gating. `tf`
+/// must equal computeTimeFrames(g, steps, {}, model); std::invalid_argument
+/// when its budget is not `steps`.
+[[nodiscard]] MinimizedSchedule minimizeSchedule(const Graph& g, int steps, const TimeFrames& tf,
                                                  int ii = 0,
                                                  const LatencyModel& model = LatencyModel::unit());
 

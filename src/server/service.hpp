@@ -78,25 +78,45 @@ struct DesignOutcome {
 [[nodiscard]] DesignOutcome runDesignJob(const DesignJob& job,
                                          const RunBudget* budget = nullptr);
 
+/// The summary numbers that depend only on a job's input graph.
+struct GraphConstants {
+  int ops = 0;           ///< countOps(graph).totalUnits()
+  int criticalPath = 0;  ///< criticalPathLength(graph)
+
+  [[nodiscard]] static GraphConstants of(const Graph& g);
+};
+
 /// Steering for finishDesignJob() when a caller already holds part of the
 /// tail's result (the explore driver's amortized point path).
 struct FinishOptions {
-  /// Already-minimized resources and their schedule for out.design.graph at
-  /// job.steps; skips the minimizeSchedule search when non-null.
-  const MinimizedSchedule* minimized = nullptr;
-  /// out.activation is already valid for out.design — skip the analysis.
-  /// Sound only when the design's gating conditions are unchanged (the
-  /// analysis does not depend on the step budget or the schedule).
-  bool reuseActivation = false;
+  /// Already-minimized resources and their schedule for the design graph
+  /// at job.steps; the tail moves from it and skips the minimizeSchedule
+  /// search when non-null.
+  MinimizedSchedule* minimized = nullptr;
+  /// GraphConstants::of(job.graph), when the caller already has them.
+  const GraphConstants* constants = nullptr;
 };
 
 /// The steps-dependent tail of runDesignJob(): resource minimization, list
 /// scheduling, binding, activation analysis, controller synthesis and the
 /// summary verdict, over an out.design/out.sharedGated the caller already
 /// produced. runDesignJob() is exactly transform + shared gating + this.
-/// Fills the minimize..controller entries of out.trace, timing from the
-/// caller's last stage boundary when out.trace is running.
+/// Without fin.minimized the search reuses out.design.frames, which must be
+/// the committed frames at job.steps. Fills the minimize..controller
+/// entries of out.trace, timing from the caller's last stage boundary when
+/// out.trace is running.
 void finishDesignJob(DesignOutcome& out, const DesignJob& job,
+                     const RunBudget* budget = nullptr, const FinishOptions& fin = {});
+
+/// The same tail against a finished design and its activation analysis
+/// that the caller keeps: `design` and `activation` are read in place,
+/// never copied, and out.design/out.activation stay as they are. The
+/// analysis does not depend on the step budget or the schedule, so one
+/// design serves every budget its gating stays valid at (the explore
+/// driver's amortized points). Without fin.minimized, design.frames must
+/// be the committed frames at job.steps.
+void finishDesignJob(DesignOutcome& out, const PowerManagedDesign& design,
+                     const ActivationResult& activation, const DesignJob& job,
                      const RunBudget* budget = nullptr, const FinishOptions& fin = {});
 
 }  // namespace pmsched

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "sched/power_transform.hpp"
 #include "sched/shared_gating.hpp"
 #include "support/random_dfg.hpp"
+#include "support/run_budget.hpp"
 
 namespace pmsched {
 namespace {
@@ -30,6 +32,10 @@ std::vector<Graph> allCircuits() {
   out.push_back(circuits::arf());
   out.push_back(circuits::ewf());
   return out;
+}
+
+std::vector<NodeId> asVector(std::span<const NodeId> ids) {
+  return std::vector<NodeId>(ids.begin(), ids.end());
 }
 
 void expectDesignsEqual(const PowerManagedDesign& a, const PowerManagedDesign& b,
@@ -53,7 +59,7 @@ void expectDesignsEqual(const PowerManagedDesign& a, const PowerManagedDesign& b
   ASSERT_EQ(a.graph.size(), b.graph.size()) << what;
   ASSERT_EQ(a.graph.controlEdgeCount(), b.graph.controlEdgeCount()) << what;
   for (NodeId n = 0; n < a.graph.size(); ++n) {
-    ASSERT_EQ(a.graph.controlPredecessors(n), b.graph.controlPredecessors(n))
+    ASSERT_EQ(asVector(a.graph.controlPredecessors(n)), asVector(b.graph.controlPredecessors(n)))
         << what << ": control preds of node " << n;
     ASSERT_EQ(a.sharedGating[n], b.sharedGating[n]) << what << ": shared gating of " << n;
     ASSERT_EQ(a.gates[n].size(), b.gates[n].size()) << what << ": gates of " << n;
@@ -253,6 +259,44 @@ TEST(SharedGatingDifferential, MatchesReferenceAtRealisticSizes) {
         expectDesignsEqual(fast, ref, what + " (after shared gating)");
       }
     }
+  }
+}
+
+TEST(CommittedFrames, EqualFromScratchFramesAfterEveryPass) {
+  // The design job hands design.frames to the resource search instead of
+  // recomputing them, so after the greedy, exact and shared passes -- a
+  // budget-stopped run included -- they must be exactly the from-scratch
+  // frames of the design graph at its budget.
+  const auto expectFromScratch = [](const PowerManagedDesign& d, const std::string& what) {
+    const TimeFrames tf = computeTimeFrames(d.graph, d.steps, {}, d.latency);
+    ASSERT_EQ(d.frames.steps, tf.steps) << what;
+    ASSERT_EQ(d.frames.asap, tf.asap) << what;
+    ASSERT_EQ(d.frames.alap, tf.alap) << what;
+  };
+  const Graph g = randomLayeredDfg(256, 16, 1);
+  const int cp = criticalPathLength(g);
+  for (const int slack : {0, 2, 8}) {
+    const std::string at = "256x16 @cp+" + std::to_string(slack);
+    for (const MuxOrdering ordering : kOrderings) {
+      PowerManagedDesign greedy = applyPowerManagement(g, cp + slack, ordering);
+      ASSERT_GT(greedy.graph.controlEdgeCount(), 0u) << at;
+      expectFromScratch(greedy, at + " greedy " + orderingName(ordering));
+      (void)applySharedGating(greedy);
+      expectFromScratch(greedy, at + " greedy+shared " + orderingName(ordering));
+    }
+    PowerManagedDesign optimal = applyPowerManagementOptimal(g, cp + slack);
+    expectFromScratch(optimal, at + " optimal");
+    (void)applySharedGating(optimal);
+    expectFromScratch(optimal, at + " optimal+shared");
+
+    RunBudget budget;
+    budget.setProbeCap(40);
+    PowerManagedDesign stopped =
+        applyPowerManagement(g, cp + slack, MuxOrdering::OutputFirst, LatencyModel::unit(),
+                             &budget);
+    ASSERT_TRUE(stopped.degraded) << at;
+    expectFromScratch(stopped, at + " budget-stopped greedy");
+    if (HasFailure()) return;
   }
 }
 
