@@ -1,11 +1,8 @@
 // Runtime micro-benchmarks (google-benchmark): cost of the
-// power-management transform and the schedulers as a function of CDFG
-// size, on random layered DFGs and on the paper circuits.
-//
-// BM_ForceDirected (incremental) and BM_ForceDirectedReference (the
-// retained from-scratch algorithm) run on identical graphs, so one
-// --benchmark_format=json dump (see tools/bench_report.sh) records the
-// speedup of the incremental scheduler at every size.
+// power-management transform, the list scheduler and the rest of the back
+// end as a function of CDFG size, on random layered DFGs and on the paper
+// circuits. One --benchmark_format=json dump (see tools/bench_report.sh)
+// records every family at every size.
 
 #include <benchmark/benchmark.h>
 
@@ -24,7 +21,6 @@
 #include "explore/explore.hpp"
 #include "power/activation.hpp"
 #include "sched/bdd.hpp"
-#include "sched/force_directed.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/power_transform.hpp"
 #include "sched/shared_gating.hpp"
@@ -129,26 +125,6 @@ void BM_BindDesign(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_BindDesign)->RangeMultiplier(2)->Range(4, 256)->Complexity();
-
-void BM_ForceDirected(benchmark::State& state) {
-  const Graph g = randomLayeredDfg(static_cast<int>(state.range(0)), 6, 42);
-  const int steps = criticalPathLength(g) + 4;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(forceDirectedSchedule(g, steps));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_ForceDirected)->RangeMultiplier(2)->Range(4, 64)->Complexity();
-
-void BM_ForceDirectedReference(benchmark::State& state) {
-  const Graph g = randomLayeredDfg(static_cast<int>(state.range(0)), 6, 42);
-  const int steps = criticalPathLength(g) + 4;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(forceDirectedScheduleReference(g, steps));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_ForceDirectedReference)->RangeMultiplier(2)->Range(4, 64)->Complexity();
 
 void BM_ActivationAnalysis(benchmark::State& state) {
   const Graph g = randomLayeredDfg(static_cast<int>(state.range(0)), 8, 42);

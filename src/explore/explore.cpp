@@ -128,6 +128,8 @@ ExploreResult runSweep(const ExploreRequest& req, const RunBudget* budget, bool 
   // point's area) equivalent to full evaluation.
   std::optional<DesignOutcome> base;
   double basePower = 0;
+  // The base's committed frames, moved to each amortized point's budget.
+  TimeFrames baseFrames;
 
   for (int s = res.minSteps; s <= res.maxSteps; ++s) {
     if (budget != nullptr && budget->exhausted()) {
@@ -158,7 +160,8 @@ ExploreResult runSweep(const ExploreRequest& req, const RunBudget* budget, bool 
           ++res.stats.pruned;
           continue;
         }
-        MinimizedSchedule minimized = minimizeSchedule(base->design.graph, s);
+        baseFrames.rebudget(s);
+        MinimizedSchedule minimized = minimizeSchedule(base->design.graph, s, baseFrames);
         const double area = costs.costOf(minimized.units);
         if (dominatedByFront(res.front, basePower, area)) {
           ++res.stats.pruned;
@@ -202,6 +205,7 @@ ExploreResult runSweep(const ExploreRequest& req, const RunBudget* budget, bool 
         res.stats.saturationSteps = s;
         basePower = power;
         base.emplace(std::move(out));
+        baseFrames = base->design.frames;
       }
     } catch (const InfeasibleError& e) {
       res.skipped.push_back({s, "infeasible", e.what()});

@@ -218,7 +218,7 @@ class BddManager {
 /// RAII pin on a BddManager (see BddManager::pin).
 class BddPin {
  public:
-  explicit BddPin(BddManager& m) : m_(&m) { m.pin(); }
+  explicit BddPin(BddManager& m) : m_(&m) { m_->pin(); }
   ~BddPin() {
     if (m_ != nullptr) m_->unpin();
   }

@@ -165,8 +165,8 @@ class GatedSetFinder {
 [[nodiscard]] NodeId traceSelectProducer(const Graph& g, NodeId mux);
 
 /// The paper's algorithm (Fig. 3, steps 1-10). Does not run the final
-/// scheduler; callers combine the result with listSchedule /
-/// forceDirectedSchedule on `result.graph` (step 11). The per-mux
+/// scheduler; callers run listSchedule (through minimizeSchedule) on
+/// `result.graph` (step 11). The per-mux
 /// schedulability test is TimeFrameOracle::tryCommit's verdict on the
 /// committed frames, one candidate at a time; slack rejects carry the
 /// unnamed reason "insufficient slack" (see nameSlackRejects()).

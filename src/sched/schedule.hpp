@@ -1,7 +1,7 @@
 #pragma once
 // A complete schedule: the assignment of every scheduled node to a control
-// step, plus derived resource usage. Produced by the list/force-directed
-// schedulers, validated against the graph (including control edges).
+// step, plus derived resource usage. Produced by the list scheduler,
+// validated against the graph (including control edges).
 
 #include <string>
 #include <vector>

@@ -32,6 +32,15 @@ struct TimeFrames {
 
   /// First infeasible node if any, for diagnostics.
   [[nodiscard]] std::optional<NodeId> firstInfeasible(const Graph& g) const;
+
+  /// Move the frames to budget `newSteps` (positive) in place. ASAP does
+  /// not depend on the budget, and every ALAP is the budget plus a constant
+  /// of the graph, edges and latency model, so the result is exactly what
+  /// computeTimeFrames() computes at `newSteps` — without a sweep.
+  void rebudget(int newSteps) {
+    for (int& a : alap) a += newSteps - steps;
+    steps = newSteps;
+  }
 };
 
 /// Compute frames for `steps` control steps over data + control edges.

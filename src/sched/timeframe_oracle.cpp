@@ -38,15 +38,13 @@ TimeFrameOracle::TimeFrameOracle(const Graph& g, int steps, const LatencyModel& 
 
   asap_.assign(n, 0);
   alap_.assign(n, steps);
-  pin_.assign(n, 0);
   xSucc_.resize(n);
   xPred_.resize(n);
-  changedFlag_.assign(n, 0);
   queue_.resize(n);
   walkStamp_.assign(n, 0);
 
   // Initial frames: the exact recurrences of computeTimeFrames() over the
-  // cached topological order (no pins, no extra edges yet).
+  // cached topological order (no extra edges yet).
   for (const NodeId v : order_) asap_[v] = asapFromInputs(v);
   for (auto it = order_.rbegin(); it != order_.rend(); ++it) alap_[*it] = alapFromOutputs(*it);
   for (NodeId v = 0; v < n; ++v)
@@ -131,55 +129,36 @@ void TimeFrameOracle::setAsap(NodeId v, int value) {
   asap_[v] = value;
 }
 
-void TimeFrameOracle::beginChangeEpoch() {
-  for (const NodeId v : changed_) changedFlag_[v] = 0;
-  changed_.clear();
-}
-
-void TimeFrameOracle::markChanged(NodeId v) {
-  if (!changedFlag_[v]) {
-    changedFlag_[v] = 1;
-    changed_.push_back(v);
-  }
-}
-
-TimeFrameOracle::RepairResult TimeFrameOracle::raiseAsap(NodeId s, int value, Batch* undo,
+TimeFrameOracle::RepairResult TimeFrameOracle::raiseAsap(NodeId s, int value, Batch& undo,
                                                          bool abortOnInfeasible) {
   if (value <= asap_[s]) return RepairResult::Ok;
   // Values beyond the DAG bound mean the batch closed a cycle through a
-  // scheduled node (the only kind the transform consumers can create). A
-  // pinned node raised past its step fails when it is popped instead.
-  if (pin_[s] == 0 && value > bound_) return RepairResult::Cycle;
+  // scheduled node (the only kind the transform consumers can create).
+  if (value > bound_) return RepairResult::Cycle;
   // A node raised again before it is popped keeps its first undo entry:
   // replaying the log backwards restores the oldest value anyway.
   if (queue_.insert(topoPos_[s])) {
-    if (undo) undo->asapUndo.emplace_back(s, asap_[s]);
+    undo.asapUndo.emplace_back(s, asap_[s]);
     ++frameWrites_;
   }
   setAsap(s, value);
-  markChanged(s);
   return abortOnInfeasible && overEnd_ > 0 ? RepairResult::Infeasible : RepairResult::Ok;
 }
 
-void TimeFrameOracle::lowerAlap(NodeId p, int value, Batch* undo) {
+void TimeFrameOracle::lowerAlap(NodeId p, int value, Batch& undo) {
   if (value >= alap_[p]) return;
   if (queue_.insert(topoPos_[p])) {
-    if (undo) undo->alapUndo.emplace_back(p, alap_[p]);
+    undo.alapUndo.emplace_back(p, alap_[p]);
     ++frameWrites_;
   }
   alap_[p] = value;
-  markChanged(p);
 }
 
-TimeFrameOracle::RepairResult TimeFrameOracle::repairForward(Batch* undo, bool abortOnInfeasible) {
+TimeFrameOracle::RepairResult TimeFrameOracle::repairForward(Batch& undo, bool abortOnInfeasible) {
   // Each popped node offers its ready time to its successors; only a
   // successor the offer raises is enqueued (tightening-only, see header).
   while (!queue_.empty()) {
     const NodeId v = order_[queue_.popMin()];
-    if (pin_[v] != 0 && asap_[v] > pin_[v]) {
-      queue_.clear();
-      throw InfeasibleError(ctx_ + ": pin below ASAP for '" + g_.node(v).name + "'");
-    }
     const int ready = readyAfter(v);
     auto offerAll = [&](const auto& successors) {
       for (const NodeId s : successors) {
@@ -199,14 +178,10 @@ TimeFrameOracle::RepairResult TimeFrameOracle::repairForward(Batch* undo, bool a
   return RepairResult::Ok;
 }
 
-void TimeFrameOracle::repairBackward(Batch* undo) {
+void TimeFrameOracle::repairBackward(Batch& undo) {
   // Only lowers ALAPs; reverse topological order.
   while (!queue_.empty()) {
     const NodeId v = order_[queue_.popMax()];
-    if (pin_[v] != 0 && alap_[v] < pin_[v]) {
-      queue_.clear();
-      throw InfeasibleError(ctx_ + ": pin above ALAP for '" + g_.node(v).name + "'");
-    }
     for (const NodeId p : g_.fanins(v)) lowerAlap(p, latestBefore(p, v), undo);
     for (const NodeId p : ctrlPredCsr_.row(v)) lowerAlap(p, latestBefore(p, v), undo);
     for (const NodeId p : xPred_[v]) lowerAlap(p, latestBefore(p, v), undo);
@@ -214,7 +189,7 @@ void TimeFrameOracle::repairBackward(Batch* undo) {
 }
 
 void TimeFrameOracle::ensureAlap() {
-  if (depth_ == 0) return;  // committed state is flushed at commit(); pins are eager
+  if (depth_ == 0) return;  // committed state is flushed at commit()
   Batch& top = batchPool_[depth_ - 1];
   if (top.poisoned)
     throw SynthesisError(ctx_ + ": ALAP values are unavailable on an aborted probe batch");
@@ -230,22 +205,18 @@ void TimeFrameOracle::ensureAlap() {
   // no-op when nothing changed), which is always attribution-correct.
   for (std::size_t i = 0; i < depth_; ++i)
     for (const auto& [before, after] : batchPool_[i].edges)
-      lowerAlap(before, latestBefore(before, after), &top);
-  repairBackward(&top);
+      lowerAlap(before, latestBefore(before, after), top);
+  repairBackward(top);
   top.bwdDone = true;
 }
 
 void TimeFrameOracle::undoBatch(Batch& batch) {
   // Restoring in reverse replays the undo log back to the previous fixed
   // point exactly (the last restore of a node writes its oldest value).
-  for (auto it = batch.asapUndo.rbegin(); it != batch.asapUndo.rend(); ++it) {
+  for (auto it = batch.asapUndo.rbegin(); it != batch.asapUndo.rend(); ++it)
     setAsap(it->first, it->second);
-    markChanged(it->first);
-  }
-  for (auto it = batch.alapUndo.rbegin(); it != batch.alapUndo.rend(); ++it) {
+  for (auto it = batch.alapUndo.rbegin(); it != batch.alapUndo.rend(); ++it)
     alap_[it->first] = it->second;
-    markChanged(it->first);
-  }
   for (auto it = batch.edges.rbegin(); it != batch.edges.rend(); ++it) {
     xSucc_[it->first].pop_back();
     xPred_[it->second].pop_back();
@@ -255,7 +226,6 @@ void TimeFrameOracle::undoBatch(Batch& batch) {
 void TimeFrameOracle::push(std::span<const Edge> edges, bool probe) {
   if (depth_ > 0 && batchPool_[depth_ - 1].poisoned)
     throw SynthesisError(ctx_ + ": push on top of an aborted probe batch");
-  beginChangeEpoch();
   if (depth_ == batchPool_.size()) batchPool_.emplace_back();
   Batch& batch = batchPool_[depth_++];
   batch.edges.assign(edges.begin(), edges.end());
@@ -270,11 +240,11 @@ void TimeFrameOracle::push(std::span<const Edge> edges, bool probe) {
   RepairResult result = RepairResult::Ok;
   for (const auto& [before, after] : batch.edges) {
     const int ready = readyAfter(before);
-    result = raiseAsap(after, sched_[after] ? ready + 1 : ready, &batch, probe);
+    result = raiseAsap(after, sched_[after] ? ready + 1 : ready, batch, probe);
     if (result != RepairResult::Ok) break;
   }
   if (result == RepairResult::Ok)
-    result = repairForward(&batch, probe);
+    result = repairForward(batch, probe);
   else
     queue_.clear();
   switch (result) {
@@ -292,7 +262,6 @@ void TimeFrameOracle::push(std::span<const Edge> edges, bool probe) {
 
 void TimeFrameOracle::pop() {
   if (depth_ == 0) throw SynthesisError(ctx_ + ": pop without a matching push");
-  beginChangeEpoch();
   undoBatch(batchPool_[--depth_]);
 }
 
@@ -310,25 +279,6 @@ void TimeFrameOracle::commit() {
   depth_ = 0;  // the edges stay live in xSucc_/xPred_
 }
 
-void TimeFrameOracle::pin(NodeId n, int step) {
-  if (depth_ != 0) throw SynthesisError(ctx_ + ": pin with open tentative batches");
-  if (!sched_[n]) throw SynthesisError(ctx_ + ": pin of a non-scheduled node");
-  if (pin_[n] != 0) throw SynthesisError(ctx_ + ": pin of an already pinned node");
-  beginChangeEpoch();
-  pin_[n] = step;
-  pinned_ = true;  // pins turn the slack verdict's fast path off for good
-  // At depth 0 both frames are the unpinned fixed point, so n's own frame
-  // is what a recompute from its inputs and outputs gives.
-  if (step < asap_[n])
-    throw InfeasibleError(ctx_ + ": pin below ASAP for '" + g_.node(n).name + "'");
-  (void)raiseAsap(n, step, nullptr, false);
-  (void)repairForward(nullptr, false);  // pins cannot cycle
-  if (step > alap_[n])
-    throw InfeasibleError(ctx_ + ": pin above ALAP for '" + g_.node(n).name + "'");
-  lowerAlap(n, step, nullptr);
-  repairBackward(nullptr);
-}
-
 std::optional<NodeId> TimeFrameOracle::firstInfeasible() {
   ensureAlap();
   for (NodeId v = 0; v < g_.size(); ++v)
@@ -337,7 +287,7 @@ std::optional<NodeId> TimeFrameOracle::firstInfeasible() {
 }
 
 bool TimeFrameOracle::slackFastPath(std::span<const Edge> edges) const {
-  if (!slackExact_ || depth_ != 0 || pinned_ || overEnd_ != 0 || edges.empty()) return false;
+  if (!slackExact_ || depth_ != 0 || overEnd_ != 0 || edges.empty()) return false;
   return std::all_of(edges.begin(), edges.end(),
                      [&](const Edge& e) { return e.first == edges.front().first; });
 }

@@ -11,26 +11,22 @@
 //   push(edges)  tentatively add a batch; frames repaired incrementally
 //   pop()        revert the innermost batch; frames restored exactly
 //   commit()     keep the innermost batch (allowed at depth 1 only)
-//   pin(n, s)    permanently fix a scheduled node's start step (the
-//                force-directed scheduler's pinning decisions)
 //
 // Invariant: after every operation, the live ASAP values equal what
-// computeTimeFrames(g, steps, <all live edges>, model) — respectively
-// framesWithPins for pinned use — would compute from scratch. The frame
-// recurrences have a unique fixed point on a DAG, so repairing only the
-// nodes whose value actually changes reaches the same integers, and pop()
-// restores the previous fixed point from an undo log instead of
-// recomputing.
+// computeTimeFrames(g, steps, <all live edges>, model) would compute from
+// scratch. The frame recurrences have a unique fixed point on a DAG, so
+// repairing only the nodes whose value actually changes reaches the same
+// integers, and pop() restores the previous fixed point from an undo log
+// instead of recomputing.
 //
 // Tightening only. Every repair starts from the fixed point of a subset of
-// the live constraints and only adds constraints: push() adds edges, pin()
-// narrows one node's frame to a step inside it (a node is pinned at most
-// once), and the lazy ALAP flush applies edges already pushed. ASAPs can
-// therefore only rise and ALAPs only fall, and the repair is push-style
-// label correcting: a popped node offers its value to each successor (for
-// ASAP; predecessor for ALAP) through one recurrence edge, and a neighbour
-// is enqueued only when the offer actually raises (lowers) it. The value a
-// neighbour already holds is the maximum over all of its other inputs, so
+// the live constraints and only adds constraints: push() adds edges and the
+// lazy ALAP flush applies edges already pushed. ASAPs can therefore only
+// rise and ALAPs only fall, and the repair is push-style label correcting:
+// a popped node offers its value to each successor (for ASAP; predecessor
+// for ALAP) through one recurrence edge, and a neighbour is enqueued only
+// when the offer actually raises (lowers) it. The value a neighbour
+// already holds is the maximum over all of its other inputs, so
 // max(held, offer) is exactly what recomputing it from every input gives.
 // pop() never repairs: it replays the undo log.
 //
@@ -42,8 +38,6 @@
 // repairs pop in topological order, so without edges against that order a
 // popped node's value is final; batch edges may run against it (the source
 // can sit later than the target), and the loop then merely revisits nodes.
-// A pin violation (an offer past a pinned node's step) is raised when that
-// node is popped, which names the node a topo-ordered recompute would.
 // Values beyond a loose DAG bound mean a batch closed a cycle.
 //
 // Two structural shortcuts keep probe batches cheap; neither changes any
@@ -55,7 +49,7 @@
 //    budget cap steps - lat(m) + 1) accumulates the same latencies on both
 //    sides, giving asap[m] + lat(m) - 1 > steps. The forward pass alone
 //    therefore answers feasible(); the backward pass runs at commit() or
-//    on the first ALAP read (frames()/alap()/firstInfeasible()), and probe
+//    on the first ALAP read (frames()/firstInfeasible()), and probe
 //    batches that are pushed, tested and popped never pay for it.
 //  * Infeasible probes may abort. push(edges, /*probe=*/true) stops
 //    repairing at the first over-budget node and poisons the batch:
@@ -94,21 +88,19 @@
 // that (its edge into a transparent node weighs -1 for ASAP but 0 for
 // ALAP), so slackExact() is false for such a graph and model, and
 // tryCommit() falls back to push() and a feasibility test, then commits or
-// pops. It also falls back at depth() > 0, with pins, on a committed state
+// pops. It also falls back at depth() > 0, on a committed state
 // that is already infeasible, and on multi-source batches: the verdict is
 // exact in every case, only the cost differs.
 //
 // Differential tests (tests/test_timeframe_oracle.cpp) assert frame
 // equality against computeTimeFrames under randomized batch sequences (up
-// to 512x16 graphs, with batch edges against the topo order, pins and
-// multi-cycle models), changedNodes() against the nodes whose frame moved,
-// and tryCommit() against push/feasible/pop — on random and transform
-// batches, long commit sequences, cycles and the zero-cycle fallback.
+// to 512x16 graphs, with batch edges against the topo order and
+// multi-cycle models), and tryCommit() against push/feasible/pop — on
+// random and transform batches, long commit sequences, cycles and the
+// zero-cycle fallback.
 //
 // The oracle snapshots the graph's CSR views at construction; the graph
-// must not be mutated while the oracle is alive. Batches and pins must not
-// be mixed (pin() requires depth() == 0): the transform consumers only
-// push/pop/commit, the scheduler only pins.
+// must not be mutated while the oracle is alive.
 
 #include <cstdint>
 #include <optional>
@@ -128,7 +120,7 @@ class TimeFrameOracle {
   /// (before, after): `after` must be scheduled strictly after `before`.
   using Edge = std::pair<NodeId, NodeId>;
 
-  /// Computes the initial frames (no extra edges, no pins). `errorContext`
+  /// Computes the initial frames (no extra edges). `errorContext`
   /// prefixes thrown messages so callers keep their historical diagnostics.
   TimeFrameOracle(const Graph& g, int steps, const LatencyModel& model = LatencyModel::unit(),
                   std::string errorContext = "TimeFrameOracle");
@@ -149,38 +141,16 @@ class TimeFrameOracle {
   /// Number of open (uncommitted) batches.
   [[nodiscard]] std::size_t depth() const { return depth_; }
 
-  // ---- pins (force-directed scheduler) ------------------------------------
-
-  /// Permanently fix scheduled node `n` to start step `step` and repair
-  /// both directions eagerly. Throws InfeasibleError when a repaired value
-  /// violates any pin, with the same "<context>: pin below ASAP/above ALAP
-  /// for '<name>'" messages the reference scheduler produces. Requires
-  /// depth() == 0 and an unpinned `n` (SynthesisError otherwise).
-  void pin(NodeId n, int step);
-
   // ---- queries -------------------------------------------------------------
 
   [[nodiscard]] int asap(NodeId n) const { return asap_[n]; }
-  /// Reading an ALAP value flushes the lazy backward repair of every open
-  /// batch (any depth). Throws on an aborted probe batch.
-  [[nodiscard]] int alap(NodeId n) {
-    ensureAlap();
-    return alap_[n];
-  }
-  /// Stable views into the frame arrays (valid for the oracle's lifetime;
-  /// contents change as batches and pins are applied). alapView() flushes
-  /// the lazy backward repair; with pins only (no batches) both views are
-  /// always current.
-  [[nodiscard]] std::span<const int> asapView() const { return asap_; }
-  [[nodiscard]] std::span<const int> alapView() {
-    ensureAlap();
-    return alap_;
-  }
 
   /// O(1): true iff every scheduled node still fits the budget — equivalent
   /// to "every scheduled node has ASAP <= ALAP" at the frame fixed point.
   [[nodiscard]] bool feasible() const { return overEnd_ == 0; }
-  /// First infeasible node in id order (flushes ALAP; diagnostics only).
+  /// First infeasible node in id order (diagnostics only). Like frames(),
+  /// it flushes the lazy backward repair of every open batch (any depth)
+  /// and throws on an aborted probe batch.
   [[nodiscard]] std::optional<NodeId> firstInfeasible();
 
   /// Materialize the current frames as a TimeFrames value (flushes ALAP).
@@ -200,10 +170,6 @@ class TimeFrameOracle {
   /// push() when it fits and a frame-pruned cycle check when it does not;
   /// any other batch costs one push().
   [[nodiscard]] CommitVerdict tryCommit(std::span<const Edge> edges);
-
-  /// Nodes whose asap or alap changed in the last push()/pop()/pin(),
-  /// each listed once. Used by the force-directed force-cache invalidation.
-  [[nodiscard]] std::span<const NodeId> changedNodes() const { return changed_; }
 
   /// Node frames the repairs have moved so far, once per node per worklist
   /// visit (undo restores not counted): the oracle's work counter for stage
@@ -240,7 +206,7 @@ class TimeFrameOracle {
     std::size_t size_ = 0;
   };
 
-  /// ASAP / ALAP of `v` from its inputs / outputs alone (pins ignored).
+  /// ASAP / ALAP of `v` from its inputs / outputs.
   [[nodiscard]] int asapFromInputs(NodeId v) const;
   [[nodiscard]] int alapFromOutputs(NodeId v) const;
   /// Step after which a scheduled `v` (or the value of a transparent `v`)
@@ -255,16 +221,14 @@ class TimeFrameOracle {
     return alap_[s] - (lat_[v] > 0 ? lat_[v] - 1 : 0);
   }
   void setAsap(NodeId v, int value);
-  void beginChangeEpoch();
-  void markChanged(NodeId v);
   /// Offer `value` as a lower bound on asap[s]; enqueue s if it rises.
-  RepairResult raiseAsap(NodeId s, int value, Batch* undo, bool abortOnInfeasible);
+  RepairResult raiseAsap(NodeId s, int value, Batch& undo, bool abortOnInfeasible);
   /// Offer `value` as an upper bound on alap[p]; enqueue p if it falls.
-  void lowerAlap(NodeId p, int value, Batch* undo);
+  void lowerAlap(NodeId p, int value, Batch& undo);
   /// Drain the worklist of raised nodes; the result of the first offer
   /// that was not Ok ends it early.
-  RepairResult repairForward(Batch* undo, bool abortOnInfeasible);
-  void repairBackward(Batch* undo);
+  RepairResult repairForward(Batch& undo, bool abortOnInfeasible);
+  void repairBackward(Batch& undo);
   /// Run the deferred backward repair of the innermost batch, if any.
   void ensureAlap();
   /// Restore frames from a batch's undo log and detach its edges.
@@ -303,7 +267,6 @@ class TimeFrameOracle {
 
   std::vector<int> asap_;
   std::vector<int> alap_;
-  std::vector<int> pin_;                 ///< 0 = unpinned
   int overEnd_ = 0;                      ///< scheduled nodes with asap > latestStart
   std::uint64_t frameWrites_ = 0;
 
@@ -316,10 +279,6 @@ class TimeFrameOracle {
   std::size_t depth_ = 0;
 
   bool slackExact_ = true;               ///< one edge weight for both frames
-  bool pinned_ = false;                  ///< pin() has been called
-
-  std::vector<NodeId> changed_;
-  std::vector<char> changedFlag_;
 
   TopoWorklist queue_;  ///< empty between repairs
   // Cycle-check scratch: visited where walkStamp_ == walkEpoch_.

@@ -2,12 +2,12 @@
 // RunBudget — cooperative bounds for one pipeline run.
 //
 // Every long-running stage (the power-management transform, the exact DFS,
-// shared gating, activation analysis, force-directed scheduling) accepts an
-// optional `const RunBudget*` and polls it at its natural decision points:
-// once per candidate, per DFS node. The
-// budget never interrupts anything — when it reports exhaustion the stage
-// finishes its current unit of work and degrades to a defined, still-correct
-// result (see docs/ROBUSTNESS.md for the per-stage contract).
+// shared gating, activation analysis) accepts an optional
+// `const RunBudget*` and polls it at its natural decision points: once per
+// candidate, per DFS node. The budget never interrupts anything — when it
+// reports exhaustion the stage finishes its current unit of work and
+// degrades to a defined, still-correct result (see docs/ROBUSTNESS.md for
+// the per-stage contract).
 //
 // Thread-safety: exhaustion queries and probe charging are lock-free and may
 // run on any lane; the degradation log takes a mutex (cold path — it is

@@ -18,6 +18,7 @@
 #include "circuits/circuits.hpp"
 #include "explore/explore.hpp"
 #include "sched/list_scheduler.hpp"
+#include "sched/timeframe.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "support/fault_injector.hpp"
@@ -165,7 +166,14 @@ TEST(Explore, PigeonholeBoundHoldsOnSaturatedTails) {
     ASSERT_GE(sat, 0) << req.graph.name();
     const Graph& g = base.design.graph;
     const int maxSteps = criticalPathLength(req.graph) + req.span;
+    TimeFrames frames = base.design.frames;
     for (int s = sat; s <= maxSteps; ++s) {
+      // The sweep minimizes every amortized point over the base's frames
+      // moved to its budget; they must be the from-scratch frames.
+      frames.rebudget(s);
+      const TimeFrames fresh = computeTimeFrames(g, s);
+      EXPECT_TRUE(frames.asap == fresh.asap && frames.alap == fresh.alap)
+          << req.graph.name() << " frames at " << s;
       const ResourceVector units = minimizeSchedule(g, s).units;
       EXPECT_TRUE(unitLowerBound(g, s).fitsWithin(units))
           << req.graph.name() << " at " << s << ": " << units.toString();
@@ -197,8 +205,9 @@ TEST(Explore, AmortizationActuallyKicksIn) {
   EXPECT_GT(res.stats.amortizedRuns + res.stats.pruned, 0);
   EXPECT_LT(res.stats.fullRuns, res.stats.pointsSwept);
   // And the predictive relaxed bound never lies past the empirical one.
-  if (res.stats.relaxedBoundSteps >= 0)
+  if (res.stats.relaxedBoundSteps >= 0) {
     EXPECT_LE(res.stats.relaxedBoundSteps, res.stats.saturationSteps);
+  }
 }
 
 TEST(Explore, BudgetExhaustionYieldsMonotoneCleanPrefix) {

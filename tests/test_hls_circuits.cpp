@@ -7,7 +7,6 @@
 #include "cdfg/analysis.hpp"
 #include "cdfg/interpreter.hpp"
 #include "circuits/circuits.hpp"
-#include "sched/force_directed.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/power_transform.hpp"
 
@@ -61,18 +60,6 @@ TEST(HlsCircuits, ResourceSweepTradesUnitsForSteps) {
   const int relaxed = minimizeResources(g, cp + 7).of(ResourceClass::Multiplier);
   EXPECT_GT(atCp, relaxed);
   EXPECT_EQ(relaxed, 1);  // 8 muls over 11 steps: one unit suffices
-}
-
-TEST(HlsCircuits, ForceDirectedHandlesMultiplierPressure) {
-  const Graph g = circuits::arf();
-  const int steps = criticalPathLength(g) + 4;
-  const Schedule sched = forceDirectedSchedule(g, steps);
-  sched.validate(g);
-  // 16 muls in 12 steps: at least 2 multipliers, and FDS should not blow
-  // far past the list scheduler's requirement.
-  const ResourceVector listUnits = minimizeResources(g, steps);
-  EXPECT_LE(sched.unitsRequired(g).of(ResourceClass::Multiplier),
-            listUnits.of(ResourceClass::Multiplier) + 2);
 }
 
 TEST(HlsCircuits, EwfSchedulesAtItsCriticalPathAndBeyond) {

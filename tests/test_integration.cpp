@@ -11,7 +11,7 @@
 #include "lang/elaborate.hpp"
 #include "lang/library.hpp"
 #include "rtl/power_harness.hpp"
-#include "sched/force_directed.hpp"
+#include "sched/list_scheduler.hpp"
 #include "sched/shared_gating.hpp"
 #include "vhdl/emit.hpp"
 
@@ -50,13 +50,13 @@ TEST(Integration, SerializedGraphFlowsIdentically) {
   EXPECT_DOUBLE_EQ(a.powerReductionPct, b.powerReductionPct);
 }
 
-TEST(Integration, ForceDirectedFeedsTheWholeBackend) {
-  // The alternative scheduling engine must slot into binding/controller/RTL
-  // exactly like the list scheduler does.
+TEST(Integration, SharedGatedGcdFeedsTheWholeBackend) {
+  // A shared-gated loop body with slack to spare must pass binding, the
+  // controller, RTL mapping and the power simulation functionally intact.
   const Graph g = circuits::gcd();
   PowerManagedDesign design = applyPowerManagement(g, 7);
   applySharedGating(design);
-  const Schedule sched = forceDirectedSchedule(design.graph, 7);
+  const Schedule sched = minimizeSchedule(design.graph, 7).schedule;
   const Binding binding = bindDesign(design.graph, sched);
   const ActivationResult activation = analyzeActivation(design);
   const ControllerSpec ctrl = synthesizeController(design, sched, binding, activation);

@@ -100,7 +100,7 @@ TEST(JsonParser, DepthLimit) {
 
 TEST(JsonParser, ErrorsCarryOffsets) {
   try {
-    parseJson("{\"a\": 01}");
+    (void)parseJson("{\"a\": 01}");
     FAIL() << "expected JsonParseError";
   } catch (const JsonParseError& e) {
     EXPECT_GT(e.offset(), 0u);

@@ -15,7 +15,6 @@
 #include "cdfg/textio.hpp"
 #include "circuits/circuits.hpp"
 #include "power/activation.hpp"
-#include "sched/force_directed.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/shared_gating.hpp"
 #include "support/fault_injector.hpp"
@@ -130,11 +129,6 @@ TEST(RunBudget, PreCancelledPipelineDegradesButStaysValid) {
   const ListScheduleResult scheduled = listSchedule(design.graph, steps, units);
   ASSERT_TRUE(scheduled.schedule.has_value());
   EXPECT_NO_THROW(scheduled.schedule->validate(design.graph));
-
-  // Force-directed: remaining ops placed at ASAP, schedule validates.
-  const Schedule fds = forceDirectedSchedule(g, steps, &budget);
-  EXPECT_NO_THROW(fds.validate(g));
-  EXPECT_TRUE(budget.degraded());
 }
 
 TEST(RunBudget, BddNodeCapDegradesActivationWithHonestErrorBars) {
@@ -221,7 +215,9 @@ TEST(RunBudget, DeadlineBoundsTheOptimalSearch) {
       const ListScheduleResult scheduled = listSchedule(design.graph, steps, units);
       ASSERT_TRUE(scheduled.schedule.has_value()) << scheduled.message;
       EXPECT_NO_THROW(scheduled.schedule->validate(design.graph));
-      if (design.degraded) EXPECT_FALSE(design.degradeReason.empty());
+      if (design.degraded) {
+        EXPECT_FALSE(design.degradeReason.empty());
+      }
     }
   }
 }

@@ -1,11 +1,9 @@
-// Tests for the list scheduler, minimum-resource search, and the
-// force-directed scheduler.
+// Tests for the list scheduler and the minimum-resource search.
 
 #include <gtest/gtest.h>
 
 #include "circuits/circuits.hpp"
 #include "cdfg/analysis.hpp"
-#include "sched/force_directed.hpp"
 #include "sched/list_scheduler.hpp"
 
 namespace pmsched {
@@ -129,44 +127,6 @@ TEST(Schedule, RenderListsEveryStep) {
   EXPECT_NE(text.find("step 1:"), std::string::npos);
   EXPECT_NE(text.find("step 3:"), std::string::npos);
   EXPECT_NE(text.find("abs_mux"), std::string::npos);
-}
-
-TEST(ForceDirected, ProducesValidSchedules) {
-  for (const auto& circuit : circuits::paperCircuits()) {
-    if (std::string_view(circuit.name) == "cordic") continue;  // slow; covered below
-    const Graph g = circuit.build();
-    const int steps = criticalPathLength(g) + 2;
-    const Schedule sched = forceDirectedSchedule(g, steps);
-    EXPECT_NO_THROW(sched.validate(g)) << circuit.name;
-  }
-}
-
-TEST(ForceDirected, BalancesBetterThanWorstCase) {
-  // On the EWF adder-heavy benchmark, force-directed scheduling at CP+4
-  // should not need more adders than naive ASAP packing (which puts many
-  // adders in the first steps).
-  const Graph g = circuits::ewf();
-  const int steps = criticalPathLength(g) + 4;
-  const Schedule fds = forceDirectedSchedule(g, steps);
-  const ResourceVector fdsUnits = fds.unitsRequired(g);
-
-  // ASAP packing = list scheduling with unlimited resources.
-  const ListScheduleResult asap = listSchedule(g, steps, ResourceVector::unlimited());
-  ASSERT_TRUE(asap.schedule.has_value());
-  const ResourceVector asapUnits = asap.schedule->unitsRequired(g);
-  EXPECT_LE(fdsUnits.of(ResourceClass::Adder), asapUnits.of(ResourceClass::Adder));
-}
-
-TEST(ForceDirected, ThrowsBelowCriticalPath) {
-  const Graph g = circuits::gcd();
-  EXPECT_THROW(forceDirectedSchedule(g, criticalPathLength(g) - 1), InfeasibleError);
-}
-
-TEST(ForceDirected, RespectsControlEdges) {
-  Graph g = circuits::absdiff();
-  g.addControlEdge(*g.findByName("a_gt_b"), *g.findByName("a_minus_b"));
-  const Schedule sched = forceDirectedSchedule(g, 3);
-  EXPECT_LT(sched.stepOf(*g.findByName("a_gt_b")), sched.stepOf(*g.findByName("a_minus_b")));
 }
 
 }  // namespace

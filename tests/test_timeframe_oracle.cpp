@@ -2,8 +2,7 @@
 // be bit-identical to from-scratch computeTimeFrames() under randomized
 // tentative-edge batches — on the built-in circuits, on seeded random DFGs,
 // with unit and multi-cycle latency models, and across nesting depths, up
-// to 512x16 graphs with batch edges against the topo order and pins.
-// changedNodes() must list exactly the nodes whose frame moved. The slack
+// to 512x16 graphs with batch edges against the topo order. The slack
 // verdict tryCommit() must commit exactly the batches push/feasible finds
 // feasible, leave the frames alone on a reject, and throw push()'s message
 // on a cycle — fast path and fallback alike.
@@ -13,7 +12,6 @@
 #include <algorithm>
 #include <optional>
 #include <random>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -637,58 +635,6 @@ TEST(TimeFrameOracle, TransparentTopsWeighZero) {
 
 // ---- realistic sizes ---------------------------------------------------------
 
-/// Frames with pins, from scratch: computeTimeFrames' recurrences, each
-/// pinned node's frame narrowed to its step (pins are within their frames).
-TimeFrames pinnedFramesReference(const Graph& g, int steps, const std::vector<int>& pin,
-                                 const LatencyModel& model) {
-  TimeFrames tf;
-  tf.steps = steps;
-  tf.asap.assign(g.size(), 0);
-  tf.alap.assign(g.size(), steps);
-  const std::span<const NodeId> order = g.topoOrderView();
-  auto latency = [&](NodeId n) { return isScheduled(g.kind(n)) ? model.latencyOf(g.kind(n)) : 0; };
-  for (const NodeId n : order) {
-    int avail = 0;
-    auto relax = [&](NodeId p) {
-      avail = std::max(avail, isScheduled(g.kind(p)) ? tf.asap[p] + latency(p) - 1 : tf.asap[p]);
-    };
-    for (const NodeId p : g.fanins(n)) relax(p);
-    for (const NodeId p : g.controlPredecessors(n)) relax(p);
-    tf.asap[n] = pin[n] != 0 ? pin[n] : isScheduled(g.kind(n)) ? avail + 1 : avail;
-  }
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId n = *it;
-    const int lat = latency(n);
-    int latest = isScheduled(g.kind(n)) ? steps - lat + 1 : steps;
-    auto relax = [&](NodeId s) {
-      if (isScheduled(g.kind(s)))
-        latest = std::min(latest, isScheduled(g.kind(n)) ? tf.alap[s] - lat : tf.alap[s] - 1);
-      else
-        latest = std::min(latest, tf.alap[s] - (lat > 0 ? lat - 1 : 0));
-    };
-    for (const NodeId s : g.fanouts(n)) relax(s);
-    for (const NodeId s : g.controlSuccessors(n)) relax(s);
-    tf.alap[n] = pin[n] != 0 ? pin[n] : latest;
-  }
-  return tf;
-}
-
-/// The nodes whose asap or alap differs between two frame snapshots.
-std::set<NodeId> movedNodes(const TimeFrames& before, const TimeFrames& after) {
-  std::set<NodeId> moved;
-  for (NodeId n = 0; n < before.asap.size(); ++n)
-    if (before.asap[n] != after.asap[n] || before.alap[n] != after.alap[n]) moved.insert(n);
-  return moved;
-}
-
-void expectChangedNodes(const TimeFrameOracle& oracle, const TimeFrames& before,
-                        const TimeFrames& after, const std::string& what) {
-  const std::span<const NodeId> changed = oracle.changedNodes();
-  const std::set<NodeId> listed(changed.begin(), changed.end());
-  EXPECT_EQ(listed.size(), changed.size()) << what << ": a node is listed twice";
-  EXPECT_EQ(listed, movedNodes(before, after)) << what;
-}
-
 /// Extra edges between scheduled nodes, about half of them running against
 /// the cached topo order. None closes a cycle with the graph or `live`.
 std::vector<Edge> mixedBatch(const Graph& g, const std::vector<Edge>& live, std::mt19937_64& rng,
@@ -752,13 +698,11 @@ TEST(TimeFrameOracle, RandomSequencesAtRealisticSizes) {
                                std::to_string(model.latencyOf(OpKind::Mul));
       for (int round = 0; round < 24; ++round) {
         const std::string what = name + " round " + std::to_string(round);
-        const TimeFrames before = oracle.frames();
         const std::vector<Edge> batch = mixedBatch(g, flatten(stack), rng, 1 + round % 4,
                                                    againstOrder);
         oracle.push(batch);
         stack.push_back(batch);
         expectFramesMatch(g, oracle, stack, steps, model, what + " push");
-        expectChangedNodes(oracle, before, oracle.frames(), what + " push");
         if (!oracle.feasible()) ++infeasible;
         const int action = static_cast<int>(rng() % 3);
         if (action == 0 && oracle.depth() == 1 && oracle.feasible()) {
@@ -767,11 +711,9 @@ TEST(TimeFrameOracle, RandomSequencesAtRealisticSizes) {
         } else if (action == 1 && oracle.depth() < 3) {
           continue;  // stay open: the next push stacks on it
         } else {
-          const TimeFrames open = oracle.frames();
           oracle.pop();
           stack.pop_back();
           expectFramesMatch(g, oracle, stack, steps, model, what + " pop");
-          expectChangedNodes(oracle, open, oracle.frames(), what + " pop");
         }
         ASSERT_EQ(stack.size(), committed + oracle.depth()) << what;
         if (HasFailure()) return;
@@ -795,75 +737,6 @@ TEST(TimeFrameOracle, RandomSequencesAtRealisticSizes) {
   }
   EXPECT_GT(againstOrder, 100);
   EXPECT_GT(infeasible, 0);
-}
-
-TEST(TimeFrameOracle, PinsMatchFromScratchAtRealisticSizes) {
-  // Force-directed style: pin unpinned nodes at steps inside their frames.
-  for (const LatencyModel& model : {LatencyModel::unit(), LatencyModel::multiCycleMultiplier(2)}) {
-    const Graph g = randomLayeredDfg(256, 16, 5);
-    const int steps = minSteps(g, model) + 3;
-    TimeFrameOracle oracle(g, steps, model);
-    std::vector<int> pin(g.size(), 0);
-    std::vector<NodeId> ops = g.scheduledNodes();
-    std::mt19937_64 rng(11);
-    std::shuffle(ops.begin(), ops.end(), rng);
-    int moved = 0;
-    for (int k = 0; k < 120; ++k) {
-      const NodeId n = ops[static_cast<std::size_t>(k)];
-      const TimeFrames before = oracle.frames();
-      const int lo = before.asap[n];
-      const int hi = before.alap[n];
-      ASSERT_LE(lo, hi);
-      const int step = lo + static_cast<int>(rng() % static_cast<std::uint64_t>(hi - lo + 1));
-      oracle.pin(n, step);
-      pin[n] = step;
-      const TimeFrames ref = pinnedFramesReference(g, steps, pin, model);
-      const TimeFrames after = oracle.frames();
-      ASSERT_EQ(after.asap, ref.asap) << "pin " << k;
-      ASSERT_EQ(after.alap, ref.alap) << "pin " << k;
-      expectChangedNodes(oracle, before, after, "pin " + std::to_string(k));
-      if (movedNodes(before, after).size() > 1) ++moved;
-      if (HasFailure()) return;
-    }
-    EXPECT_GT(moved, 20);
-    EXPECT_THROW(oracle.pin(ops[0], pin[ops[0]]), SynthesisError);  // already pinned
-  }
-}
-
-TEST(TimeFrameOracle, ConflictingPinsNameTheSameNode) {
-  // a -> b -> c, three one-cycle adds in a chain, four steps.
-  Graph g("chain");
-  const NodeId x = g.addInput("x");
-  const NodeId a = g.addOp(OpKind::Add, {x, x}, "a");
-  const NodeId b = g.addOp(OpKind::Add, {a, x}, "b");
-  const NodeId c = g.addOp(OpKind::Add, {b, x}, "c");
-  g.addOutput(c, "out");
-  auto message = [&](auto&& pins) {
-    TimeFrameOracle oracle(g, 4);
-    try {
-      pins(oracle);
-    } catch (const InfeasibleError& e) {
-      return std::string(e.what());
-    }
-    return std::string("no error");
-  };
-  // b at step 2 makes c's ASAP 3; pinning a at 2 then pushes b past its pin.
-  EXPECT_EQ(message([&](TimeFrameOracle& o) {
-              o.pin(b, 2);
-              o.pin(a, 2);
-            }),
-            "TimeFrameOracle: pin below ASAP for 'b'");
-  // c at step 3 leaves b at most step 2; pinning b at 3 overshoots c.
-  EXPECT_EQ(message([&](TimeFrameOracle& o) {
-              o.pin(c, 3);
-              o.pin(b, 3);
-            }),
-            "TimeFrameOracle: pin below ASAP for 'c'");
-  // Alone, a pin past the node's own ALAP is named on the backward pass.
-  EXPECT_EQ(message([&](TimeFrameOracle& o) { o.pin(a, 3); }),
-            "TimeFrameOracle: pin above ALAP for 'a'");
-  EXPECT_EQ(message([&](TimeFrameOracle& o) { o.pin(b, 1); }),
-            "TimeFrameOracle: pin below ASAP for 'b'");
 }
 
 }  // namespace
