@@ -124,7 +124,7 @@ void BM_BindDesign(benchmark::State& state) {
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_BindDesign)->RangeMultiplier(2)->Range(4, 256)->Complexity();
+BENCHMARK(BM_BindDesign)->RangeMultiplier(2)->Range(4, 1024)->Complexity();
 
 void BM_ActivationAnalysis(benchmark::State& state) {
   const Graph g = randomLayeredDfg(static_cast<int>(state.range(0)), 8, 42);
@@ -136,7 +136,7 @@ void BM_ActivationAnalysis(benchmark::State& state) {
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_ActivationAnalysis)->RangeMultiplier(2)->Range(4, 64)->Complexity();
+BENCHMARK(BM_ActivationAnalysis)->RangeMultiplier(2)->Range(4, 512)->Complexity();
 
 // Probability of one condition as a function of support size. The BDD path
 // (production dnfProbability) amortizes across queries through the
@@ -197,7 +197,10 @@ BENCHMARK(BM_BddIte)->RangeMultiplier(2)->Range(4, 48)->Complexity();
 
 // Controller synthesis on a fully prepared design: condition-class
 // resolution (canonical BDD ref equality), status capture planning, and
-// the load-action sweep.
+// the load-action sweep. The range stops at 256: at 512x8 the shared
+// design's controller is refused (a select is scheduled after a load it
+// gates), so that point would abort the run. BM_ControllerGenStrict covers
+// the larger sizes.
 void BM_ControllerGen(benchmark::State& state) {
   const Graph g = randomLayeredDfg(static_cast<int>(state.range(0)), 8, 42);
   const int steps = criticalPathLength(g) + 4;
@@ -211,7 +214,23 @@ void BM_ControllerGen(benchmark::State& state) {
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_ControllerGen)->RangeMultiplier(2)->Range(4, 64)->Complexity();
+BENCHMARK(BM_ControllerGen)->RangeMultiplier(2)->Range(4, 256)->Complexity();
+
+// The same on the one-shot job's design shape (strict at cp+2, 16 ops per
+// layer), where a few hundred of the ~11k loads at 512 are gated.
+void BM_ControllerGenStrict(benchmark::State& state) {
+  const Graph g = randomLayeredDfg(static_cast<int>(state.range(0)), 16, 42);
+  const int steps = criticalPathLength(g) + 2;
+  const PowerManagedDesign design = applyPowerManagement(g, steps);
+  const Schedule sched = minimizeSchedule(design.graph, steps).schedule;
+  const Binding binding = bindDesign(design.graph, sched);
+  const ActivationResult activation = analyzeActivation(design);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(synthesizeController(design, sched, binding, activation));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_ControllerGenStrict)->RangeMultiplier(2)->Range(4, 512)->Complexity();
 
 void BM_Cordic_FullFlow(benchmark::State& state) {
   const Graph g = circuits::cordic();

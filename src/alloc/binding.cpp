@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 
 #include "sched/condition.hpp"
@@ -54,37 +55,42 @@ Binding bindDesign(const Graph& g, const Schedule& sched, const BindingOptions& 
       if (isScheduled(g.kind(n))) byStep[fill[static_cast<std::size_t>(sched.stepOf(n))]++] = n;
   }
 
+  // Within a step the busy units of a class are a prefix of its pool: an
+  // op takes a busy unit (mutex sharing) or the first idle one. busy[c] is
+  // that prefix's length, so the first idle unit is found without a scan.
+  std::array<std::size_t, kNumUnitClasses> busy{};
   for (int step = 1; step <= steps; ++step) {
+    busy.fill(0);
     for (std::uint32_t i = stepStart[static_cast<std::size_t>(step)];
          i < stepStart[static_cast<std::size_t>(step) + 1]; ++i) {
       const NodeId n = byStep[i];
       const ResourceClass rc = resourceClassOf(g.kind(n));
       std::vector<UnitState>& states = pool[unitIndex(rc)];
+      std::size_t& busyUnits = busy[unitIndex(rc)];
 
       UnitState* chosen = nullptr;
-      for (UnitState& s : states) {
-        if (s.lastStep != step) {
-          chosen = &s;
-          break;
-        }
-        if (opts.allowMutexSharing) {
-          const bool disjointFromAll = std::all_of(
-              s.opsThisStep.begin(), s.opsThisStep.end(), [&](NodeId other) {
-                return mutuallyExclusive(opts.activation->condition[n],
-                                         opts.activation->condition[other]);
+      if (opts.allowMutexSharing) {
+        for (std::size_t u = 0; u < busyUnits; ++u) {
+          const std::vector<NodeId>& running = states[u].opsThisStep;
+          const bool disjointFromAll =
+              std::all_of(running.begin(), running.end(), [&](NodeId other) {
+                return mutuallyExclusive(opts.activation->condition(n),
+                                         opts.activation->condition(other));
               });
           if (disjointFromAll) {
-            chosen = &s;
+            chosen = &states[u];
             break;
           }
         }
       }
       if (chosen == nullptr) {
-        UnitState fresh;
-        fresh.unit.cls = rc;
-        fresh.unit.index = static_cast<int>(states.size());
-        states.push_back(std::move(fresh));
-        chosen = &states.back();
+        if (busyUnits == states.size()) {
+          UnitState fresh;
+          fresh.unit.cls = rc;
+          fresh.unit.index = static_cast<int>(states.size());
+          states.push_back(std::move(fresh));
+        }
+        chosen = &states[busyUnits++];
       }
       chosen->unit.ops.push_back(n);
       chosen->unit.width = std::max(chosen->unit.width, g.node(n).width);
@@ -164,23 +170,61 @@ Binding bindDesign(const Graph& g, const Schedule& sched, const BindingOptions& 
   std::vector<Lifetime> ordered(lifetimes.size());
   for (const Lifetime& lt : lifetimes) ordered[beginStart[static_cast<std::size_t>(lt.begin)]++] = lt;
 
-  std::vector<int> regFreeAt;  // per register: first step it is free again
+  // Each lifetime takes the lowest-index free register of its width, or a
+  // new one. Lifetimes arrive in nondecreasing begin order, so a register
+  // freed by step s stays free until it is taken again: registers are
+  // released step by step from a per-step head/next list into one bitset
+  // per width, whose lowest set bit is the lowest free register of that
+  // width (registers of one width are numbered in creation order).
+  struct WidthPool {
+    int width = 0;
+    std::vector<std::uint64_t> free;  // bit k: the pool's k-th register is free
+    std::vector<int> regs;            // the pool's k-th register
+  };
+  struct RegSlot {
+    std::uint32_t pool = 0;
+    std::uint32_t bit = 0;  // index within the pool
+    int nextReleased = -1;  // next register in the same release list
+  };
+  std::vector<WidthPool> pools;  // one per distinct width, found by linear search
+  std::vector<RegSlot> slots;    // per register
+  std::vector<int> releaseHead(static_cast<std::size_t>(steps) + 2, -1);
+  int released = 0;  // every release list up to this step has been drained
   for (const Lifetime& lt : ordered) {
-    int reg = -1;
-    for (std::size_t r = 0; r < regFreeAt.size(); ++r) {
-      if (regFreeAt[r] <= lt.begin && binding.registers[r].width == lt.width) {
-        reg = static_cast<int>(r);
-        break;
+    while (released < lt.begin) {
+      for (int r = releaseHead[static_cast<std::size_t>(++released)]; r >= 0;
+           r = slots[static_cast<std::size_t>(r)].nextReleased) {
+        const RegSlot& slot = slots[static_cast<std::size_t>(r)];
+        pools[slot.pool].free[slot.bit / 64] |= std::uint64_t{1} << (slot.bit % 64);
       }
+    }
+
+    std::size_t p = 0;
+    while (p < pools.size() && pools[p].width != lt.width) ++p;
+    if (p == pools.size()) pools.push_back(WidthPool{lt.width, {}, {}});
+    WidthPool& pool = pools[p];
+
+    int reg = -1;
+    for (std::size_t w = 0; w < pool.free.size(); ++w) {
+      if (pool.free[w] == 0) continue;
+      const int bit = std::countr_zero(pool.free[w]);
+      pool.free[w] &= pool.free[w] - 1;
+      reg = pool.regs[w * 64 + static_cast<std::size_t>(bit)];
+      break;
     }
     if (reg < 0) {
       reg = static_cast<int>(binding.registers.size());
       binding.registers.push_back(RegisterInfo{reg, lt.width, {}});
-      regFreeAt.push_back(0);
+      if (pool.regs.size() % 64 == 0) pool.free.push_back(0);
+      slots.push_back(RegSlot{static_cast<std::uint32_t>(p),
+                              static_cast<std::uint32_t>(pool.regs.size()), -1});
+      pool.regs.push_back(reg);
     }
     binding.registers[static_cast<std::size_t>(reg)].values.push_back(lt.value);
     binding.registerOf[lt.value] = reg;
-    regFreeAt[static_cast<std::size_t>(reg)] = lt.end + 1;
+    int& head = releaseHead[static_cast<std::size_t>(lt.end) + 1];
+    slots[static_cast<std::size_t>(reg)].nextReleased = head;
+    head = reg;
   }
 
   // ---- interconnect estimate -----------------------------------------------

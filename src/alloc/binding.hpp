@@ -9,7 +9,9 @@
 // mutual-exclusion work.
 //
 // Register allocation is the classic left-edge algorithm over value
-// lifetimes [production step, last consumption step].
+// lifetimes [production step, last consumption step]. Registers are freed
+// into one bitset per width by release step, so each lifetime costs O(1)
+// amortized plus a word scan, not a walk over every register.
 
 #include <vector>
 

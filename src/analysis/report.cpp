@@ -49,10 +49,11 @@ std::string renderDesignReport(const DesignReportInputs& in) {
   bool anyGated = false;
   for (NodeId n = 0; n < g.size(); ++n) {
     if (!isScheduled(g.kind(n))) continue;
-    if (dnfIsTrue(in.activation.condition[n])) continue;
+    const GateDnf& cond = in.activation.condition(n);
+    if (dnfIsTrue(cond)) continue;
     anyGated = true;
     os << "| " << g.node(n).name << " | `"
-       << dnfToString(in.activation.condition[n], g) << "` | "
+       << dnfToString(cond, g) << "` | "
        << in.activation.probability[n].toFixed(4) << " |\n";
   }
   if (!anyGated) os << "| — | (nothing gated) | |\n";

@@ -146,7 +146,7 @@ Graph cordic() {
   const NodeId zero = g.addConst(0, 8, "zero");
 
   for (int i = 1; i <= kIters; ++i) {
-    const std::string tag = "_" + std::to_string(i);
+    const std::string tag = std::string("_").append(std::to_string(i));
     const NodeId d = g.addOp(OpKind::CmpGe, {z, zero}, "d" + tag);
 
     const NodeId xs = g.addWire(x, i, "xs" + tag);
@@ -241,13 +241,13 @@ Graph fir8() {
   // constant multiplier operands. Balanced adder-tree reduction.
   Graph g("fir8");
   std::vector<NodeId> taps;
-  for (int i = 0; i < 8; ++i) taps.push_back(g.addInput("x" + std::to_string(i)));
+  for (int i = 0; i < 8; ++i) taps.push_back(g.addInput(std::string("x").append(std::to_string(i))));
   std::vector<NodeId> products;
   for (int i = 0; i < 8; ++i) {
-    const NodeId c = g.addConst(1 + 2 * i, 8, "c" + std::to_string(i));
+    const NodeId c = g.addConst(1 + 2 * i, 8, std::string("c").append(std::to_string(i)));
     products.push_back(
         g.addOp(OpKind::Mul, {taps[static_cast<std::size_t>(i)], c},
-                "p" + std::to_string(i)));
+                std::string("p").append(std::to_string(i))));
   }
   // Tree reduction keeps the critical path logarithmic.
   std::vector<NodeId> level = products;
@@ -256,7 +256,7 @@ Graph fir8() {
     std::vector<NodeId> next;
     for (std::size_t i = 0; i + 1 < level.size(); i += 2)
       next.push_back(g.addOp(OpKind::Add, {level[i], level[i + 1]},
-                             "s" + std::to_string(stage) + "_" + std::to_string(i / 2)));
+                             std::string("s").append(std::to_string(stage)) + "_" + std::to_string(i / 2)));
     if (level.size() % 2 == 1) next.push_back(level.back());
     level = std::move(next);
     ++stage;
@@ -272,7 +272,7 @@ Graph arf() {
   Graph g("arf");
   std::vector<NodeId> in;
   for (int i = 0; i < 4; ++i) in.push_back(g.addInput("in" + std::to_string(i)));
-  auto k = [&](int i) { return g.addConst(3 + i, 8, "k" + std::to_string(i)); };
+  auto k = [&](int i) { return g.addConst(3 + i, 8, std::string("k").append(std::to_string(i))); };
   auto mul = [&](NodeId a, NodeId b, const char* name) {
     return g.addOp(OpKind::Mul, {a, b}, name);
   };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <memory>
 
 #include "support/run_budget.hpp"
@@ -77,7 +76,7 @@ ActivationResult analyzeActivation(const PowerManagedDesign& design, const RunBu
   const Graph& g = design.graph;
 
   ActivationResult result;
-  result.condition = resolveActivationConditions(design);
+  result.conditions = resolveActivationConditions(design);
   result.probability.assign(g.size(), Rational::one());
   result.bdds = std::make_shared<BddManager>();
   result.bdd.assign(g.size(), kBddTrue);
@@ -91,60 +90,44 @@ ActivationResult analyzeActivation(const PowerManagedDesign& design, const RunBu
   // gated cone (which share muxes and therefore subformulas) share nodes,
   // and the per-node probability is a cache hit for every subgraph already
   // weighed for an earlier node.
-  std::vector<NodeId> nontrivial;
+  //
+  // Condition classes: each table entry is one distinct condition, so it is
+  // analyzed once — when an ascending node walk first meets it, which fixes
+  // the order the BDDs are built in — and the outcome is fanned out to every
+  // node of its class. Entry 0 is the only TRUE entry: an ungated node keeps
+  // probability 1 and is counted into its unit class as an integer.
+  const std::vector<GateDnf>& dnfs = result.conditions.dnfs;
+  std::vector<NodeOutcome> outs(dnfs.size());
+  std::vector<bool> analyzed(dnfs.size(), false);
+  std::array<std::int64_t, kNumUnitClasses> ungated{};
   for (NodeId n = 0; n < g.size(); ++n) {
-    const GateDnf& cond = result.condition[n];
-    if (dnfIsTrue(cond)) {
-      result.bdd[n] = kBddTrue;
-    } else if (cond.empty()) {
-      result.bdd[n] = kBddFalse;
-      result.probability[n] = Rational::zero();
-    } else {
-      nontrivial.push_back(n);
+    const ResourceClass rc = resourceClassOf(g.kind(n));
+    if (rc != ResourceClass::None) ++result.totalOps[unitIndex(rc)];
+    const std::uint32_t e = result.conditions.index[n];
+    if (e == 0) {
+      if (rc != ResourceClass::None) ++ungated[unitIndex(rc)];
+      continue;
     }
-  }
-
-  // Condition classes: nodes gated by the same cone carry *equal* DNFs, so
-  // each distinct condition is analyzed once and the outcome fanned out to
-  // every node in its class. Within one manager an equal DNF hash-conses to
-  // the identical ref anyway, so the dedup changes no result — it removes
-  // the redundant rebuild work.
-  std::vector<const GateDnf*> classCond;            // first occurrence, class order
-  std::vector<int> classOfNode(nontrivial.size());  // parallel to `nontrivial`
-  {
-    std::map<GateDnf, int> index;
-    for (std::size_t i = 0; i < nontrivial.size(); ++i) {
-      const GateDnf& cond = result.condition[nontrivial[i]];
-      const auto [it, fresh] = index.emplace(cond, static_cast<int>(classCond.size()));
-      if (fresh) classCond.push_back(&cond);
-      classOfNode[i] = it->second;
+    NodeOutcome& out = outs[e];
+    if (!analyzed[e]) {
+      analyzed[e] = true;
+      const GateDnf& cond = dnfs[e];
+      if (cond.empty())
+        out = NodeOutcome{kBddFalse, Rational::zero()};
+      else
+        out = budget != nullptr && budget->exhausted() ? dnfIntervalEstimate(cond)
+                                                       : buildCondition(*result.bdds, cond);
     }
-  }
-
-  std::vector<NodeOutcome> outs(classCond.size());
-  for (std::size_t c = 0; c < classCond.size(); ++c)
-    outs[c] = budget != nullptr && budget->exhausted()
-                  ? dnfIntervalEstimate(*classCond[c])
-                  : buildCondition(*result.bdds, *classCond[c]);
-
-  for (std::size_t i = 0; i < nontrivial.size(); ++i) {
-    const NodeOutcome& out = outs[static_cast<std::size_t>(classOfNode[i])];
-    const NodeId n = nontrivial[i];
     result.bdd[n] = out.ref;
     result.probability[n] = out.prob;
     result.errorBar[n] = out.error;
     result.degraded = result.degraded || out.degraded;
+    if (rc != ResourceClass::None) result.averageExecuted[unitIndex(rc)] += out.prob;
   }
+  for (std::size_t i = 0; i < kNumUnitClasses; ++i) result.averageExecuted[i] += ungated[i];
   if (result.degraded && budget != nullptr)
     budget->noteDegraded("activation-analysis", BudgetKind::RationalWidth,
                          "some probabilities are bounded-error estimates (see errorBar)");
-
-  for (NodeId n = 0; n < g.size(); ++n) {
-    const ResourceClass rc = resourceClassOf(g.kind(n));
-    if (rc == ResourceClass::None) continue;
-    result.averageExecuted[unitIndex(rc)] += result.probability[n];
-    ++result.totalOps[unitIndex(rc)];
-  }
   return result;
 }
 

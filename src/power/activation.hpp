@@ -9,6 +9,11 @@
 // gated by the Shared extension. Probabilities are dyadic rationals and are
 // computed exactly — Table II's "average number of operations executed"
 // columns fall out of summing them per unit class.
+//
+// Only the few gated operations carry a condition worth storing, so the
+// result keeps a table of the distinct resolved DNFs (entry 0 is TRUE) and
+// one index per node: an ungated node costs an index, not a DNF, and each
+// distinct condition is analyzed once however many nodes share it.
 
 #include <array>
 #include <memory>
@@ -27,8 +32,10 @@ struct ActivationResult {
   /// Execution probability per node (1 for ungated operations). Exact
   /// unless the matching errorBar entry is nonzero (see below).
   std::vector<Rational> probability;
-  /// Resolved activation condition per node (TRUE for ungated ones).
-  std::vector<GateDnf> condition;
+  /// Resolved activation conditions: each distinct DNF once, entry 0 TRUE
+  /// (every ungated node), plus one entry index per node. Read a node's
+  /// condition through condition(n).
+  ConditionTable conditions;
 
   /// One BDD manager shared by every condition in the design: nested and
   /// shared gating produce heavily overlapping conditions, so hash-consing
@@ -39,7 +46,7 @@ struct ActivationResult {
   std::shared_ptr<BddManager> bdds;
   /// Canonical condition BDD per node (kBddTrue for ungated operations,
   /// kBddInvalid when the build degraded for that node — consumers that
-  /// need the BDD must check; the controller path only reads condition[]).
+  /// need the BDD must check; the controller path only reads condition()).
   std::vector<BddRef> bdd;
 
   /// Per-node bound on |probability[n] - exact P(n)|. Zero for every node
@@ -62,6 +69,9 @@ struct ActivationResult {
   [[nodiscard]] double fullPower(const OpPowerModel& model) const;
   /// The paper's "Power Red.(%)" column.
   [[nodiscard]] double reductionPercent(const OpPowerModel& model) const;
+
+  /// Resolved activation condition of node `n` (TRUE when ungated).
+  [[nodiscard]] const GateDnf& condition(NodeId n) const { return conditions.of(n); }
 
   [[nodiscard]] Rational averageOf(ResourceClass rc) const {
     return averageExecuted[unitIndex(rc)];

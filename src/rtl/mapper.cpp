@@ -336,7 +336,7 @@ class Mapper {
   /// network per cycle rather than re-building identical AND-OR trees.
   SignalId conditionSignal(NodeId op, int cycle) {
     if (!opts_.latchGating) return kNoSignal;
-    const GateDnf& dnf = activation_.condition[op];
+    const GateDnf& dnf = activation_.condition(op);
     if (dnfIsTrue(dnf)) return kNoSignal;
     if (dnf.empty()) return nl().constant(false);
 

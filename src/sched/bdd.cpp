@@ -93,12 +93,14 @@ BddRef BddManager::makeNode(std::uint32_t var, BddRef lo, BddRef hi) {
 }
 
 std::uint32_t BddManager::varIndex(NodeId select) {
-  const auto [it, inserted] = varOf_.try_emplace(select, static_cast<std::uint32_t>(order_.size()));
-  if (inserted) {
+  if (select >= varOf_.size()) varOf_.resize(std::size_t{select} + 1, 0);
+  std::uint32_t& slot = varOf_[select];
+  if (slot == 0) {
     order_.push_back(select);
     levels_.emplace_back();
+    slot = static_cast<std::uint32_t>(order_.size());
   }
-  return it->second;
+  return slot - 1;
 }
 
 BddRef BddManager::literal(NodeId select, bool value) {
@@ -151,10 +153,16 @@ BddRef BddManager::fromDnf(const GateDnf& dnf) {
 
   // Register the support ascending so the variable order (and therefore
   // the node ids a given formula produces) is deterministic.
-  for (const NodeId s : dnfSupport(dnf)) (void)varIndex(s);
+  std::vector<NodeId>& support = supportScratch_;
+  support.clear();
+  for (const GateTerm& term : dnf)
+    for (const GateLiteral& lit : term) support.push_back(lit.select);
+  std::sort(support.begin(), support.end());
+  support.erase(std::unique(support.begin(), support.end()), support.end());
+  for (const NodeId s : support) (void)varIndex(s);
 
   BddRef acc = kBddFalse;
-  std::vector<std::pair<std::uint32_t, bool>> lits;
+  std::vector<std::pair<std::uint32_t, bool>>& lits = litScratch_;
   for (const GateTerm& term : dnf) {
     lits.clear();
     lits.reserve(term.size());
@@ -196,7 +204,8 @@ void BddManager::collectBottomUp(BddRef root, Done done, std::vector<BddRef>& ou
   const std::uint32_t tEmit = visitTick_ + 2;
   visitTick_ += 2;
 
-  std::vector<BddRef> stack;
+  std::vector<BddRef>& stack = walkStack_;
+  stack.clear();
   if (root > kBddTrue && !done(root)) stack.push_back(root);
   while (!stack.empty()) {
     const BddRef r = stack.back();
@@ -223,7 +232,8 @@ BddManager::Dyadic BddManager::probabilityWide(BddRef f) {
   if (probCache_.size() < nodes_.size()) probCache_.resize(nodes_.size());
   if (probCache_[f].exp != kDyadicUnset) return probCache_[f];
 
-  std::vector<BddRef> topo;
+  std::vector<BddRef>& topo = walkOrder_;
+  topo.clear();
   collectBottomUp(f, [&](BddRef r) { return probCache_[r].exp != kDyadicUnset; }, topo);
   const auto value = [&](BddRef r) -> Dyadic {
     if (r == kBddFalse) return Dyadic{0, 0};
@@ -287,7 +297,8 @@ BddManager::ApproxProbability BddManager::probabilityApprox(BddRef f) {
   if (approxCache_.size() < nodes_.size()) approxCache_.resize(nodes_.size());
   if (approxCache_[f].error > 0) return approxCache_[f];
 
-  std::vector<BddRef> topo;
+  std::vector<BddRef>& topo = walkOrder_;
+  topo.clear();
   collectBottomUp(f, [&](BddRef r) { return approxCache_[r].error > 0; }, topo);
   const auto value = [&](BddRef r) -> ApproxProbability {
     if (r == kBddFalse) return {0.0, 0.0};

@@ -32,7 +32,7 @@
 //    activation BDDs stay far below the size where sifting would pay.
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sched/condition.hpp"
@@ -202,8 +202,15 @@ class BddManager {
   std::vector<IteEntry> computed_;        // direct-mapped, lossy
   std::vector<Dyadic> probCache_;         // flat, ref-indexed
   std::vector<ApproxProbability> approxCache_;  // flat, ref-indexed; error == 0 = empty
-  std::unordered_map<NodeId, std::uint32_t> varOf_;
+  std::vector<std::uint32_t> varOf_;      // select id -> var index + 1; 0 = unregistered
   std::vector<NodeId> order_;             // var index -> select id
+
+  // Scratch reused across calls: fromDnf's support and term literals,
+  // collectBottomUp's stack and the probability passes' node order.
+  std::vector<NodeId> supportScratch_;
+  std::vector<std::pair<std::uint32_t, bool>> litScratch_;
+  std::vector<BddRef> walkStack_;
+  std::vector<BddRef> walkOrder_;
 
   std::vector<std::uint32_t> visitStamp_;  // collectBottomUp marks (stamped)
   std::uint32_t visitTick_ = 0;

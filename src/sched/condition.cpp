@@ -1,7 +1,6 @@
 #include "sched/condition.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "sched/bdd.hpp"
 #include "support/fault_injector.hpp"
@@ -102,28 +101,29 @@ class TermPool {
 
   /// Id of an already-interned term with this content; kNone if absent.
   [[nodiscard]] Id find(std::span<const Lit> sorted) const {
-    const auto it = buckets_.find(hashLits(sorted));
-    if (it == buckets_.end()) return kNone;
-    for (const Id id : it->second)
-      if (equals(id, sorted)) return id;
-    return kNone;
+    if (slots_.empty()) return kNone;
+    return slots_[probe(sorted, hashLits(sorted))];
   }
 
   /// Intern a normalized (sorted, deduped, contradiction-free) term.
   [[nodiscard]] Id intern(std::span<const Lit> sorted) {
-    std::vector<Id>& bucket = buckets_[hashLits(sorted)];
-    for (const Id id : bucket)
-      if (equals(id, sorted)) return id;
+    const std::uint64_t hash = hashLits(sorted);
+    if (!slots_.empty()) {
+      const Id found = slots_[probe(sorted, hash)];
+      if (found != kNone) return found;
+    }
     fault::point("dnf-intern");
+    if ((refs_.size() + 1) * 2 > slots_.size()) grow();
     Ref r;
     r.offset = static_cast<std::uint32_t>(arena_.size());
     r.len = static_cast<std::uint32_t>(sorted.size());
     r.sig = 0;
     for (const Lit e : sorted) r.sig |= litSigBit(e);
+    r.hash = hash;
     arena_.insert(arena_.end(), sorted.begin(), sorted.end());
     const Id id = static_cast<Id>(refs_.size());
     refs_.push_back(r);
-    bucket.push_back(id);
+    slots_[probe(sorted, hash)] = id;
     return id;
   }
 
@@ -145,7 +145,7 @@ class TermPool {
     if (arena_.size() < kArenaCap) return;
     arena_.clear();
     refs_.clear();
-    buckets_.clear();
+    slots_.clear();
   }
 
   [[nodiscard]] std::size_t arenaLiterals() const { return arena_.size(); }
@@ -157,7 +157,29 @@ class TermPool {
     std::uint32_t offset;
     std::uint32_t len;
     std::uint64_t sig;
+    std::uint64_t hash;  // hashLits of the content
   };
+
+  /// The slot holding the term with this content, or the empty slot where
+  /// it would go (linear probing; the table is at most half full).
+  [[nodiscard]] std::size_t probe(std::span<const Lit> sorted, std::uint64_t hash) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t slot = hash & mask;
+    while (slots_[slot] != kNone &&
+           (refs_[slots_[slot]].hash != hash || !equals(slots_[slot], sorted)))
+      slot = (slot + 1) & mask;
+    return slot;
+  }
+
+  void grow() {
+    slots_.assign(std::max<std::size_t>(64, slots_.size() * 2), kNone);
+    const std::size_t mask = slots_.size() - 1;
+    for (Id id = 0; id < refs_.size(); ++id) {
+      std::size_t slot = refs_[id].hash & mask;
+      while (slots_[slot] != kNone) slot = (slot + 1) & mask;
+      slots_[slot] = id;
+    }
+  }
 
   [[nodiscard]] bool equals(Id id, std::span<const Lit> sorted) const {
     const std::span<const Lit> l = lits(id);
@@ -166,7 +188,7 @@ class TermPool {
 
   std::vector<Lit> arena_;
   std::vector<Ref> refs_;
-  std::unordered_map<std::uint64_t, std::vector<Id>> buckets_;
+  std::vector<Id> slots_;  // open-addressing index over refs_; power-of-two size
 };
 
 /// Encode + single-pass normalize (sort, dedupe, drop contradictions) one
@@ -236,12 +258,13 @@ bool mergeFirstPair(TermPool& pool, std::vector<TermPool::Id>& ids, std::vector<
 
 /// Drop every term that another term subsumes (is a subset of), keeping the
 /// first copy of content-equal duplicates. Signature containment rejects
-/// non-subset pairs in O(1) before the literal-level check.
-bool dropSubsumed(const TermPool& pool, std::vector<TermPool::Id>& ids) {
+/// non-subset pairs in O(1) before the literal-level check. `kept` is
+/// scratch.
+bool dropSubsumed(const TermPool& pool, std::vector<TermPool::Id>& ids,
+                  std::vector<TermPool::Id>& kept) {
   const std::size_t n = ids.size();
   if (n < 2) return false;
-  std::vector<TermPool::Id> kept;
-  kept.reserve(n);
+  kept.clear();
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t sigI = pool.sig(ids[i]);
     bool redundant = false;
@@ -261,19 +284,21 @@ bool dropSubsumed(const TermPool& pool, std::vector<TermPool::Id>& ids) {
     if (!redundant) kept.push_back(ids[i]);
   }
   if (kept.size() == n) return false;
-  ids = std::move(kept);
+  ids.swap(kept);
   return true;
 }
 
 /// The reference loop on interned ids: per iteration sort+dedupe, merge one
-/// complementary pair, filter subsumed terms; repeat until stable.
-void simplifyIds(TermPool& pool, std::vector<TermPool::Id>& ids, std::vector<Lit>& buf) {
+/// complementary pair, filter subsumed terms; repeat until stable. `buf`
+/// and `kept` are scratch.
+void simplifyIds(TermPool& pool, std::vector<TermPool::Id>& ids, std::vector<Lit>& buf,
+                 std::vector<TermPool::Id>& kept) {
   bool changed = true;
   while (changed) {
     changed = false;
     sortUniqueIds(pool, ids);
     if (mergeFirstPair(pool, ids, buf)) changed = true;
-    if (dropSubsumed(pool, ids)) changed = true;
+    if (dropSubsumed(pool, ids, kept)) changed = true;
   }
 }
 
@@ -294,7 +319,10 @@ GateDnf decodeIds(const TermPool& pool, const std::vector<TermPool::Id>& ids) {
 
 struct DnfEngine::Impl {
   TermPool pool;
+  // Scratch reused across calls.
   std::vector<Lit> buf;
+  std::vector<Lit> outer;
+  std::vector<TermPool::Id> kept;
 };
 
 DnfEngine::DnfEngine() : impl_(std::make_unique<Impl>()) {}
@@ -309,20 +337,27 @@ std::vector<DnfEngine::TermId> DnfEngine::encode(const GateDnf& dnf) {
 }
 
 DnfEngine::Dnf DnfEngine::simplify(std::vector<TermId> terms) {
-  simplifyIds(impl_->pool, terms, impl_->buf);
+  simplifyIds(impl_->pool, terms, impl_->buf, impl_->kept);
   return Dnf{std::move(terms)};
 }
 
-DnfEngine::Dnf DnfEngine::conjoin(std::span<const TermId> a, std::span<const TermId> b) {
+DnfEngine::TermId DnfEngine::internTerm(const GateTerm& term) {
+  const bool consistent = encodeTerm(term, impl_->buf);
+  if (!consistent) throw SynthesisError("DnfEngine::internTerm: contradictory term");
+  return impl_->pool.intern(impl_->buf);
+}
+
+void DnfEngine::conjoinInto(std::span<const TermId> a, std::span<const TermId> b, Dnf& out) {
   TermPool& pool = impl_->pool;
   std::vector<Lit>& buf = impl_->buf;
 
   // Cross product: merge two sorted literal arrays, dropping contradictory
   // combinations (same select, opposite polarity). The outer term is
   // copied out of the arena because intern() below may reallocate it.
-  std::vector<TermId> ids;
+  std::vector<TermId>& ids = out.terms;
+  ids.clear();
   ids.reserve(a.size() * b.size());
-  std::vector<Lit> ta;
+  std::vector<Lit>& ta = impl_->outer;
   for (const TermId ia : a) {
     const std::span<const Lit> la = pool.lits(ia);
     ta.assign(la.begin(), la.end());
@@ -352,8 +387,7 @@ DnfEngine::Dnf DnfEngine::conjoin(std::span<const TermId> a, std::span<const Ter
       ids.push_back(pool.intern(buf));
     }
   }
-  simplifyIds(pool, ids, buf);
-  return Dnf{std::move(ids)};
+  simplifyIds(pool, ids, buf, impl_->kept);
 }
 
 DnfEngine::Dnf DnfEngine::disjoin(const Dnf& a, const Dnf& b) {

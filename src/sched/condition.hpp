@@ -137,12 +137,23 @@ class DnfEngine {
   /// encode + simplify: the interned equivalent of simplifyDnf.
   [[nodiscard]] Dnf intern(const GateDnf& dnf) { return simplify(encode(dnf)); }
 
+  /// Intern one term that holds no contradictory literals (encode()'s
+  /// per-term step, without building a vector around it).
+  [[nodiscard]] TermId internTerm(const GateTerm& term);
+
   /// AND of two term sets (cross product, contradictions dropped, one
   /// final simplify) — the interned equivalent of andDnf.
-  [[nodiscard]] Dnf conjoin(std::span<const TermId> a, std::span<const TermId> b);
+  [[nodiscard]] Dnf conjoin(std::span<const TermId> a, std::span<const TermId> b) {
+    Dnf out;
+    conjoinInto(a, b, out);
+    return out;
+  }
   [[nodiscard]] Dnf conjoin(const Dnf& a, const Dnf& b) {
     return conjoin(std::span<const TermId>(a.terms), std::span<const TermId>(b.terms));
   }
+  /// conjoin() into `out`, reusing its storage; `out` must alias neither
+  /// operand.
+  void conjoinInto(std::span<const TermId> a, std::span<const TermId> b, Dnf& out);
 
   /// OR: concatenate and simplify once, mirroring the reference pass's
   /// "append all consumer terms, then simplifyDnf" schedule.

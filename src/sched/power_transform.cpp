@@ -5,6 +5,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "cdfg/analysis.hpp"
 #include "sched/timeframe_oracle.hpp"
@@ -72,6 +73,12 @@ std::vector<NodeId> orderMuxes(const Graph& g, MuxOrdering ordering) {
     }
   }
   return muxes;
+}
+
+std::size_t termIdsHash(const std::vector<DnfEngine::TermId>& terms) {
+  std::size_t h = terms.size();
+  for (const DnfEngine::TermId t : terms) h = h * 0x9e3779b97f4a7c15ULL + t;
+  return h;
 }
 
 }  // namespace
@@ -168,29 +175,71 @@ PowerManagedDesign unmanagedDesign(const Graph& g, int steps) {
   return design;
 }
 
-std::vector<GateDnf> resolveActivationConditions(const PowerManagedDesign& design) {
+ConditionTable resolveActivationConditions(const PowerManagedDesign& design) {
   const Graph& g = design.graph;
-  std::vector<GateDnf> cond(g.size());
+  ConditionTable table;
+  table.index.assign(g.size(), 0);
+
+  // Conditions are composed on interned handles in an engine of their own:
+  // the conjoin and simplify steps andDnf and simplifyDnf take, without a
+  // decode and re-encode between them. Equal content means equal handles,
+  // so the exact dedup compares handles (open addressing over entry ids,
+  // at most half full), and each distinct entry is decoded once at the end.
+  // Entry 0 is TRUE, so a gated node whose DNF simplifies to TRUE shares it.
+  DnfEngine eng;
+  std::vector<DnfEngine::Dnf> handles{eng.trueDnf()};
+  constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+  std::vector<std::uint32_t> slots(64, kEmpty);  // power-of-two size
+  const auto slotOf = [&](const DnfEngine::Dnf& h) {
+    const std::size_t mask = slots.size() - 1;
+    std::size_t i = termIdsHash(h.terms) & mask;
+    while (slots[i] != kEmpty && handles[slots[i]] != h) i = (i + 1) & mask;
+    return i;
+  };
+  slots[slotOf(handles[0])] = 0;
+  // The entry of `h`; a fresh one takes over h's storage.
+  const auto intern = [&](DnfEngine::Dnf& h) {
+    if ((handles.size() + 1) * 2 > slots.size()) {
+      slots.assign(slots.size() * 2, kEmpty);
+      for (std::uint32_t e = 0; e < handles.size(); ++e) slots[slotOf(handles[e])] = e;
+    }
+    std::uint32_t& slot = slots[slotOf(h)];
+    if (slot == kEmpty) {
+      slot = static_cast<std::uint32_t>(handles.size());
+      handles.push_back(std::exchange(h, {}));
+    }
+    return slot;
+  };
+  DnfEngine::Dnf resolved;
 
   // A node is gated only by muxes downstream of it, so resolving in reverse
   // topological order guarantees every gating mux is finished first.
+  GateTerm lit{GateLiteral{}};
+  DnfEngine::Dnf withLit;
   const std::span<const NodeId> order = g.topoOrderView();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const NodeId n = *it;
     if (!design.sharedGating[n].empty()) {
-      cond[n] = simplifyDnf(design.sharedGating[n]);
+      resolved = eng.intern(design.sharedGating[n]);
+    } else if (!design.gates[n].empty()) {
+      // TRUE AND lit AND cond[mux], gate by gate.
+      std::span<const DnfEngine::TermId> acc = handles[0].terms;
+      for (const NodeGate& gate : design.gates[n]) {
+        lit[0] = GateLiteral{traceSelectProducer(g, gate.mux), gate.side == MuxSide::True};
+        const DnfEngine::TermId litTerm = eng.internTerm(lit);
+        eng.conjoinInto(acc, std::span<const DnfEngine::TermId>(&litTerm, 1), withLit);
+        eng.conjoinInto(withLit.terms, handles[table.index[gate.mux]].terms, resolved);
+        acc = resolved.terms;
+      }
+    } else {
       continue;
     }
-    GateDnf c = dnfTrue();
-    for (const NodeGate& gate : design.gates[n]) {
-      const GateDnf lit{
-          GateTerm{GateLiteral{traceSelectProducer(g, gate.mux), gate.side == MuxSide::True}}};
-      c = andDnf(c, lit);
-      c = andDnf(c, cond[gate.mux]);
-    }
-    cond[n] = std::move(c);
+    table.index[n] = intern(resolved);
   }
-  return cond;
+
+  table.dnfs.reserve(handles.size());
+  for (const DnfEngine::Dnf& h : handles) table.dnfs.push_back(eng.decode(h));
+  return table;
 }
 
 int PowerManagedDesign::managedCount() const {

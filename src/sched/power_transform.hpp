@@ -104,10 +104,23 @@ struct PowerManagedDesign {
 /// every downstream consumer (analysis, controller, RTL) sees one type.
 [[nodiscard]] PowerManagedDesign unmanagedDesign(const Graph& g, int steps);
 
+/// Every node's activation condition, each distinct DNF stored once: a
+/// node reads its condition as `dnfs[index[n]]`. Entry 0 is TRUE, the
+/// condition of every ungated node; the other entries are the distinct
+/// conditions of gated nodes in the order they were first resolved.
+struct ConditionTable {
+  std::vector<GateDnf> dnfs;
+  std::vector<std::uint32_t> index;  ///< per node
+
+  [[nodiscard]] const GateDnf& of(NodeId n) const { return dnfs[index[n]]; }
+};
+
 /// Fully-resolved activation condition of every node: per-mux gates and
 /// shared gating composed into one DNF over select literals. Ungated nodes
-/// get TRUE. Used by the activation analysis and the controller generator.
-[[nodiscard]] std::vector<GateDnf> resolveActivationConditions(const PowerManagedDesign& design);
+/// take entry 0 (TRUE) without building a DNF; a gated node's DNF is
+/// deduplicated against the table, term for term. Used by the activation
+/// analysis and the controller generator.
+[[nodiscard]] ConditionTable resolveActivationConditions(const PowerManagedDesign& design);
 
 /// Static (schedule-independent) gated sets of one mux, each in ascending
 /// id order. Exposed for tests and for the §IV-A savings-ordering heuristic.

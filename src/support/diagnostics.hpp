@@ -96,7 +96,7 @@ struct Diagnostic {
 
   [[nodiscard]] std::string toString() const {
     std::string out = "error[" + category + "]";
-    if (loc.line != 0) out += " " + loc.toString();
+    if (loc.line != 0) out.append(" ").append(loc.toString());
     return out + ": " + message;
   }
 };

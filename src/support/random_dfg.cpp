@@ -20,7 +20,7 @@ Graph randomLayeredDfg(int layers, int perLayer, std::uint64_t seed) {
     for (int i = 0; i < perLayer; ++i) {
       const NodeId a = previous[rng.below(previous.size())];
       const NodeId b = previous[rng.below(previous.size())];
-      const std::string name = "n" + std::to_string(counter++);
+      const std::string name = std::string("n").append(std::to_string(counter++));
       if (counter % 3 == 0) {
         const NodeId c = previous[rng.below(previous.size())];
         const NodeId d = previous[rng.below(previous.size())];

@@ -97,7 +97,7 @@ std::string conditionExpr(const Graph& g, const GateDnf& dnf) {
                                   : "pi_" + sanitizeIdentifier(g.node(lit.select).name);
       lits.push_back(lit.value ? bit : ("(not " + bit + ")"));
     }
-    terms.push_back("(" + join(lits, " and ") + ")");
+    terms.push_back(std::string("(").append(join(lits, " and ")) + ")");
   }
   return join(terms, " or ");
 }
@@ -207,7 +207,7 @@ std::string emitController(const PowerManagedDesign& design, const Schedule& sch
   os << "  -- load enables: state decode AND activation condition\n";
   for (const LoadAction& load : ctrl.loads) {
     os << "  " << loadName(g, load.value) << " <= '1' when state = " << load.step;
-    if (load.isGated()) os << " and (" << conditionExpr(g, load.condition) << ") = '1'";
+    if (load.isGated()) os << " and (" << conditionExpr(g, ctrl.condition(load)) << ") = '1'";
     os << " else '0';\n";
   }
   os << "end architecture;\n";

@@ -62,8 +62,8 @@ Binding bindDesignReference(const Graph& g, const Schedule& sched, const Binding
         if (opts.allowMutexSharing) {
           const bool disjointFromAll = std::all_of(
               s.opsThisStep.begin(), s.opsThisStep.end(), [&](NodeId other) {
-                return mutuallyExclusive(opts.activation->condition[n],
-                                         opts.activation->condition[other]);
+                return mutuallyExclusive(opts.activation->condition(n),
+                                         opts.activation->condition(other));
               });
           if (disjointFromAll) {
             chosen = &s;

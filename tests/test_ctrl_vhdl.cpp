@@ -66,7 +66,7 @@ TEST(Controller, PmControllerIsMoreComplex) {
 TEST(Controller, StatusCapturedBeforeUse) {
   const Flow flow = runFlow(circuits::dealer(), 6, true);
   for (const LoadAction& load : flow.ctrl.loads) {
-    for (const GateTerm& term : load.condition) {
+    for (const GateTerm& term : flow.ctrl.condition(load)) {
       for (const GateLiteral& lit : term) {
         if (!isScheduled(flow.design.graph.kind(lit.select))) continue;
         EXPECT_LT(flow.sched.stepOf(lit.select), load.step);

@@ -1,7 +1,9 @@
-// Allocation counts of the flat Graph: copying a graph is a handful of
-// vector copies and loading one from text makes no per-node allocation.
-// Counted by replacing the global operator new, which is why these checks
-// live in their own binary.
+// Allocation counts of the flat Graph and of the back end after scheduling:
+// copying a graph is a handful of vector copies, loading one from text
+// makes no per-node allocation, and binding, activation analysis and
+// controller synthesis allocate in proportion to the gated part of a
+// design, not to its node count. Counted by replacing the global operator
+// new, which is why these checks live in their own binary.
 
 #include <gtest/gtest.h>
 
@@ -10,8 +12,14 @@
 #include <new>
 #include <string>
 
+#include "alloc/binding.hpp"
+#include "cdfg/analysis.hpp"
 #include "cdfg/graph.hpp"
 #include "cdfg/textio.hpp"
+#include "ctrl/controller.hpp"
+#include "power/activation.hpp"
+#include "sched/list_scheduler.hpp"
+#include "sched/power_transform.hpp"
 #include "support/random_dfg.hpp"
 
 namespace {
@@ -70,6 +78,27 @@ TEST(GraphAllocations, LoadingTextMakesNoPerNodeAllocation) {
   });
   ASSERT_GT(nodes, 8000);
   EXPECT_LT(load, 200) << nodes << " nodes";
+}
+
+TEST(BackEndAllocations, MakeNoPerNodeAllocationOnAStrictDesign) {
+  // The one-shot benchmark's shape: 512x16 strict at cp+2, about 11k
+  // operations of which a few hundred are gated.
+  const Graph g = randomLayeredDfg(512, 16, 1);
+  const int steps = criticalPathLength(g) + 2;
+  const PowerManagedDesign design = applyPowerManagement(g, steps);
+  const Schedule sched = minimizeSchedule(design.graph, steps, design.frames).schedule;
+  ASSERT_GT(design.graph.size(), 10000u);
+
+  Binding binding;
+  const long bind = countAllocations([&] { binding = bindDesign(design.graph, sched); });
+  EXPECT_LT(bind, 1000) << design.graph.size() << " nodes";
+
+  const long tail = countAllocations([&] {
+    const ActivationResult activation = analyzeActivation(design);
+    const ControllerSpec spec = synthesizeController(design, sched, binding, activation);
+    EXPECT_GT(spec.gatedLoadCount(), 0);
+  });
+  EXPECT_LT(tail, 2000) << design.graph.size() << " nodes";
 }
 
 }  // namespace

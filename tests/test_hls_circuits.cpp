@@ -17,7 +17,7 @@ TEST(HlsCircuits, FirComputesConvolution) {
   const Graph g = circuits::fir8();
   std::map<std::string, std::int64_t> in;
   // x_i = 1 for all taps: y = sum of coefficients 1,3,5,...,15 = 64 -> wraps.
-  for (int i = 0; i < 8; ++i) in["x" + std::to_string(i)] = 1;
+  for (int i = 0; i < 8; ++i) in[std::string("x").append(std::to_string(i))] = 1;
   const auto out = evaluateGraph(g, in);
   EXPECT_EQ(out.at("y"), truncateToWidth(64, 8));
 

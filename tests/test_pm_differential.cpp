@@ -70,9 +70,10 @@ void expectDesignsEqual(const PowerManagedDesign& a, const PowerManagedDesign& b
   }
   // Resolved activation conditions compose gates and shared gating; their
   // equality seals the full downstream-visible state.
-  const std::vector<GateDnf> condA = resolveActivationConditions(a);
-  const std::vector<GateDnf> condB = resolveActivationConditions(b);
-  ASSERT_EQ(condA, condB) << what;
+  const ConditionTable condA = resolveActivationConditions(a);
+  const ConditionTable condB = resolveActivationConditions(b);
+  for (NodeId n = 0; n < a.graph.size(); ++n)
+    ASSERT_EQ(condA.of(n), condB.of(n)) << what << ": condition of node " << n;
 }
 
 /// Slack rejects the incremental transform left unnamed, and the orderings

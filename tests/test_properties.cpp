@@ -28,7 +28,7 @@ Graph randomGraph(std::uint64_t seed, int layers, int perLayer) {
     for (int i = 0; i < perLayer; ++i) {
       const NodeId a = pool[rng.below(pool.size())];
       const NodeId b = pool[rng.below(pool.size())];
-      const std::string name = "n" + std::to_string(counter++);
+      const std::string name = std::string("n").append(std::to_string(counter++));
       NodeId made = kInvalidNode;
       switch (rng.below(6)) {
         case 0: {
@@ -103,7 +103,7 @@ TEST_P(RandomGraphProperty, ScheduleRespectsEverything) {
   const ActivationResult activation = analyzeActivation(design);
   for (NodeId n = 0; n < design.graph.size(); ++n) {
     if (!isScheduled(design.graph.kind(n))) continue;
-    for (const GateTerm& term : activation.condition[n]) {
+    for (const GateTerm& term : activation.condition(n)) {
       for (const GateLiteral& lit : term) {
         if (!isScheduled(design.graph.kind(lit.select))) continue;
         EXPECT_LT(r.schedule->stepOf(lit.select), r.schedule->stepOf(n))
@@ -143,7 +143,7 @@ TEST_P(RandomGraphProperty, MonteCarloAgreesWithExactActivation) {
   // Collect the distinct select signals involved.
   std::vector<NodeId> selects;
   for (NodeId n = 0; n < design.graph.size(); ++n)
-    for (const GateTerm& term : activation.condition[n])
+    for (const GateTerm& term : activation.condition(n))
       for (const GateLiteral& lit : term)
         if (std::find(selects.begin(), selects.end(), lit.select) == selects.end())
           selects.push_back(lit.select);
@@ -161,8 +161,8 @@ TEST_P(RandomGraphProperty, MonteCarloAgreesWithExactActivation) {
       return ((assignment >> idx) & 1U) != 0;
     };
     for (NodeId n = 0; n < design.graph.size(); ++n) {
-      bool active = activation.condition[n].empty() ? false : false;
-      for (const GateTerm& term : activation.condition[n]) {
+      bool active = false;
+      for (const GateTerm& term : activation.condition(n)) {
         bool termSat = true;
         for (const GateLiteral& lit : term)
           if (valueOf(lit.select) != lit.value) termSat = false;
