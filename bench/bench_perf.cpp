@@ -98,7 +98,7 @@ void BM_SharedGating(benchmark::State& state) {
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_SharedGating)->RangeMultiplier(2)->Range(4, 48)->Complexity();
+BENCHMARK(BM_SharedGating)->RangeMultiplier(2)->Range(4, 256)->Complexity();
 
 // The whole minimum-resource search (every listSchedule call it makes).
 void BM_ListSchedule(benchmark::State& state) {

@@ -247,29 +247,6 @@ std::vector<NodeId> Graph::topoOrder() const {
   return std::vector<NodeId>(view.begin(), view.end());
 }
 
-NodeMask Graph::backwardReach(std::span<const NodeId> roots) const {
-  NodeMask seen(size());
-  std::vector<NodeId> stack(roots.begin(), roots.end());
-  while (!stack.empty()) {
-    const NodeId n = stack.back();
-    stack.pop_back();
-    if (seen.test(n)) continue;
-    seen.set(n);
-    for (const NodeId p : nodes_[n].operands)
-      if (!seen.test(p)) stack.push_back(p);
-  }
-  return seen;
-}
-
-NodeMask Graph::transitiveFanin(NodeId id) const {
-  return backwardReach(nodes_.at(id).operands);
-}
-
-NodeMask Graph::operandCone(NodeId id, std::size_t opIndex) const {
-  const NodeId root = nodes_.at(id).operands.at(opIndex);
-  return backwardReach(std::span<const NodeId>(&root, 1));
-}
-
 void Graph::validate() const {
   NameTable names(*this, size());
   for (NodeId i = 0; i < size(); ++i) {

@@ -42,7 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "cdfg/node_mask.hpp"
 #include "cdfg/op.hpp"
 #include "support/diagnostics.hpp"
 
@@ -214,12 +213,6 @@ class Graph {
   /// cycle (control edges can create one if a transform misbehaves).
   [[nodiscard]] std::vector<NodeId> topoOrder() const;
 
-  /// Transitive data fanin of `id` (excluding `id` itself) as a node mask.
-  [[nodiscard]] NodeMask transitiveFanin(NodeId id) const;
-  /// Transitive fanin of one operand subtree: everything reachable backwards
-  /// from operand `opIndex` of `id` (including that operand node).
-  [[nodiscard]] NodeMask operandCone(NodeId id, std::size_t opIndex) const;
-
   /// Structural checks: operand counts, widths, acyclicity, name uniqueness.
   /// Throws SynthesisError describing the first violation.
   void validate() const;
@@ -243,7 +236,6 @@ class Graph {
 
   NodeId addNode(Node node);
   [[nodiscard]] std::string freshName(std::string_view stem);
-  [[nodiscard]] NodeMask backwardReach(std::span<const NodeId> roots) const;
 
   std::string name_;
   std::vector<Node> nodes_;

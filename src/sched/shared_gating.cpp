@@ -1,8 +1,6 @@
 #include "sched/shared_gating.hpp"
 
-#include <algorithm>
 #include <optional>
-#include <unordered_map>
 
 #include "sched/bdd.hpp"
 #include "sched/condition.hpp"
@@ -21,9 +19,10 @@ namespace {
 // per consumer of every candidate, so the pass owns a DnfEngine and keeps
 // the interned handles in its memo tables: terms are encoded exactly once
 // (at the design_.gates / design_.sharedGating boundary) and every
-// conjoin/disjoin below runs directly on term ids. The reference pass
-// (further down) keeps the original decode/encode-per-call flow; the
-// differential tests assert bit-identical gating decisions.
+// conjoin/disjoin below runs directly on term ids. The test suite keeps the
+// original decode/encode-per-call flow with from-scratch frames as its
+// reference (tests/shared_gating_reference.hpp) and asserts bit-identical
+// gating decisions and slack-reject counts.
 // ---------------------------------------------------------------------------
 
 class SharedGatingPass {
@@ -164,25 +163,21 @@ class SharedGatingPass {
     if (g_.fanouts(n).empty()) return false;
     Dnf need = needOf(n);
     if (eng_.isTrue(need) || need.isFalse()) return false;
-    const std::vector<NodeId> support = eng_.support(need);
-    for (const NodeId sel : support) {
-      if (sel == n) return false;
-      if (!isScheduled(g_.kind(sel))) continue;  // PI-driven select: free
-      if (faninOf(sel).test(n)) return false;
-    }
     std::vector<Edge> edges;
-    for (const NodeId sel : support)
-      if (isScheduled(g_.kind(sel))) edges.emplace_back(sel, n);
+    for (const NodeId sel : eng_.support(need))
+      if (isScheduled(g_.kind(sel))) edges.emplace_back(sel, n);  // PI-driven select: free
+    // n cannot wait for a select it feeds (sel == n included): a structural
+    // reject, not a slack one.
+    if (oracle_.closesCycle(edges)) return false;
 
     if (budget_ != nullptr && !edges.empty()) budget_->chargeProbes();
-    oracle_.push(edges, /*probe=*/true);
-    if (!oracle_.feasible()) {
-      oracle_.pop();
+    // Even an empty batch goes through the oracle: it rejects when the
+    // committed frames are already infeasible.
+    if (oracle_.tryCommit(edges) == TimeFrameOracle::CommitVerdict::Rejected) {
       ++slackRejects_;
       return false;
     }
     fault::point("gating-commit");
-    oracle_.commit();
 
     committed_.insert(committed_.end(), edges.begin(), edges.end());
     design_.sharedGating[n] = eng_.decode(need);
@@ -190,13 +185,6 @@ class SharedGatingPass {
     // already simplified, so the handle itself is that result.
     cond_[n] = std::move(need);
     return true;
-  }
-
-  /// Memoized data-edge transitive fanin of a select node.
-  const NodeMask& faninOf(NodeId sel) {
-    auto [it, inserted] = faninCache_.try_emplace(sel);
-    if (inserted) it->second = g_.transitiveFanin(sel);
-    return it->second;
   }
 
   PowerManagedDesign& design_;
@@ -207,7 +195,6 @@ class SharedGatingPass {
   std::vector<std::pair<NodeId, NodeId>> committed_;
   std::vector<std::optional<Dnf>> cond_;
   std::vector<std::optional<Dnf>> need_;
-  std::unordered_map<NodeId, NodeMask> faninCache_;
   int slackRejects_ = 0;
   /// Pipeline callers interleave this pass with code holding refs into the
   /// thread's DNF→probability manager (controller condition-class keys,
@@ -215,140 +202,6 @@ class SharedGatingPass {
   /// dnfProbability call made while the sweep runs cannot trim the manager
   /// and invalidate those refs mid-pipeline (see trimDnfProbabilityManager).
   BddPin probabilityPin_{dnfProbabilityManager()};
-};
-
-// ---------------------------------------------------------------------------
-// Retained from-scratch reference: GateDnf vectors at every engine call,
-// frames recomputed per candidate. The executable specification for the
-// interned pass above.
-// ---------------------------------------------------------------------------
-
-class SharedGatingPassReference {
- public:
-  explicit SharedGatingPassReference(PowerManagedDesign& design)
-      : design_(design), g_(design.graph) {
-    cond_.resize(g_.size());
-    need_.resize(g_.size());
-  }
-
-  int run() {
-    const std::vector<NodeId> order = g_.topoOrder();
-    int gated = 0;
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      const NodeId n = *it;
-      if (!isScheduled(g_.kind(n))) continue;
-      if (!design_.gates[n].empty() || !design_.sharedGating[n].empty()) continue;
-      if (tryGate(n)) ++gated;
-    }
-    for (const auto& [before, after] : committed_) g_.addControlEdge(before, after);
-    design_.frames = computeTimeFrames(g_, design_.steps, {}, design_.latency);
-    return gated;
-  }
-
- private:
-  /// Activation condition of node n as a resolved DNF.
-  const GateDnf& condOf(NodeId n) {
-    if (cond_[n]) return *cond_[n];
-    GateDnf result;
-    if (!design_.sharedGating[n].empty()) {
-      result = design_.sharedGating[n];
-    } else {
-      result = dnfTrue();
-      for (const NodeGate& gate : design_.gates[n]) {
-        GateDnf lit{GateTerm{
-            GateLiteral{traceSelectProducer(g_, gate.mux), gate.side == MuxSide::True}}};
-        result = andDnf(result, lit);
-        result = andDnf(result, condOf(gate.mux));
-      }
-    }
-    cond_[n] = std::move(result);
-    return *cond_[n];
-  }
-
-  /// Union of the conditions under which n's *value* is used, over all data
-  /// consumers. TRUE as soon as any consumer needs it unconditionally.
-  const GateDnf& needOf(NodeId n) {
-    if (need_[n]) return *need_[n];
-    GateDnf result;  // FALSE
-    bool saturated = false;
-    for (const NodeId f : g_.fanouts(n)) {
-      if (saturated) break;
-      const Node& consumer = g_.node(f);
-      GateDnf use;
-      if (consumer.kind == OpKind::Output) {
-        use = dnfTrue();
-      } else if (consumer.kind == OpKind::Wire) {
-        use = needOf(f);  // transparent: whoever needs the wire needs n
-      } else if (consumer.kind == OpKind::Mux) {
-        // Which operand(s) of the mux does n feed?
-        use.clear();
-        const NodeId sel = traceSelectProducer(g_, f);
-        for (std::size_t idx = 0; idx < consumer.operands.size(); ++idx) {
-          if (consumer.operands[idx] != n) continue;
-          if (idx == 0) {
-            // Select input: needed whenever the mux computes at all.
-            for (const GateTerm& t : condOf(f)) use.push_back(t);
-          } else {
-            // Data input: needed when the mux computes AND selects it.
-            const GateLiteral lit{sel, idx == 1};
-            GateDnf sideCond = andDnf(condOf(f), GateDnf{GateTerm{lit}});
-            for (GateTerm& t : sideCond) use.push_back(std::move(t));
-          }
-        }
-        use = simplifyDnf(std::move(use));
-      } else {
-        use = condOf(f);
-      }
-      for (GateTerm& t : use) result.push_back(std::move(t));
-      result = simplifyDnf(std::move(result));
-      if (dnfIsTrue(result)) {
-        result = dnfTrue();
-        saturated = true;
-      }
-    }
-    need_[n] = std::move(result);
-    return *need_[n];
-  }
-
-  bool tryGate(NodeId n) {
-    if (g_.fanouts(n).empty()) return false;
-    const GateDnf& need = needOf(n);
-    if (dnfIsTrue(need) || need.empty()) return false;
-
-    const std::vector<NodeId> support = dnfSupport(need);
-    for (const NodeId sel : support) {
-      if (sel == n) return false;
-      if (!isScheduled(g_.kind(sel))) continue;  // PI-driven select: free
-      if (faninOf(sel).test(n)) return false;
-    }
-
-    std::vector<std::pair<NodeId, NodeId>> tentative;
-    for (const NodeId sel : support)
-      if (isScheduled(g_.kind(sel))) tentative.emplace_back(sel, n);
-
-    std::vector<std::pair<NodeId, NodeId>> all = committed_;
-    all.insert(all.end(), tentative.begin(), tentative.end());
-    if (!computeTimeFrames(g_, design_.steps, all, design_.latency).feasible(g_)) return false;
-
-    committed_.insert(committed_.end(), tentative.begin(), tentative.end());
-    design_.sharedGating[n] = need;
-    cond_[n].reset();  // recompute on demand with the new gating
-    return true;
-  }
-
-  /// Memoized data-edge transitive fanin of a select node.
-  const NodeMask& faninOf(NodeId sel) {
-    auto [it, inserted] = faninCache_.try_emplace(sel);
-    if (inserted) it->second = g_.transitiveFanin(sel);
-    return it->second;
-  }
-
-  PowerManagedDesign& design_;
-  Graph& g_;
-  std::vector<std::pair<NodeId, NodeId>> committed_;
-  std::vector<std::optional<GateDnf>> cond_;
-  std::vector<std::optional<GateDnf>> need_;
-  std::unordered_map<NodeId, NodeMask> faninCache_;
 };
 
 }  // namespace
@@ -359,11 +212,6 @@ int applySharedGating(PowerManagedDesign& design, const RunBudget* budget,
   const int gated = pass.run();
   if (slackRejects != nullptr) *slackRejects = pass.slackRejects();
   return gated;
-}
-
-int applySharedGatingReference(PowerManagedDesign& design) {
-  SharedGatingPassReference pass(design);
-  return pass.run();
 }
 
 }  // namespace pmsched

@@ -31,22 +31,26 @@ enum class GatingMode {
 /// Run the shared-gating pass over an already-transformed design.
 /// Inserts the required control edges into design.graph and fills
 /// design.sharedGating. Returns the number of newly gated operations.
-/// Per-candidate schedulability runs incrementally on a TimeFrameOracle.
+/// Each candidate is one batch of edges from the scheduled selects of its
+/// condition's support into the candidate: the pass rejects it when the
+/// batch would close a cycle (TimeFrameOracle::closesCycle) and otherwise
+/// takes the oracle's slack verdict (TimeFrameOracle::tryCommit), so a
+/// reject repairs no frame.
 /// With a budget, the pass stops at the last accepted gate once the budget
 /// is exhausted or the DNF arena outgrows the term cap (the pass holds
 /// interned handles, so it cannot trim — it stops gating instead); the
 /// design stays valid and the degraded flag is set.
 ///
-/// `slackRejects`, when given, receives the number of probeworthy candidates
-/// the oracle rejected for schedulability (structural rejections are not
-/// counted). Zero means every candidate that could be gated was gated — the
-/// saturation half of the explore driver's certificate (docs/EXPLORE.md):
-/// the same pass at a looser step budget makes identical decisions.
+/// `slackRejects`, when given, receives the number of candidates the
+/// oracle rejected for schedulability (structural rejections, cycles
+/// included, are not counted). Zero means every candidate that could be
+/// gated was gated — the saturation half of the explore sweep's
+/// certificate (docs/EXPLORE.md): the same pass at a looser step budget
+/// makes identical decisions.
+///
+/// The test suite keeps a from-scratch reference of this pass
+/// (tests/shared_gating_reference.hpp).
 int applySharedGating(PowerManagedDesign& design, const RunBudget* budget = nullptr,
                       int* slackRejects = nullptr);
-
-/// From-scratch variant (frames recomputed per candidate); retained as the
-/// differential-test reference for applySharedGating.
-int applySharedGatingReference(PowerManagedDesign& design);
 
 }  // namespace pmsched

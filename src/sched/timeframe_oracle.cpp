@@ -288,8 +288,11 @@ std::optional<NodeId> TimeFrameOracle::firstInfeasible() {
 
 bool TimeFrameOracle::slackFastPath(std::span<const Edge> edges) const {
   if (!slackExact_ || depth_ != 0 || overEnd_ != 0 || edges.empty()) return false;
+  const Edge& front = edges.front();
   return std::all_of(edges.begin(), edges.end(),
-                     [&](const Edge& e) { return e.first == edges.front().first; });
+                     [&](const Edge& e) { return e.first == front.first; }) ||
+         std::all_of(edges.begin(), edges.end(),
+                     [&](const Edge& e) { return e.second == front.second; });
 }
 
 TimeFrameOracle::CommitVerdict TimeFrameOracle::tryCommit(std::span<const Edge> edges) {
@@ -302,19 +305,26 @@ TimeFrameOracle::CommitVerdict TimeFrameOracle::tryCommit(std::span<const Edge> 
     commit();
     return CommitVerdict::Committed;
   }
-  const NodeId u = edges.front().first;
   if (std::any_of(edges.begin(), edges.end(),
-                  [&](const Edge& e) { return excess(u, e.second) > 0; })) {
+                  [&](const Edge& e) { return excess(e.first, e.second) > 0; })) {
     // push() would throw on a cycle before it could reject, and so does
-    // this: a cycle through u runs from some target back to u.
-    beginWalk();
-    for (const Edge& e : edges)
-      if (reaches(e.second, u)) throw SynthesisError(ctx_ + ": extra edges create a cycle");
+    // this.
+    if (closesCycle(edges)) throw SynthesisError(ctx_ + ": extra edges create a cycle");
     return CommitVerdict::Rejected;
   }
   push(edges);  // throws on a cycle
   commit();
   return CommitVerdict::Committed;
+}
+
+bool TimeFrameOracle::closesCycle(std::span<const Edge> edges) {
+  if (depth_ != 0) throw SynthesisError(ctx_ + ": closesCycle requires the committed state");
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    // The stamps of one walk epoch hold for one walk target only.
+    if (i == 0 || edges[i].first != edges[i - 1].first) beginWalk();
+    if (reaches(edges[i].second, edges[i].first)) return true;
+  }
+  return false;
 }
 
 void TimeFrameOracle::beginWalk() {

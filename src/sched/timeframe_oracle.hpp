@@ -55,49 +55,60 @@
 //    repairing at the first over-budget node and poisons the batch:
 //    feasible() is false, commit()/push() are refused, and pop() restores
 //    the exact pre-push state from the undo log. Probe mode is for
-//    callers that only branch on feasibility (the optimal-search DFS,
-//    shared gating); the default mode repairs to the fixed point so
-//    firstInfeasible() can name the same node the reference would.
+//    the one caller that only branches on the feasibility of stacked
+//    batches (the optimal-search DFS); the default mode repairs to the
+//    fixed point so firstInfeasible() can name the same node the
+//    reference would.
 //
-// The slack verdict. The transform's batches all leave one source u (the
-// select producer, towards the top nodes of a gated set), and the greedy
-// loop needs only one answer per batch: commit it if the frames stay
-// feasible, else leave the oracle as it was. For such a batch the committed
-// frames already hold that answer:
+// The slack verdict. The transform's batches all leave one source (the
+// select producer, towards the top nodes of a gated set); shared gating's
+// all enter one target (the gated node, from every select in its
+// condition's support). Both loops need only one answer per batch: commit
+// it if the frames stay feasible, else leave the oracle as it was. For
+// such a batch the committed frames already hold that answer:
 //
-//   tryCommit(edges)  commit when asap[u] + w(u,t) <= alap[t] for every
-//                     edge (u,t), else reject without touching a frame
+//   tryCommit(edges)  commit when asap[s] + w(s,t) <= alap[t] for every
+//                     edge (s,t), else reject without touching a frame
 //
 // Here w(a,b) is the frame recurrence's edge weight, lat[a] between two
 // scheduled nodes. The lemma: the committed frames are the longest-path
-// fixed point of a DAG, and a path can use at most one new edge (using two
-// would return to u, a cycle). A new edge (u,t) with excess
-// e = asap[u] + w(u,t) - alap[t] > 0 therefore leaves t itself with
-// ASAP > ALAP after the push, which is infeasible (see lazy ALAP above).
-// With no positive excess, every path through a new edge keeps a
-// non-negative slack, so the push is feasible. The verdict names no node:
-// a report that wants the node push() + firstInfeasible() would name
-// replays the batch (nameSlackRejects() in power_transform.hpp).
+// fixed point of a DAG, and a path can use at most one new edge. Using two,
+// s1->t1 ~> s2->t2, means t1 reaches s2; with one source (s1 = s2) or one
+// target (t1 = t2) that path returns to where it started, a cycle. A new
+// edge (s,t) with excess e = asap[s] + w(s,t) - alap[t] > 0 therefore
+// leaves t itself with ASAP > ALAP after the push, which is infeasible (see
+// lazy ALAP above). With no positive excess, every path through a new edge
+// keeps a non-negative slack, so the push is feasible. The verdict names
+// no node: a report that wants the node push() + firstInfeasible() would
+// name replays the batch (nameSlackRejects() in power_transform.hpp).
 //
-// A batch whose target reaches u closes a cycle; tryCommit() then throws
-// push()'s error before it rejects. The check is O(1) per target when the
-// frames rule the path out, and a walk confined to the frame window
-// otherwise.
+// Cycle check. closesCycle(edges) asks, edge by edge, whether the target
+// already reaches the source over the live edges; for a one-source or
+// one-target batch a cycle can use only one new edge (as above), so the
+// answer is exact. The walk prunes every node whose frames leave no room
+// for a path to the source, so a query is O(1) when the frames rule the
+// path out and a walk confined to the frame window otherwise. A walk
+// stamps the nodes it has searched; a stamp means "does not reach this
+// source", so each new source starts a new walk epoch. tryCommit() runs
+// the same check before it rejects, and throws push()'s error on a cycle.
 //
 // The lemma needs one weight per edge. A scheduled zero-cycle kind breaks
 // that (its edge into a transparent node weighs -1 for ASAP but 0 for
 // ALAP), so slackExact() is false for such a graph and model, and
 // tryCommit() falls back to push() and a feasibility test, then commits or
-// pops. It also falls back at depth() > 0, on a committed state
-// that is already infeasible, and on multi-source batches: the verdict is
-// exact in every case, only the cost differs.
+// pops. It also falls back at depth() > 0, on a committed state that is
+// already infeasible, and on batches with neither one source nor one
+// target: the verdict is exact in every case, only the cost differs. The
+// frame pruning of closesCycle() holds under every model, since no ALAP
+// edge weight is below its ASAP weight.
 //
 // Differential tests (tests/test_timeframe_oracle.cpp) assert frame
 // equality against computeTimeFrames under randomized batch sequences (up
 // to 512x16 graphs, with batch edges against the topo order and
-// multi-cycle models), and tryCommit() against push/feasible/pop — on
-// random and transform batches, long commit sequences, cycles and the
-// zero-cycle fallback.
+// multi-cycle models), tryCommit() against push/feasible/pop — on random
+// one-source and one-target batches, transform batches, long commit
+// sequences, cycles and the zero-cycle fallback — and closesCycle()
+// against a plain DFS.
 //
 // The oracle snapshots the graph's CSR views at construction; the graph
 // must not be mutated while the oracle is alive.
@@ -166,10 +177,14 @@ class TimeFrameOracle {
   [[nodiscard]] bool slackExact() const { return slackExact_; }
   /// Commit `edges` if they keep every frame feasible, else leave the
   /// oracle unchanged. Requires depth() == 0. Throws push()'s
-  /// SynthesisError on a cycle. A one-source batch costs O(edges) plus
-  /// push() when it fits and a frame-pruned cycle check when it does not;
+  /// SynthesisError on a cycle. A one-source or one-target batch costs
+  /// O(edges) plus push() when it fits and closesCycle() when it does not;
   /// any other batch costs one push().
   [[nodiscard]] CommitVerdict tryCommit(std::span<const Edge> edges);
+  /// Would committing `edges` close a cycle? Exact for a batch whose edges
+  /// share a source or a target (an edge (n, n) counts as a cycle).
+  /// Requires depth() == 0; touches no frame.
+  [[nodiscard]] bool closesCycle(std::span<const Edge> edges);
 
   /// Node frames the repairs have moved so far, once per node per worklist
   /// visit (undo restores not counted): the oracle's work counter for stage
@@ -239,8 +254,8 @@ class TimeFrameOracle {
   [[nodiscard]] int weight(NodeId a, NodeId b) const {
     return (sched_[a] ? lat_[a] - 1 : 0) + (sched_[b] ? 1 : 0);
   }
-  /// How far a new edge u -> t would push t's ASAP past its ALAP.
-  [[nodiscard]] int excess(NodeId u, NodeId t) const { return asap_[u] + weight(u, t) - alap_[t]; }
+  /// How far a new edge s -> t would push t's ASAP past its ALAP.
+  [[nodiscard]] int excess(NodeId s, NodeId t) const { return asap_[s] + weight(s, t) - alap_[t]; }
   /// The committed frames alone decide tryCommit(edges) exactly.
   [[nodiscard]] bool slackFastPath(std::span<const Edge> edges) const;
   /// Does `from` reach `to` over the live edges? Prunes nodes whose frames

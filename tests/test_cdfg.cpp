@@ -125,18 +125,6 @@ TEST(Graph, TopoOrderRespectsAllEdges) {
   }
 }
 
-TEST(Graph, OperandConesAreClosed) {
-  const Graph g = diamond();
-  const NodeId m = *g.findByName("m");
-  const auto selCone = g.operandCone(m, 0);
-  const auto trueCone = g.operandCone(m, 1);
-  EXPECT_TRUE(selCone[*g.findByName("c")]);
-  EXPECT_TRUE(selCone[*g.findByName("a")]);
-  EXPECT_FALSE(selCone[*g.findByName("s")]);
-  EXPECT_TRUE(trueCone[*g.findByName("s")]);
-  EXPECT_FALSE(trueCone[*g.findByName("d")]);
-}
-
 /// Ragged adjacency rebuilt from operands and an edge log, the plain way:
 /// the Graph's CSR views and Kahn order must match it exactly.
 struct ReferenceAdjacency {

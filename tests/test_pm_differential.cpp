@@ -11,12 +11,14 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "cdfg/analysis.hpp"
 #include "circuits/circuits.hpp"
 #include "sched/power_transform.hpp"
 #include "sched/shared_gating.hpp"
+#include "shared_gating_reference.hpp"
 #include "support/random_dfg.hpp"
 #include "support/run_budget.hpp"
 
@@ -217,22 +219,49 @@ TEST(PowerTransformDifferential, OptimalMatchesReference) {
   }
 }
 
+/// Shared gating against the reference from equal transformed designs:
+/// the same gated count and slack-reject count, then equal designs. Adds
+/// the point's slack rejects to `rejects`.
+void expectSharedGatingMatchesReference(PowerManagedDesign fast, PowerManagedDesign ref,
+                                        const std::string& what, int& rejects) {
+  int rejectsFast = -1;
+  int rejectsRef = -1;
+  const int gatedFast = applySharedGating(fast, nullptr, &rejectsFast);
+  const int gatedRef = applySharedGatingReference(ref, &rejectsRef);
+  ASSERT_EQ(gatedFast, gatedRef) << what;
+  ASSERT_EQ(rejectsFast, rejectsRef) << what;
+  rejects += rejectsRef;
+  expectDesignsEqual(fast, ref, what + " (after shared gating)");
+}
+
 TEST(SharedGatingDifferential, MatchesReferenceOnCircuitsAndRandomDfgs) {
-  auto check = [](const Graph& g, int steps, const std::string& what) {
-    PowerManagedDesign fast = applyPowerManagement(g, steps);
-    PowerManagedDesign ref = applyPowerManagementReference(g, steps);
-    const int gatedFast = applySharedGating(fast);
-    const int gatedRef = applySharedGatingReference(ref);
-    ASSERT_EQ(gatedFast, gatedRef) << what;
-    nameSlackRejects(g, fast);  // reads the input graph, not the gated one
-    expectDesignsEqual(fast, ref, what + " (after shared gating)");
+  int rejects = 0;
+  auto check = [&](const Graph& g, int steps, MuxOrdering ordering, const std::string& what) {
+    PowerManagedDesign fast = applyPowerManagement(g, steps, ordering);
+    nameSlackRejects(g, fast);
+    expectSharedGatingMatchesReference(std::move(fast),
+                                       applyPowerManagementReference(g, steps, ordering), what,
+                                       rejects);
   };
-  for (const Graph& g : allCircuits())
-    check(g, criticalPathLength(g) + 2, g.name() + " shared gating");
+  for (const Graph& g : allCircuits()) {
+    check(g, criticalPathLength(g) + 2, MuxOrdering::OutputFirst, g.name() + " shared gating");
+    if (HasFailure()) return;
+  }
   for (std::uint64_t seed = 70; seed < 80; ++seed) {
     const Graph g = randomLayeredDfg(5, 4, seed);
-    check(g, criticalPathLength(g) + 3, "shared gating seed " + std::to_string(seed));
+    check(g, criticalPathLength(g) + 3, MuxOrdering::OutputFirst,
+          "shared gating seed " + std::to_string(seed));
+    if (HasFailure()) return;
   }
+  // Candidates whose selects sit in several places of the graph: a cycle
+  // check that searched only for the first of them gates a node whose
+  // batch closes a cycle.
+  const Graph g = randomLayeredDfg(8, 4, 3);
+  for (const MuxOrdering ordering : {MuxOrdering::OutputFirst, MuxOrdering::InputFirst}) {
+    check(g, 22, ordering, "8x4 seed 3 @22 " + orderingName(ordering));
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(rejects, 0);
 }
 
 TEST(SharedGatingDifferential, MatchesReferenceAtRealisticSizes) {
@@ -244,7 +273,9 @@ TEST(SharedGatingDifferential, MatchesReferenceAtRealisticSizes) {
     int perLayer;
     std::uint64_t seeds;
   };
-  for (const Size size : {Size{32, 6, 3}, Size{64, 8, 3}, Size{128, 8, 3}, Size{256, 16, 1}}) {
+  int rejects = 0;
+  for (const Size size :
+       {Size{32, 6, 3}, Size{64, 8, 3}, Size{128, 8, 3}, Size{256, 16, 1}, Size{512, 16, 1}}) {
     for (std::uint64_t seed = 1; seed <= size.seeds; ++seed) {
       const Graph g = randomLayeredDfg(size.layers, size.perLayer, seed);
       const int cp = criticalPathLength(g);
@@ -252,15 +283,13 @@ TEST(SharedGatingDifferential, MatchesReferenceAtRealisticSizes) {
         const std::string what = std::to_string(size.layers) + "x" +
                                  std::to_string(size.perLayer) + " seed " +
                                  std::to_string(seed) + " @cp+" + std::to_string(slack);
-        PowerManagedDesign fast = applyPowerManagement(g, cp + slack);
-        PowerManagedDesign ref = fast;
-        const int gatedFast = applySharedGating(fast);
-        const int gatedRef = applySharedGatingReference(ref);
-        ASSERT_EQ(gatedFast, gatedRef) << what;
-        expectDesignsEqual(fast, ref, what + " (after shared gating)");
+        const PowerManagedDesign start = applyPowerManagement(g, cp + slack);
+        expectSharedGatingMatchesReference(start, start, what, rejects);
+        if (HasFailure()) return;
       }
     }
   }
+  EXPECT_GT(rejects, 0);
 }
 
 TEST(CommittedFrames, EqualFromScratchFramesAfterEveryPass) {

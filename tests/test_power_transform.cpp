@@ -104,55 +104,73 @@ TEST(GatedSets, NestedMuxesGateTheInnerMux) {
 }
 
 // ---------------------------------------------------------------------------
-// Mask-based reference: the paper's definition read literally. Per side, the
+// Plain reference: the paper's definition read literally. Per side, the
 // exclusive cone (side cone minus the other side's and the select's cones,
 // minus inputs, constants and outputs), shrunk to the greatest fixed point
 // in which every data fanout stays inside the set or is the mux.
 // ---------------------------------------------------------------------------
 
-std::vector<NodeId> gatedSideReference(const Graph& g, NodeId mux, const NodeMask& coneSide,
-                                       const NodeMask& coneOther, const NodeMask& coneSel) {
-  NodeMask in = coneSide;
-  in.subtract(coneOther);
-  in.subtract(coneSel);
-  std::vector<NodeId> members;
-  in.forEachSet([&](std::size_t n) {
-    const OpKind k = g.kind(static_cast<NodeId>(n));
-    if (k == OpKind::Input || k == OpKind::Const || k == OpKind::Output)
-      in.reset(n);
-    else
-      members.push_back(static_cast<NodeId>(n));
-  });
-  std::vector<NodeId> work = members;
+/// Membership flags of everything reachable backwards over data edges from
+/// operand `opIndex` of `mux`, that operand included.
+std::vector<char> operandConeReference(const Graph& g, NodeId mux, std::size_t opIndex) {
+  std::vector<char> cone(g.size(), 0);
+  std::vector<NodeId> stack{g.fanins(mux)[opIndex]};
+  while (!stack.empty()) {
+    const NodeId n = stack.back();
+    stack.pop_back();
+    if (cone[n]) continue;
+    cone[n] = 1;
+    for (const NodeId p : g.fanins(n))
+      if (!cone[p]) stack.push_back(p);
+  }
+  return cone;
+}
+
+std::vector<NodeId> gatedSideReference(const Graph& g, NodeId mux,
+                                       const std::vector<char>& coneSide,
+                                       const std::vector<char>& coneOther,
+                                       const std::vector<char>& coneSel) {
+  std::vector<char> in(g.size(), 0);
+  std::vector<NodeId> work;
+  for (NodeId n = 0; n < g.size(); ++n) {
+    if (!coneSide[n] || coneOther[n] || coneSel[n]) continue;
+    const OpKind k = g.kind(n);
+    if (k == OpKind::Input || k == OpKind::Const || k == OpKind::Output) continue;
+    in[n] = 1;
+    work.push_back(n);
+  }
   while (!work.empty()) {
     const NodeId n = work.back();
     work.pop_back();
-    if (!in.test(n)) continue;
+    if (!in[n]) continue;
     for (const NodeId f : g.fanouts(n)) {
-      if (f == mux || in.test(f)) continue;
-      in.reset(n);
+      if (f == mux || in[f]) continue;
+      in[n] = 0;
       for (const NodeId p : g.fanins(n))
-        if (in.test(p)) work.push_back(p);
+        if (in[p]) work.push_back(p);
       break;
     }
   }
-  return in.toVector();
+  std::vector<NodeId> members;
+  for (NodeId n = 0; n < g.size(); ++n)
+    if (in[n]) members.push_back(n);
+  return members;
 }
 
 /// Scheduled members with no scheduled in-set ancestor (through in-set
 /// wires), by ascending-id reachability flags.
 std::vector<NodeId> topNodesReference(const Graph& g, const std::vector<NodeId>& set) {
-  NodeMask in(g.size());
-  for (const NodeId n : set) in.set(n);
-  NodeMask reach(g.size());
+  std::vector<char> in(g.size(), 0);
+  for (const NodeId n : set) in[n] = 1;
+  std::vector<char> reach(g.size(), 0);
   for (const NodeId n : set) {
     if (isScheduled(g.kind(n))) {
-      reach.set(n);
+      reach[n] = 1;
       continue;
     }
     for (const NodeId p : g.fanins(n))
-      if (in.test(p) && reach.test(p)) {
-        reach.set(n);
+      if (in[p] && reach[p]) {
+        reach[n] = 1;
         break;
       }
   }
@@ -160,17 +178,16 @@ std::vector<NodeId> topNodesReference(const Graph& g, const std::vector<NodeId>&
   for (const NodeId n : set) {
     if (!isScheduled(g.kind(n))) continue;
     const std::span<const NodeId> ops = g.fanins(n);
-    if (std::none_of(ops.begin(), ops.end(),
-                     [&](NodeId p) { return in.test(p) && reach.test(p); }))
+    if (std::none_of(ops.begin(), ops.end(), [&](NodeId p) { return in[p] && reach[p]; }))
       tops.push_back(n);
   }
   return tops;
 }
 
 GatedSets computeGatedSetsReference(const Graph& g, NodeId mux) {
-  const NodeMask coneSel = g.operandCone(mux, 0);
-  const NodeMask coneT = g.operandCone(mux, 1);
-  const NodeMask coneF = g.operandCone(mux, 2);
+  const std::vector<char> coneSel = operandConeReference(g, mux, 0);
+  const std::vector<char> coneT = operandConeReference(g, mux, 1);
+  const std::vector<char> coneF = operandConeReference(g, mux, 2);
   GatedSets sets;
   sets.gatedTrue = gatedSideReference(g, mux, coneT, coneF, coneSel);
   sets.gatedFalse = gatedSideReference(g, mux, coneF, coneT, coneSel);

@@ -5,7 +5,8 @@
 // to 512x16 graphs with batch edges against the topo order. The slack
 // verdict tryCommit() must commit exactly the batches push/feasible finds
 // feasible, leave the frames alone on a reject, and throw push()'s message
-// on a cycle — fast path and fallback alike.
+// on a cycle — fast path and fallback alike, on one-source and one-target
+// batches. closesCycle() must agree with a plain DFS over the live edges.
 
 #include <gtest/gtest.h>
 
@@ -447,12 +448,18 @@ TEST(TimeFrameOracle, TryCommitThrowsPushsMessageOnACycle) {
   EXPECT_FALSE(expectVerdictMatchesPush(loose, {{c, a}}, "cycle at 8").has_value());
 }
 
+/// A scheduled zero-cycle kind: multipliers take no cycle.
+LatencyModel zeroCycleMultiplier() {
+  LatencyModel model = LatencyModel::unit();
+  model.cycles[unitIndex(ResourceClass::Multiplier)] = 0;
+  return model;
+}
+
 TEST(TimeFrameOracle, ZeroCycleModelTakesTheFallback) {
   // A zero-cycle scheduled kind weighs its edges differently in the two
   // recurrences; the slack lemma does not hold, and tryCommit() must fall
   // back to push/pop and still answer exactly.
-  LatencyModel model = LatencyModel::unit();
-  model.cycles[unitIndex(ResourceClass::Multiplier)] = 0;
+  const LatencyModel model = zeroCycleMultiplier();
   VerdictCounts counts;
   for (std::uint64_t seed = 3; seed < 9; ++seed) {
     const Graph g = randomLayeredDfg(8, 6, seed);
@@ -473,8 +480,10 @@ TEST(TimeFrameOracle, ZeroCycleModelTakesTheFallback) {
   EXPECT_GT(counts.cycles, 0);
 }
 
-/// Does `from` reach `to` over data and control edges?
-bool reachesInGraph(const Graph& g, NodeId from, NodeId to) {
+/// Does `from` reach `to` over data, control and `extra` edges?
+bool reachesInGraph(const Graph& g, NodeId from, NodeId to, const std::vector<Edge>& extra = {}) {
+  std::vector<std::vector<NodeId>> extraSucc(g.size());
+  for (const auto& [a, b] : extra) extraSucc[a].push_back(b);
   std::vector<char> seen(g.size(), 0);
   std::vector<NodeId> stack{from};
   while (!stack.empty()) {
@@ -485,28 +494,35 @@ bool reachesInGraph(const Graph& g, NodeId from, NodeId to) {
     seen[v] = 1;
     for (const NodeId s : g.fanouts(v)) stack.push_back(s);
     for (const NodeId s : g.controlSuccessors(v)) stack.push_back(s);
+    for (const NodeId s : extraSucc[v]) stack.push_back(s);
   }
   return false;
 }
 
+/// Adds up to three graph control edges from a late scheduled node to an
+/// early one that does not reach it. Such edges run against id order, so
+/// paths (and cycles) leave the data edges' id structure. Returns how many
+/// it added.
+int addBackwardControlEdges(Graph& g, std::mt19937_64& rng) {
+  const std::vector<NodeId> ops = g.scheduledNodes();
+  int added = 0;
+  for (int tries = 0; tries < 200 && added < 3; ++tries) {
+    const NodeId late = ops[ops.size() / 2 + rng() % (ops.size() - ops.size() / 2)];
+    const NodeId early = ops[rng() % (ops.size() / 2)];
+    if (reachesInGraph(g, early, late)) continue;
+    g.addControlEdge(late, early);
+    ++added;
+  }
+  return added;
+}
+
 TEST(TimeFrameOracle, SlackVerdictsMatchPushWithBackwardControlEdges) {
-  // Graph control edges from late nodes to early ones run against id
-  // order, so paths (and cycles) leave the data edges' id structure.
   VerdictCounts counts;
   int withEdges = 0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     Graph g = randomLayeredDfg(12, 6, seed);
-    const std::vector<NodeId> ops = g.scheduledNodes();
     std::mt19937_64 rng(seed);
-    int added = 0;
-    for (int tries = 0; tries < 200 && added < 3; ++tries) {
-      const NodeId late = ops[ops.size() / 2 + rng() % (ops.size() - ops.size() / 2)];
-      const NodeId early = ops[rng() % (ops.size() / 2)];
-      if (reachesInGraph(g, early, late)) continue;
-      g.addControlEdge(late, early);
-      ++added;
-    }
-    if (added == 0) continue;
+    if (addBackwardControlEdges(g, rng) == 0) continue;
     ++withEdges;
     for (const int slack : {0, 2, 6}) {
       TimeFrameOracle oracle(g, minSteps(g, LatencyModel::unit()) + slack);
@@ -522,6 +538,94 @@ TEST(TimeFrameOracle, SlackVerdictsMatchPushWithBackwardControlEdges) {
   EXPECT_GT(withEdges, 5);
   EXPECT_GT(counts.rejects, 50);
   EXPECT_GT(counts.cycles, 0);
+}
+
+// ---- one-target batches (shared gating) ---------------------------------------
+
+/// A batch the way shared gating builds it: 1-4 distinct scheduled sources,
+/// drawn anywhere (so some batches close a cycle), into one target.
+std::vector<Edge> randomSingleTargetBatch(const Graph& g, std::mt19937_64& rng) {
+  const std::vector<NodeId> ops = g.scheduledNodes();
+  std::uniform_int_distribution<std::size_t> pick(0, ops.size() - 1);
+  const NodeId t = ops[pick(rng)];
+  std::vector<Edge> batch;
+  for (int k = 1 + static_cast<int>(rng() % 4); k > 0; --k) {
+    const Edge e{ops[pick(rng)], t};
+    if (e.first != t && std::find(batch.begin(), batch.end(), e) == batch.end())
+      batch.push_back(e);
+  }
+  return batch;
+}
+
+TEST(TimeFrameOracle, ClosesCycleMatchesDfsOnOneTargetBatches) {
+  // A one-target batch closes a cycle exactly when its target already
+  // reaches one of its sources, over data, graph control and committed
+  // edges. Each source is a new walk target, so a walk must not read the
+  // stamps an earlier source's walk left: the batches whose only
+  // reachable source comes after an unreachable one catch that.
+  int cycles = 0;
+  int laterSourceOnly = 0;
+  int withControlEdges = 0;
+  for (const LatencyModel& model :
+       {LatencyModel::unit(), LatencyModel::multiCycleMultiplier(2), zeroCycleMultiplier()}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      Graph g = randomLayeredDfg(6 + static_cast<int>(seed % 4) * 4, 6, seed);
+      std::mt19937_64 edgeRng(seed);
+      if (seed % 2 == 0 && addBackwardControlEdges(g, edgeRng) > 0) ++withControlEdges;
+      for (const int slack : {0, 3}) {
+        TimeFrameOracle oracle(g, minSteps(g, model) + slack, model);
+        std::vector<Edge> live;  // committed so far
+        std::mt19937_64 rng(seed * 131 + static_cast<std::uint64_t>(slack));
+        for (int round = 0; round < 80; ++round) {
+          const std::vector<Edge> batch = randomSingleTargetBatch(g, rng);
+          const std::string what = "seed " + std::to_string(seed) + " +" +
+                                   std::to_string(slack) + " round " + std::to_string(round);
+          std::vector<bool> reach;
+          for (const auto& [source, target] : batch)
+            reach.push_back(reachesInGraph(g, target, source, live));
+          const bool want = std::find(reach.begin(), reach.end(), true) != reach.end();
+          const std::vector<int> before = oracle.frames().asap;
+          ASSERT_EQ(oracle.closesCycle(batch), want) << what;
+          ASSERT_EQ(oracle.frames().asap, before) << what;
+          if (want) {
+            ++cycles;
+            if (!reach.front()) ++laterSourceOnly;
+          } else if (oracle.tryCommit(batch) == TimeFrameOracle::CommitVerdict::Committed) {
+            live.insert(live.end(), batch.begin(), batch.end());
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cycles, 200);
+  EXPECT_GT(laterSourceOnly, 50);
+  EXPECT_GT(withControlEdges, 6);
+}
+
+TEST(TimeFrameOracle, SlackVerdictsMatchPushOnOneTargetBatches) {
+  // Shared gating's batches through the widened fast path, and through the
+  // push/pop fallback under a zero-cycle model.
+  for (const LatencyModel& model :
+       {LatencyModel::unit(), LatencyModel::multiCycleMultiplier(2), zeroCycleMultiplier()}) {
+    VerdictCounts counts;
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      const Graph g = randomLayeredDfg(4 + static_cast<int>(seed % 5) * 3, 6, seed);
+      for (const int slack : {0, 2, 6}) {
+        TimeFrameOracle oracle(g, minSteps(g, model) + slack, model);
+        std::mt19937_64 rng(seed * 389 + static_cast<std::uint64_t>(slack));
+        for (int round = 0; round < 60; ++round) {
+          checkAndCount(oracle, randomSingleTargetBatch(g, rng),
+                        "seed " + std::to_string(seed) + " +" + std::to_string(slack) +
+                            " round " + std::to_string(round),
+                        counts);
+          if (HasFailure()) return;
+        }
+      }
+    }
+    EXPECT_GT(counts.accepts, 50);
+    EXPECT_GT(counts.rejects, 50);
+    EXPECT_GT(counts.cycles, 10);
+  }
 }
 
 /// One source towards 1-4 of the next 16 scheduled nodes in the cached
