@@ -17,8 +17,10 @@
 #include "cdfg/analysis.hpp"
 #include "cdfg/textio.hpp"
 #include "circuits/circuits.hpp"
+#include "condition_reference.hpp"
 #include "ctrl/controller.hpp"
 #include "explore/explore.hpp"
+#include "explore_reference.hpp"
 #include "power/activation.hpp"
 #include "sched/bdd.hpp"
 #include "sched/list_scheduler.hpp"
@@ -141,8 +143,8 @@ BENCHMARK(BM_ActivationAnalysis)->RangeMultiplier(2)->Range(4, 512)->Complexity(
 // Probability of one condition as a function of support size. The BDD path
 // (production dnfProbability) amortizes across queries through the
 // thread-local manager; the Cold variant pays the full conversion each
-// iteration; the Reference variant is the retained 2^k enumeration, capped
-// at its 24-variable limit.
+// iteration; the Reference variant is the tests' 2^k enumeration
+// (tests/condition_reference.hpp), capped at its 24-variable limit.
 void BM_DnfProbability(benchmark::State& state) {
   const GateDnf dnf = benchDnf(static_cast<int>(state.range(0)));
   for (auto _ : state) {
@@ -310,7 +312,8 @@ void BM_ServerTailLatency(benchmark::State& state) {
 }
 BENCHMARK(BM_ServerTailLatency)->UseRealTime();
 
-// Amortized design-space sweep vs the retained per-point loop, same graph
+// Amortized design-space sweep vs the tests' per-point loop
+// (tests/explore_reference.hpp), same graph
 // and range (docs/EXPLORE.md). The sweep spans cp..cp+128 so the
 // post-saturation region dominates — exactly the regime the amortization
 // targets; tools/bench_report.sh divides the pair into the "explore"

@@ -90,7 +90,9 @@ void stopDegraded(ExploreResult& res, const RunBudget* budget) {
                          "sweep stopped; the front is a clean prefix");
 }
 
-ExploreResult runSweep(const ExploreRequest& req, const RunBudget* budget, bool amortize) {
+}  // namespace
+
+ExploreResult exploreDesignSpace(const ExploreRequest& req, const RunBudget* budget) {
   req.graph.validate();
   ExploreResult res;
   res.circuit = req.graph.name();
@@ -104,7 +106,6 @@ ExploreResult runSweep(const ExploreRequest& req, const RunBudget* budget, bool 
   res.criticalPath = constants.criticalPath;
   res.minSteps = req.minSteps > 0 ? req.minSteps : res.criticalPath;
   res.maxSteps = req.maxSteps > 0 ? req.maxSteps : res.minSteps + std::max(req.span, 0);
-  res.mode = amortize ? "amortized" : "per-point";
   res.ordering = req.ordering;
   res.optimal = req.optimal;
   res.shared = req.shared;
@@ -201,7 +202,7 @@ ExploreResult runSweep(const ExploreRequest& req, const RunBudget* budget, bool 
       else
         ++res.stats.dominated;
 
-      if (amortize && !base.has_value() && saturatedOutcome(out, fullCandidates)) {
+      if (!base.has_value() && saturatedOutcome(out, fullCandidates)) {
         res.stats.saturationSteps = s;
         basePower = power;
         base.emplace(std::move(out));
@@ -217,16 +218,6 @@ ExploreResult runSweep(const ExploreRequest& req, const RunBudget* budget, bool 
     }
   }
   return res;
-}
-
-}  // namespace
-
-ExploreResult exploreDesignSpace(const ExploreRequest& req, const RunBudget* budget) {
-  return runSweep(req, budget, /*amortize=*/true);
-}
-
-ExploreResult explorePerPointReference(const ExploreRequest& req, const RunBudget* budget) {
-  return runSweep(req, budget, /*amortize=*/false);
 }
 
 namespace {
@@ -267,7 +258,7 @@ std::string renderExploreJson(const ExploreResult& res) {
       .key("critical_path").value(res.criticalPath)
       .key("min_steps").value(res.minSteps)
       .key("max_steps").value(res.maxSteps)
-      .key("mode").value(res.mode)
+      .key("mode").value("amortized")
       .key("ordering").value(orderingName(res.ordering))
       .key("optimal").value(res.optimal)
       .key("shared").value(res.shared)

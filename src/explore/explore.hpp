@@ -26,8 +26,8 @@
 // the design differs only in `steps` and the recomputed time frames, and
 // the activation analysis (which depends on neither) is byte-identical.
 // Every emitted point is therefore bit-identical to the one-shot `pmsched`
-// run at that step budget; explorePerPointReference() is the retained
-// per-point loop the differential tests pin that claim against.
+// run at that step budget; the test suite pins that claim against a plain
+// per-point loop, one full run per budget (tests/explore_reference.hpp).
 
 #include <string>
 #include <vector>
@@ -92,7 +92,6 @@ struct ExploreResult {
   int criticalPath = 0;
   int minSteps = 0;
   int maxSteps = 0;
-  std::string mode;  ///< "amortized" | "per-point"
   MuxOrdering ordering = MuxOrdering::OutputFirst;
   bool optimal = false;
   bool shared = true;
@@ -112,19 +111,14 @@ struct ExploreResult {
 [[nodiscard]] ExploreResult exploreDesignSpace(const ExploreRequest& req,
                                                const RunBudget* budget = nullptr);
 
-/// The retained per-point loop: every point is a full runDesignJob(). Same
-/// admission rule, same JSON shape (mode "per-point") — the executable
-/// specification the differential tests and the bench baseline run against.
-[[nodiscard]] ExploreResult explorePerPointReference(const ExploreRequest& req,
-                                                     const RunBudget* budget = nullptr);
-
-/// The whole result as one compact JSON object. Contains no timing or
-/// host-dependent fields: two runs at different thread counts render
-/// byte-identical documents (the CI explore-smoke job diffs them).
+/// The whole result as one compact JSON object ("mode" is always
+/// "amortized"). Contains no timing or host-dependent fields: two runs at
+/// different thread counts render byte-identical documents (the CI
+/// explore-smoke job diffs them).
 [[nodiscard]] std::string renderExploreJson(const ExploreResult& res);
 
-/// Just the "front" array — what the amortized-vs-reference differential
-/// byte-compares (the full documents differ in mode and stats by design).
+/// Just the "front" array — what the differential against the per-point
+/// reference byte-compares (the stats differ by design).
 [[nodiscard]] std::string renderExploreFrontJson(const ExploreResult& res);
 
 }  // namespace pmsched

@@ -46,12 +46,9 @@ using GateDnf = std::vector<GateTerm>;
 /// Normalize a DNF: normalize terms, drop contradictions, remove duplicate
 /// and subsumed terms (a term absorbs any superset of itself), and merge
 /// complementary pairs. Runs on the interned-term engine (see
-/// condition.cpp); bit-identical to simplifyDnfReference.
+/// condition.cpp); bit-identical to the pre-interning simplifier the
+/// tests keep as a reference (tests/condition_reference.hpp).
 [[nodiscard]] GateDnf simplifyDnf(GateDnf dnf);
-
-/// Retained from-scratch reference for simplifyDnf (the pre-interning
-/// engine); property tests assert the fast engine matches it exactly.
-[[nodiscard]] GateDnf simplifyDnfReference(GateDnf dnf);
 
 /// The constant TRUE (one empty term).
 [[nodiscard]] GateDnf dnfTrue();
@@ -64,14 +61,10 @@ using GateDnf = std::vector<GateTerm>;
 
 /// Exact satisfaction probability under independent fair selects. Runs on
 /// the ROBDD engine (see sched/bdd.hpp), so there is no support cap: the
-/// cost is the BDD size, not 2^support. Bit-identical to
-/// dnfProbabilityReference on every support the enumeration can handle.
+/// cost is the BDD size, not 2^support. Bit-identical to the 2^support
+/// enumeration the tests keep as a reference (tests/condition_reference.hpp)
+/// on every support it can handle.
 [[nodiscard]] Rational dnfProbability(const GateDnf& dnf);
-
-/// Retained enumeration path (counts satisfying assignments, 2^support
-/// cost). Throws SynthesisError above `maxSupport` variables; differential
-/// tests compare the BDD engine against it.
-[[nodiscard]] Rational dnfProbabilityReference(const GateDnf& dnf, unsigned maxSupport = 24);
 
 class BddManager;
 
@@ -131,7 +124,8 @@ class DnfEngine {
 
   /// The simplifyDnf schedule on already-interned terms: sort/dedupe,
   /// merge complementary pairs one at a time, drop subsumed terms, repeat
-  /// until stable. Bit-identical to simplifyDnfReference.
+  /// until stable. Bit-identical to the reference simplifier in
+  /// tests/condition_reference.hpp.
   [[nodiscard]] Dnf simplify(std::vector<TermId> terms);
 
   /// encode + simplify: the interned equivalent of simplifyDnf.

@@ -281,16 +281,11 @@ void markTransformDegraded(PowerManagedDesign& design, const RunBudget* budget) 
 }
 
 /// The greedy loop: offer power management to `candidates` in order, keeping
-/// each mux whose control edges leave the frames feasible. With `useOracle`
-/// the per-mux test is the TimeFrameOracle's verdict on its committed
-/// frames: an accept pushes and commits the edges, a reject records the
-/// unnamed kSlackReason. Otherwise frames are recomputed from scratch per
-/// mux and a reject names the first infeasible node (the retained reference
-/// path differential tests pin the oracle against).
-PowerManagedDesign runTransformWithModel(const Graph& g, int steps,
-                                         const std::vector<NodeId>& candidates,
-                                         const LatencyModel& model, bool useOracle,
-                                         const RunBudget* budget = nullptr) {
+/// each mux whose control edges leave the frames feasible. The per-mux test
+/// is the TimeFrameOracle's verdict on its committed frames: an accept
+/// commits the edges, a reject records the unnamed kSlackReason.
+PowerManagedDesign runTransform(const Graph& g, int steps, const std::vector<NodeId>& candidates,
+                                const LatencyModel& model, const RunBudget* budget = nullptr) {
   PowerManagedDesign design;
   design.graph = g.clone();
   design.steps = steps;
@@ -300,8 +295,7 @@ PowerManagedDesign runTransformWithModel(const Graph& g, int steps,
 
   Graph& work = design.graph;
   std::vector<std::pair<NodeId, NodeId>> committed;
-  std::optional<TimeFrameOracle> oracle;
-  if (useOracle) oracle.emplace(work, steps, model, "power-transform");
+  TimeFrameOracle oracle(work, steps, model, "power-transform");
   // Edges are only materialized after the loop, so the finder's view of
   // the data edges stays valid for the whole sweep.
   GatedSetFinder finder(work);
@@ -344,17 +338,9 @@ PowerManagedDesign runTransformWithModel(const Graph& g, int steps,
     // step, so gating it is always feasible (lastControl stays invalid).
 
     if (budget != nullptr && !newEdges.empty()) budget->chargeProbes();
-    if (oracle) {
-      // A reject leaves the frames untouched.
-      if (oracle->tryCommit(newEdges) == TimeFrameOracle::CommitVerdict::Rejected)
-        info.reason = kSlackReason;
-    } else {
-      std::vector<std::pair<NodeId, NodeId>> tentative = committed;
-      tentative.insert(tentative.end(), newEdges.begin(), newEdges.end());
-      if (const auto bad = computeTimeFrames(work, steps, tentative, model).firstInfeasible(work))
-        info.reason = namedSlackReason(work, *bad);
-    }
-    if (!info.reason.empty()) {
+    // A reject leaves the frames untouched.
+    if (oracle.tryCommit(newEdges) == TimeFrameOracle::CommitVerdict::Rejected) {
+      info.reason = kSlackReason;
       design.muxes.push_back(std::move(info));
       continue;
     }
@@ -368,20 +354,12 @@ PowerManagedDesign runTransformWithModel(const Graph& g, int steps,
 
   // Final frames before materializing: the oracle's committed fixed point
   // equals computeTimeFrames over the augmented graph.
-  if (oracle) {
-    design.frames = oracle->frames();
-    design.oracleFrameWrites = oracle->frameWrites();
-  }
+  design.frames = oracle.frames();
+  design.oracleFrameWrites = oracle.frameWrites();
 
   // Step 10: materialize the committed precedence as control edges.
   for (const auto& [before, after] : committed) work.addControlEdge(before, after);
-  if (!oracle) design.frames = computeTimeFrames(work, steps, {}, model);
   return design;
-}
-
-PowerManagedDesign runTransform(const Graph& g, int steps,
-                                const std::vector<NodeId>& candidates, bool useOracle) {
-  return runTransformWithModel(g, steps, candidates, LatencyModel::unit(), useOracle);
 }
 
 }  // namespace
@@ -389,14 +367,7 @@ PowerManagedDesign runTransform(const Graph& g, int steps,
 PowerManagedDesign applyPowerManagement(const Graph& g, int steps, MuxOrdering ordering,
                                         const LatencyModel& model, const RunBudget* budget) {
   g.validate();
-  return runTransformWithModel(g, steps, orderMuxes(g, ordering), model, /*useOracle=*/true,
-                               budget);
-}
-
-PowerManagedDesign applyPowerManagementReference(const Graph& g, int steps, MuxOrdering ordering,
-                                                 const LatencyModel& model) {
-  g.validate();
-  return runTransformWithModel(g, steps, orderMuxes(g, ordering), model, /*useOracle=*/false);
+  return runTransform(g, steps, orderMuxes(g, ordering), model, budget);
 }
 
 void nameSlackRejects(const Graph& input, PowerManagedDesign& design) {
@@ -487,8 +458,10 @@ struct ChosenSet {
   }
 };
 
-PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, bool useOracle,
-                              const RunBudget* budget = nullptr) {
+}  // namespace
+
+PowerManagedDesign applyPowerManagementOptimal(const Graph& g, int steps, std::size_t maxMuxes,
+                                               const RunBudget* budget) {
   g.validate();
   // Set once the search stops on the budget; the chosen subset at
   // that point is the best COMPLETE assignment found so far (possibly
@@ -536,17 +509,7 @@ PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, b
   // maxMuxes is handled greedily afterwards (documented in the header).
   const std::size_t exactCount = std::min(candidates.size(), maxMuxes);
 
-  std::optional<TimeFrameOracle> oracle;
-  if (useOracle) oracle.emplace(g, steps, LatencyModel::unit(), "power-transform");
-
-  // Reference feasibility: rebuild the whole edge set and recompute frames.
-  auto feasibleRef = [&](const std::vector<bool>& chosen) {
-    std::vector<std::pair<NodeId, NodeId>> edges;
-    for (std::size_t i = 0; i < chosen.size(); ++i)
-      if (chosen[i])
-        edges.insert(edges.end(), muxEdges[i].begin(), muxEdges[i].end());
-    return computeTimeFrames(g, steps, edges).feasible(g);
-  };
+  TimeFrameOracle oracle(g, steps, LatencyModel::unit(), "power-transform");
 
   std::vector<bool> best(candidates.size(), false);
   double bestValue = -1;
@@ -556,80 +519,49 @@ PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, b
   for (std::size_t i = exactCount; i-- > 0;)
     suffix[i] = suffix[i + 1] + savings[candidates[i]];
 
-  if (!useOracle) {
-    std::vector<bool> current(candidates.size(), false);
-    auto dfs = [&](auto&& self, std::size_t i, double value) -> void {
-      if (value + suffix[i] <= bestValue) return;  // cannot beat the best
-      if (i == exactCount) {
-        if (value > bestValue) {
-          bestValue = value;
-          best = current;
-        }
-        return;
-      }
-      current[i] = true;
-      if (feasibleRef(current)) self(self, i + 1, value + savings[candidates[i]]);
-      current[i] = false;
-      self(self, i + 1, value);
-    };
-    dfs(dfs, 0, 0);
-
-    for (std::size_t i = exactCount; i < candidates.size(); ++i) {
-      best[i] = true;
-      if (!feasibleRef(best)) best[i] = false;
-    }
-    std::vector<NodeId> chosen;
-    for (std::size_t i = 0; i < candidates.size(); ++i)
-      if (best[i]) chosen.push_back(candidates[i]);
-    return runTransform(g, steps, chosen, useOracle);
-  }
-
+  // Each node of the search tree costs one incremental repair; the memo
+  // skips probes whose failure is already a recorded fact.
   InfeasMemo memo(exactCount);
-  {
-    // Oracle-backed DFS: each node of the search tree costs one
-    // incremental repair instead of a from-scratch frame computation; the
-    // memo skips probes whose failure is already a recorded fact.
-    ChosenSet chosen(exactCount);
-    std::vector<bool> current(candidates.size(), false);
-    auto dfs = [&](auto&& self, std::size_t i, double value) -> void {
-      if (budget != nullptr && budget->exhausted()) {
-        stopped = true;
-        return;  // best-so-far stands
+  ChosenSet chosenSet(exactCount);
+  std::vector<bool> current(candidates.size(), false);
+  auto dfs = [&](auto&& self, std::size_t i, double value) -> void {
+    if (budget != nullptr && budget->exhausted()) {
+      stopped = true;
+      return;  // best-so-far stands
+    }
+    if (value + suffix[i] <= bestValue) return;
+    if (i == exactCount) {
+      if (value > bestValue) {
+        bestValue = value;
+        best = current;
       }
-      if (value + suffix[i] <= bestValue) return;
-      if (i == exactCount) {
-        if (value > bestValue) {
-          bestValue = value;
-          best = current;
-        }
-        return;
+      return;
+    }
+    if (!memo.blocked(i, chosenSet.mask)) {
+      if (budget != nullptr) budget->chargeProbes();
+      oracle.push(muxEdges[i], /*probe=*/true);
+      if (oracle.feasible()) {
+        current[i] = true;
+        chosenSet.add(i);
+        self(self, i + 1, value + savings[candidates[i]]);
+        chosenSet.remove(i);
+        current[i] = false;
+      } else {
+        if (chosenSet.list.empty()) memo.learnSelf(i);
+        else if (chosenSet.list.size() == 1) memo.learnPair(i, chosenSet.list[0]);
       }
-      if (!memo.blocked(i, chosen.mask)) {
-        if (budget != nullptr) budget->chargeProbes();
-        oracle->push(muxEdges[i], /*probe=*/true);
-        if (oracle->feasible()) {
-          current[i] = true;
-          chosen.add(i);
-          self(self, i + 1, value + savings[candidates[i]]);
-          chosen.remove(i);
-          current[i] = false;
-        } else {
-          if (chosen.list.empty()) memo.learnSelf(i);
-          else if (chosen.list.size() == 1) memo.learnPair(i, chosen.list[0]);
-        }
-        oracle->pop();
-      }
-      self(self, i + 1, value);
-    };
-    dfs(dfs, 0, 0);
-  }
+      oracle.pop();
+    }
+    self(self, i + 1, value);
+  };
+  dfs(dfs, 0, 0);
 
   // Greedy tail beyond the exact window: commit the chosen window on the
   // main oracle, then offer the remaining candidates in order.
   for (std::size_t i = 0; i < exactCount; ++i)
     if (best[i] && !muxEdges[i].empty()) {
-      oracle->push(muxEdges[i]);
-      oracle->commit();
+      oracle.push(muxEdges[i]);
+      oracle.commit();
     }
   for (std::size_t i = exactCount; i < candidates.size(); ++i) {
     if (budget != nullptr && budget->exhausted()) {
@@ -638,7 +570,7 @@ PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, b
     }
     if (budget != nullptr) budget->chargeProbes();
     // One-source batches at depth 0: the committed frames decide.
-    if (oracle->tryCommit(muxEdges[i]) == TimeFrameOracle::CommitVerdict::Committed)
+    if (oracle.tryCommit(muxEdges[i]) == TimeFrameOracle::CommitVerdict::Committed)
       best[i] = true;
   }
 
@@ -649,8 +581,8 @@ PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, b
   // materialization. The replay runs WITHOUT the budget — the committed
   // decisions must be materialized completely for the design to be
   // consistent.
-  PowerManagedDesign design = runTransform(g, steps, chosen, useOracle);
-  design.oracleFrameWrites += oracle->frameWrites();
+  PowerManagedDesign design = runTransform(g, steps, chosen, LatencyModel::unit());
+  design.oracleFrameWrites += oracle.frameWrites();
   if (stopped) {
     design.degraded = true;
     const BudgetKind kind = budget->exhaustedWhy().value_or(BudgetKind::Deadline);
@@ -660,18 +592,6 @@ PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, b
                          "best-so-far subset kept; design stays valid");
   }
   return design;
-}
-
-}  // namespace
-
-PowerManagedDesign applyPowerManagementOptimal(const Graph& g, int steps, std::size_t maxMuxes,
-                                               const RunBudget* budget) {
-  return runOptimal(g, steps, maxMuxes, /*useOracle=*/true, budget);
-}
-
-PowerManagedDesign applyPowerManagementOptimalReference(const Graph& g, int steps,
-                                                        std::size_t maxMuxes) {
-  return runOptimal(g, steps, maxMuxes, /*useOracle=*/false);
 }
 
 }  // namespace pmsched

@@ -182,26 +182,21 @@ class GatedSetFinder {
 /// `result.graph` (step 11). The per-mux
 /// schedulability test is TimeFrameOracle::tryCommit's verdict on the
 /// committed frames, one candidate at a time; slack rejects carry the
-/// unnamed reason "insufficient slack" (see nameSlackRejects()).
+/// unnamed reason "insufficient slack" (see nameSlackRejects()). The test
+/// suite keeps a from-scratch reference that recomputes the frames per mux
+/// (tests/power_transform_reference.hpp) and requires bit-identical designs.
 [[nodiscard]] PowerManagedDesign applyPowerManagement(
     const Graph& g, int steps, MuxOrdering ordering = MuxOrdering::OutputFirst,
     const LatencyModel& model = LatencyModel::unit(), const RunBudget* budget = nullptr);
 
-/// The retained from-scratch variant (frames recomputed per mux). The
-/// executable specification: differential tests assert applyPowerManagement
-/// produces bit-identical designs once nameSlackRejects() has run. Its
-/// slack rejects name their node: "insufficient slack: node 'X' would need
-/// ASAP > ALAP", X being the first infeasible node in id order.
-[[nodiscard]] PowerManagedDesign applyPowerManagementReference(
-    const Graph& g, int steps, MuxOrdering ordering = MuxOrdering::OutputFirst,
-    const LatencyModel& model = LatencyModel::unit());
-
-/// Name the node of every unnamed slack reject in `design`, as the
-/// reference transform would: replay the design's managed muxes in order on
-/// a fresh TimeFrameOracle over `input` (the graph the transform was given)
-/// and, at each slack-rejected mux, push its edges, read firstInfeasible()
-/// and pop. For reports only; nothing else reads the reasons. Costs one
-/// push per managed or slack-rejected mux plus a node scan per reject.
+/// Name the node of every unnamed slack reject in `design`: "insufficient
+/// slack: node 'X' would need ASAP > ALAP", X being the first node in id
+/// order that the mux's edges would leave infeasible. Replays the design's
+/// managed muxes in order on a fresh TimeFrameOracle over `input` (the
+/// graph the transform was given) and, at each slack-rejected mux, pushes
+/// its edges, reads firstInfeasible() and pops. For reports only; nothing
+/// else reads the reasons. Costs one push per managed or slack-rejected mux
+/// plus a node scan per reject.
 void nameSlackRejects(const Graph& input, PowerManagedDesign& design);
 
 /// Extension (beyond the paper's greedy): exact maximum-savings subset of
@@ -209,14 +204,12 @@ void nameSlackRejects(const Graph& input, PowerManagedDesign& design);
 /// mux's control edges are schedule-independent, joint feasibility depends
 /// only on the chosen subset, making exact search well-defined. Practical
 /// for the paper-scale circuits (<= ~50 muxes with shallow conflict
-/// structure); `maxMuxes` guards runaway search.
+/// structure); `maxMuxes` guards runaway search: candidates past the first
+/// `maxMuxes` (by savings) are offered greedily afterwards. The test suite's
+/// reference runs the plain include/exclude DFS with one frame computation
+/// per search node (tests/power_transform_reference.hpp).
 [[nodiscard]] PowerManagedDesign applyPowerManagementOptimal(const Graph& g, int steps,
                                                              std::size_t maxMuxes = 24,
                                                              const RunBudget* budget = nullptr);
-
-/// From-scratch variant of the exact search (one full frame computation per
-/// DFS node); retained as the differential-test reference.
-[[nodiscard]] PowerManagedDesign applyPowerManagementOptimalReference(const Graph& g, int steps,
-                                                                      std::size_t maxMuxes = 24);
 
 }  // namespace pmsched

@@ -34,6 +34,13 @@ class SharedGatingPass {
         budget_(budget) {
     cond_.resize(g_.size());
     need_.resize(g_.size());
+    tops_.resize(g_.size());
+    for (const MuxPmInfo& info : design.muxes) {
+      if (!info.managed) continue;
+      std::vector<NodeId>& tops = tops_[info.mux];
+      tops = info.topTrue;
+      tops.insert(tops.end(), info.topFalse.begin(), info.topFalse.end());
+    }
   }
 
   /// Probeworthy candidates the oracle rejected for schedulability.
@@ -163,11 +170,18 @@ class SharedGatingPass {
     if (g_.fanouts(n).empty()) return false;
     Dnf need = needOf(n);
     if (eng_.isTrue(need) || need.isFalse()) return false;
+    // resolveActivationConditions ANDs n's condition into every node of a
+    // managed mux's gated cones, and each of those nodes comes after a top
+    // of the cones, so every select must precede the tops as well as n.
     std::vector<Edge> edges;
-    for (const NodeId sel : eng_.support(need))
-      if (isScheduled(g_.kind(sel))) edges.emplace_back(sel, n);  // PI-driven select: free
+    for (const NodeId sel : eng_.support(need)) {
+      if (!isScheduled(g_.kind(sel))) continue;  // PI-driven select: free
+      edges.emplace_back(sel, n);
+      for (const NodeId t : tops_[n]) edges.emplace_back(sel, t);
+    }
     // n cannot wait for a select it feeds (sel == n included): a structural
-    // reject, not a slack one.
+    // reject, not a slack one. The batch is every select times {n} plus the
+    // tops, which closesCycle() answers exactly.
     if (oracle_.closesCycle(edges)) return false;
 
     if (budget_ != nullptr && !edges.empty()) budget_->chargeProbes();
@@ -195,6 +209,8 @@ class SharedGatingPass {
   std::vector<std::pair<NodeId, NodeId>> committed_;
   std::vector<std::optional<Dnf>> cond_;
   std::vector<std::optional<Dnf>> need_;
+  /// Per managed mux: the tops of its gated cones (empty for other nodes).
+  std::vector<std::vector<NodeId>> tops_;
   int slackRejects_ = 0;
   /// Pipeline callers interleave this pass with code holding refs into the
   /// thread's DNF→probability manager (controller condition-class keys,

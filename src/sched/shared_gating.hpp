@@ -13,7 +13,10 @@
 //   shared-gated consumer), the union of the consumers' activation
 //   conditions — a DNF over select literals — becomes the operation's
 //   latch-enable, provided the schedule can place the operation after all
-//   selects in the (simplified) union's support.
+//   selects in the (simplified) union's support. When the operation is a
+//   managed mux, its condition also reaches every node of its gated cones
+//   (resolveActivationConditions), so the selects must also precede the
+//   tops of those cones: each cone node comes after some top.
 //
 // Consumers are processed before producers (reverse topological order), so
 // shared conditions cascade upstream.
@@ -31,11 +34,12 @@ enum class GatingMode {
 /// Run the shared-gating pass over an already-transformed design.
 /// Inserts the required control edges into design.graph and fills
 /// design.sharedGating. Returns the number of newly gated operations.
-/// Each candidate is one batch of edges from the scheduled selects of its
-/// condition's support into the candidate: the pass rejects it when the
-/// batch would close a cycle (TimeFrameOracle::closesCycle) and otherwise
-/// takes the oracle's slack verdict (TimeFrameOracle::tryCommit), so a
-/// reject repairs no frame.
+/// Each candidate is one batch of edges from every scheduled select of its
+/// condition's support to the candidate and, for a managed mux, to every
+/// top of its gated cones: the pass rejects it when the batch would close a
+/// cycle (TimeFrameOracle::closesCycle, exact on such a complete bipartite
+/// batch) and otherwise takes the oracle's slack verdict
+/// (TimeFrameOracle::tryCommit), so a reject repairs no frame.
 /// With a budget, the pass stops at the last accepted gate once the budget
 /// is exhausted or the DNF arena outgrows the term cap (the pass holds
 /// interned handles, so it cannot trim — it stops gating instead); the

@@ -85,7 +85,10 @@
 // Cycle check. closesCycle(edges) asks, edge by edge, whether the target
 // already reaches the source over the live edges; for a one-source or
 // one-target batch a cycle can use only one new edge (as above), so the
-// answer is exact. The walk prunes every node whose frames leave no room
+// answer is exact. It is also exact for a complete bipartite batch (every
+// source to every target, as shared gating builds): a cycle through two new
+// edges s1->t1 ~> s2->t2 means t1 reaches s2, so the batch edge (s2,t1)
+// closes a cycle on its own. The walk prunes every node whose frames leave no room
 // for a path to the source, so a query is O(1) when the frames rule the
 // path out and a walk confined to the frame window otherwise. A walk
 // stamps the nodes it has searched; a stamp means "does not reach this
@@ -182,7 +185,8 @@ class TimeFrameOracle {
   /// any other batch costs one push().
   [[nodiscard]] CommitVerdict tryCommit(std::span<const Edge> edges);
   /// Would committing `edges` close a cycle? Exact for a batch whose edges
-  /// share a source or a target (an edge (n, n) counts as a cycle).
+  /// share a source or a target, or that holds every (source, target) pair
+  /// of its sources and targets (an edge (n, n) counts as a cycle).
   /// Requires depth() == 0; touches no frame.
   [[nodiscard]] bool closesCycle(std::span<const Edge> edges);
 

@@ -2,10 +2,12 @@
 // Test-only reference for shared gating (src/sched/shared_gating.cpp): the
 // pass as first written, on GateDnf vectors at every condition-algebra
 // call, with the frames recomputed from scratch per candidate and the
-// cycle check a plain DFS over the live edges. The differential suite
-// (test_pm_differential.cpp) requires applySharedGating to agree with it
-// on every design: the same gated nodes and conditions, control edges,
-// frames and slack-reject count.
+// cycle check a plain DFS over the live edges plus the candidate's batch.
+// A managed mux's batch also orders its selects before the tops of its
+// gated cones (taken from design.muxes), whose nodes inherit its
+// condition. The differential suite (test_pm_differential.cpp) requires
+// applySharedGating to agree with it on every design: the same gated nodes
+// and conditions, control edges, frames and slack-reject count.
 
 #include <optional>
 #include <utility>
@@ -25,6 +27,17 @@ class SharedGatingPassReference {
       : design_(design), g_(design.graph), extraSucc_(g_.size()) {
     cond_.resize(g_.size());
     need_.resize(g_.size());
+  }
+
+  /// Tops of the gated cones of `n` when it is a managed mux, else none.
+  std::vector<NodeId> topsOf(NodeId n) const {
+    std::vector<NodeId> tops;
+    for (const MuxPmInfo& info : design_.muxes) {
+      if (info.mux != n || !info.managed) continue;
+      tops.insert(tops.end(), info.topTrue.begin(), info.topTrue.end());
+      tops.insert(tops.end(), info.topFalse.begin(), info.topFalse.end());
+    }
+    return tops;
   }
 
   /// Candidates rejected because the frames turned infeasible.
@@ -130,12 +143,22 @@ class SharedGatingPassReference {
     const GateDnf& need = needOf(n);
     if (dnfIsTrue(need) || need.empty()) return false;
 
+    // The condition reaches the gated cones of a managed mux too, whose
+    // nodes each follow one of the cones' tops.
+    const std::vector<NodeId> tops = topsOf(n);
     std::vector<std::pair<NodeId, NodeId>> tentative;
-    for (const NodeId sel : dnfSupport(need))
-      if (isScheduled(g_.kind(sel))) tentative.emplace_back(sel, n);  // PI-driven: free
-    // n cannot wait for a select it reaches.
-    for (const auto& [sel, target] : tentative)
-      if (reaches(target, sel)) return false;
+    for (const NodeId sel : dnfSupport(need)) {
+      if (!isScheduled(g_.kind(sel))) continue;  // PI-driven: free
+      tentative.emplace_back(sel, n);
+      for (const NodeId t : tops) tentative.emplace_back(sel, t);
+    }
+    // Neither n nor a top may wait for a select it reaches: with the batch
+    // in place, no new edge's target may reach its source.
+    for (const auto& [before, after] : tentative) extraSucc_[before].push_back(after);
+    bool cycle = false;
+    for (const auto& [sel, target] : tentative) cycle = cycle || reaches(target, sel);
+    for (const auto& [before, after] : tentative) extraSucc_[before].pop_back();
+    if (cycle) return false;
 
     std::vector<std::pair<NodeId, NodeId>> all = committed_;
     all.insert(all.end(), tentative.begin(), tentative.end());

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <random>
 
+#include "condition_reference.hpp"
 #include "sched/bdd.hpp"
 #include "sched/condition.hpp"
 

@@ -5,6 +5,7 @@
 
 #include <random>
 
+#include "condition_reference.hpp"
 #include "sched/bdd.hpp"
 #include "sched/condition.hpp"
 

@@ -17,6 +17,7 @@
 #include "cdfg/textio.hpp"
 #include "circuits/circuits.hpp"
 #include "explore/explore.hpp"
+#include "explore_reference.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/timeframe.hpp"
 #include "server/protocol.hpp"

@@ -1,7 +1,8 @@
 // Differential tests for the oracle-backed power-management paths: the
 // incremental transform, exact search, and shared gating must produce
 // bit-identical designs (managed sets, gated sets, control edges, frames,
-// resolved conditions) to the retained from-scratch reference paths. The
+// resolved conditions) to the from-scratch references kept in
+// power_transform_reference.hpp and shared_gating_reference.hpp. The
 // incremental transform's slack rejects name no node; once
 // nameSlackRejects() has replayed them, their reasons must match the
 // reference's too.
@@ -17,6 +18,7 @@
 #include "cdfg/analysis.hpp"
 #include "circuits/circuits.hpp"
 #include "sched/power_transform.hpp"
+#include "power_transform_reference.hpp"
 #include "sched/shared_gating.hpp"
 #include "shared_gating_reference.hpp"
 #include "support/random_dfg.hpp"

@@ -565,14 +565,26 @@ TEST(Server, CrashOnTheRetryYieldsOneTypedInternalError) {
 }
 
 TEST(Server, SynthesisErrorIsTypedWithoutRestartOrRetry) {
-  // `pmsched --random-dfg 8x4:4` in shared mode fails at the controller
-  // (SynthesisError). That is a deterministic pipeline verdict, not a worker
-  // crash: one typed internal reply, and supervision never engages.
-  const Graph g = randomLayeredDfg(8, 4, 4);
+  // The control edge d1 -> gt plus the transform's gt -> d1 close a cycle,
+  // so the greedy transform throws SynthesisError in strict and shared
+  // mode. That is a deterministic pipeline verdict, not a worker crash: one
+  // typed internal reply, and supervision never engages.
+  const Graph g = loadGraphText(
+      "graph loop\n"
+      "input a 8\n"
+      "input b 8\n"
+      "node gt gt 1 a b\n"
+      "node sub d1 8 a b\n"
+      "node sub d2 8 b a\n"
+      "node mux r 8 gt d1 d2\n"
+      "output r_out r\n"
+      "ctrl d1 gt\n");
   const int steps = criticalPathLength(g) + 2;
   DesignJob dj;
   dj.graph = g;
   dj.steps = steps;
+  ASSERT_THROW((void)runDesignJob(dj), SynthesisError);
+  dj.shared = false;
   ASSERT_THROW((void)runDesignJob(dj), SynthesisError);
 
   ServerOptions opts;
